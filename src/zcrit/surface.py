@@ -13,6 +13,31 @@ Derivatives act spectrally: for the mode with integer frequencies
 
     ddc(u)_{jk} = -pi^2 conj(mu_j) mu_k u_hat.
 
+Frequencies take fftfreq values, so the Nyquist index n/2 of an axis
+carries -n/2, which is also the value at its negated index. Transforms
+are real FFTs on the half spectrum (N, N, N, N/2 + 1). The symbols
+|mu_j|^2 are even under k -> -k; s = conj(mu_1) mu_2 is not, on the
+Nyquist planes. With s_e, s_o its even and odd parts,
+
+    Re ddc(u)_12 = irfft(-pi^2 P u_hat),   P = Re s_e + i Im s_o,
+    Im ddc(u)_12 = irfft(-pi^2 Q u_hat),   Q = Im s_e - i Re s_o,
+
+which are exactly the real and imaginary parts of the full complex
+transform of -pi^2 s u_hat. For the same reason the least-squares
+potential pairs conj(P) and conj(Q) with the real and imaginary parts
+of a_12, and the preconditioner divides by the harmonic mean of its
+symbol at k and -k.
+
+Nyquist modes are kept, not zeroed. Since |s|^2 = |mu_1|^2 |mu_2|^2 on
+every mode, Parseval gives mean(det ddc u) = 0 for every real u, so
+the mean of the Monge-Ampere residual is fixed by the class, which the
+Newton iteration relies on. Zeroing Nyquist in the cross symbol alone
+breaks that identity and Newton stalls on a mean-mode residual;
+zeroing every Nyquist symbol leaves residual on modes conjugate
+gradients cannot reduce. A resolution policy for those modes needs
+residual projection or 2/3 dealiasing of the quadratic term (Orszag
+1971), not a change of symbol.
+
 Writing the normalised charge integrand with rho_0 scaled to 2,
 
     Zt(a) = rho2 w^2 + rho1 w ^ (a + U1) + a^2 + 2 a ^ U1 + 2 U2,
@@ -54,25 +79,57 @@ class NumericalFailureError(SurfaceError):
 # ---------------------------------------------------------------------------
 
 
+_AXES = (0, 1, 2, 3)
+
+
+def _rfft(u: np.ndarray) -> np.ndarray:
+    """Half spectrum (N, N, N, N/2 + 1) of a real grid field."""
+    return np.fft.rfftn(u, axes=_AXES)
+
+
+def _irfft(geom: "TorusGeometry", spec: np.ndarray) -> np.ndarray:
+    """Real grid field of a half spectrum."""
+    return np.fft.irfftn(spec, s=geom.shape, axes=_AXES)
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
-    """Uniform N^4 grid on the unit 4-torus with cached spectral data."""
+    """Uniform N^4 grid on the unit 4-torus with cached spectral data.
+
+    The spectral data lives on the real-FFT half spectrum: mu1 has shape
+    (N, N, 1, 1) and mu2 shape (1, 1, N, N/2 + 1), both with fftfreq
+    values, and cross_re, cross_im are the half-spectrum symbols P, Q of
+    the module docstring for the off-diagonal Hessian term.
+    """
 
     size: int
     mu1: np.ndarray = field(init=False, repr=False, compare=False)
     mu2: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_re: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_im: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 8 or self.size & (self.size - 1):
             raise SurfaceError("grid size must be a power of two >= 8")
         n = self.size
+        half = n // 2 + 1
         m = np.fft.fftfreq(n, d=1.0 / n)
-        mx1 = m.reshape(n, 1, 1, 1)
-        my1 = m.reshape(1, n, 1, 1)
-        mx2 = m.reshape(1, 1, n, 1)
-        my2 = m.reshape(1, 1, 1, n)
-        object.__setattr__(self, "mu1", mx1 + 1j * my1 + 0 * (mx2 + my2))
-        object.__setattr__(self, "mu2", 0 * (mx1 + my1) + mx2 + 1j * my2)
+        # frequency at the negated index: -m, except on the Nyquist index,
+        # whose value -n/2 is its own negation's
+        m_neg = m[-np.arange(n) % n]
+
+        def mus(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return (v.reshape(n, 1, 1, 1) + 1j * v.reshape(1, n, 1, 1),
+                    v.reshape(1, 1, n, 1) + 1j * v[:half].reshape(1, 1, 1, half))
+
+        mu1, mu2 = mus(m)
+        mu1_neg, mu2_neg = mus(m_neg)
+        s = np.conj(mu1) * mu2                    # s(k)
+        s_neg_conj = mu1_neg * np.conj(mu2_neg)   # conj(s(-k))
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2)
+        object.__setattr__(self, "cross_re", (s + s_neg_conj) / 2)
+        object.__setattr__(self, "cross_im", -0.5j * (s - s_neg_conj))
 
     @property
     def shape(self) -> Tuple[int, int, int, int]:
@@ -136,11 +193,12 @@ class FormField:
 def ddc(geom: TorusGeometry, u: np.ndarray) -> FormField:
     """Spectral complex Hessian of a real scalar field."""
     u = np.broadcast_to(np.asarray(u, dtype=float), geom.shape)
-    uh = np.fft.fftn(u)
-    pref = -np.pi ** 2
-    h11 = np.fft.ifftn(pref * (np.abs(geom.mu1) ** 2) * uh).real
-    h22 = np.fft.ifftn(pref * (np.abs(geom.mu2) ** 2) * uh).real
-    h12 = np.fft.ifftn(pref * np.conj(geom.mu1) * geom.mu2 * uh)
+    uh = -np.pi ** 2 * _rfft(u)
+    h11 = _irfft(geom, np.abs(geom.mu1) ** 2 * uh)
+    h22 = _irfft(geom, np.abs(geom.mu2) ** 2 * uh)
+    h12 = np.empty(geom.shape, dtype=complex)
+    h12.real = _irfft(geom, geom.cross_re * uh)
+    h12.imag = _irfft(geom, geom.cross_im * uh)
     return FormField(h11, h12, h22)
 
 
@@ -162,19 +220,23 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
     remainder a - mean(a) - ddc(w); the remainder vanishes exactly when
     the input is a complex Hessian.
     """
-    s11 = -np.pi ** 2 * np.abs(geom.mu1) ** 2
-    s22 = -np.pi ** 2 * np.abs(geom.mu2) ** 2
-    s12 = -np.pi ** 2 * np.conj(geom.mu1) * geom.mu2
-    denom = s11 ** 2 + s22 ** 2 + 2 * np.abs(s12) ** 2
+    pref = -np.pi ** 2
+    s11 = pref * np.abs(geom.mu1) ** 2
+    s22 = pref * np.abs(geom.mu2) ** 2
+    # |s12|^2 = s11 s22 on every mode, so s11^2 + s22^2 + 2 |s12|^2 is a square
+    denom = (s11 + s22) ** 2
     denom[0, 0, 0, 0] = 1.0
-    f11 = np.fft.fftn(a.a11 - np.mean(a.a11))
-    f22 = np.fft.fftn(a.a22 - np.mean(a.a22))
-    f12 = np.fft.fftn(a.a12 - np.mean(a.a12))
+    f11 = _rfft(a.a11 - np.mean(a.a11))
+    f22 = _rfft(a.a22 - np.mean(a.a22))
+    d12 = a.a12 - np.mean(a.a12)
     # per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
-    # with double weight on the off-diagonal pair
-    wh = (s11 * f11 + s22 * f22 + 2 * np.conj(s12) * f12) / denom
+    # with double weight on the off-diagonal pair; the real part of
+    # conj(s12) f12 splits over the real and imaginary parts of a12
+    cross = (np.conj(geom.cross_re) * _rfft(d12.real)
+             + np.conj(geom.cross_im) * _rfft(d12.imag))
+    wh = (s11 * f11 + s22 * f22 + 2 * pref * cross) / denom
     wh[0, 0, 0, 0] = 0.0
-    w = np.fft.ifftn(wh).real
+    w = _irfft(geom, wh)
     rec = ddc(geom, w)
     mean = a.mean_matrix()
     rem11 = a.a11 - mean[0, 0].real - rec.a11
@@ -266,11 +328,17 @@ class SurfaceChargeData:
             self.u1_const, base + potential, self.u2,
         )
 
-    def zt_density(self, alpha: FormField, k: float = 1.0) -> np.ndarray:
-        """Complex density of the normalised charge integrand at scale k."""
+    def zt_density(
+        self, alpha: FormField, k: float = 1.0, u1: Optional[FormField] = None
+    ) -> np.ndarray:
+        """Complex density of the normalised charge integrand at scale k.
+
+        u1 is this data's u1_field(), for callers that already hold it.
+        """
         _, r1, r2 = self.normalised_rho()
         g = self.omega()
-        u1 = self.u1_field()
+        if u1 is None:
+            u1 = self.u1_field()
         real_part = (
             square_density(alpha)
             + 2 * wedge_density(alpha, u1)
@@ -282,11 +350,11 @@ class SurfaceChargeData:
             + real_part.astype(complex)
         )
 
-    def total_charge(self, k: float = 1.0) -> complex:
-        return complex(np.mean(self.zt_density(self.alpha_harmonic(), k)))
+    def total_charge(self, k: float = 1.0, u1: Optional[FormField] = None) -> complex:
+        return complex(np.mean(self.zt_density(self.alpha_harmonic(), k, u1)))
 
-    def phase(self) -> float:
-        z = self.total_charge()
+    def phase(self, u1: Optional[FormField] = None) -> float:
+        z = self.total_charge(u1=u1)
         if z == 0:
             raise SurfaceError("total charge vanishes; phase undefined")
         return float(np.angle(z))
@@ -304,8 +372,13 @@ class EquationAssembly:
     m_base: FormField          # alpha0 + beta/2, the u = 0 matrix field
 
 
-def assemble_beta_gamma(data: SurfaceChargeData) -> EquationAssembly:
-    phi = data.phase()
+def assemble_beta_gamma(
+    data: SurfaceChargeData, u1: Optional[FormField] = None
+) -> EquationAssembly:
+    """Monge-Ampere data of the charge inputs; u1 as in zt_density."""
+    if u1 is None:
+        u1 = data.u1_field()
+    phi = data.phase(u1)
     s = float(np.sin(phi))
     if abs(s) < 1e-12:
         raise SurfaceError(
@@ -315,7 +388,6 @@ def assemble_beta_gamma(data: SurfaceChargeData) -> EquationAssembly:
     im1 = float((np.exp(-1j * phi) * r1).imag)
     im2 = float((np.exp(-1j * phi) * r2).imag)
     g = data.omega()
-    u1 = data.u1_field()
     beta = u1.scale(2.0) + g.scale(-im1 / s)
     gamma = (
         im2 * square_density(g)
@@ -375,18 +447,32 @@ def _apply_operator(geom: TorusGeometry, m: FormField, delta: np.ndarray) -> np.
 
 
 def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
-    """Fourier symbol of the mean-coefficient operator, made positive."""
+    """Half-spectrum symbol of the mean-coefficient operator, made positive.
+
+    The symbol sigma(k) is not even on Nyquist planes; the real part of
+    the full-spectrum division by sigma is a division by the harmonic
+    mean of sigma(k) and sigma(-k), which is what this returns.
+    """
     m11 = mbar[0, 0].real
     m22 = mbar[1, 1].real
     m12 = mbar[0, 1]
-    bracket = (
-        m11 * np.abs(geom.mu2) ** 2
-        + m22 * np.abs(geom.mu1) ** 2
-        - 2 * (m12 * geom.mu1 * np.conj(geom.mu2)).real
-    )
-    sym = 8 * np.pi ** 2 * bracket
-    sym[0, 0, 0, 0] = 1.0
-    return sym
+    # even and odd parts of s = conj(mu1) mu2, recovered from P and Q
+    s_even = geom.cross_re.real + 1j * geom.cross_im.real
+    s_odd = -geom.cross_im.imag + 1j * geom.cross_re.imag
+    diag = m11 * np.abs(geom.mu2) ** 2 + m22 * np.abs(geom.mu1) ** 2
+
+    def sigma(s: np.ndarray) -> np.ndarray:
+        sym = 8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real)
+        sym[0, 0, 0, 0] = 1.0
+        return sym
+
+    return 2 / (1 / sigma(s_even + s_odd) + 1 / sigma(s_even - s_odd))
+
+
+def _apply_preconditioner(geom: TorusGeometry, symbol: np.ndarray, r: np.ndarray) -> np.ndarray:
+    zh = _rfft(r) / symbol
+    zh[0, 0, 0, 0] = 0.0
+    return _irfft(geom, zh)
 
 
 def _pcg(
@@ -399,15 +485,10 @@ def _pcg(
 ) -> Tuple[np.ndarray, int]:
     """Conjugate gradients for -L_m x = rhs on mean-zero fields."""
 
-    def precond(r: np.ndarray) -> np.ndarray:
-        zh = np.fft.fftn(r) / symbol
-        zh[0, 0, 0, 0] = 0.0
-        return np.fft.ifftn(zh).real
-
     rhs = _mean_zero(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = precond(r)
+    z = _apply_preconditioner(geom, symbol, r)
     p = z.copy()
     rz = float(np.sum(r * z))
     norm0 = float(np.sqrt(np.sum(rhs * rhs)))
@@ -434,7 +515,7 @@ def _pcg(
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = precond(r)
+        z = _apply_preconditioner(geom, symbol, r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -602,13 +683,18 @@ def solve_critical_equation(
     data: SurfaceChargeData, tol: float = 1e-8, **kwargs
 ) -> SurfaceSolution:
     """Assemble the equation from charge data, solve it, and report the
-    residual of the original phase equation alongside the solver's."""
-    asm = assemble_beta_gamma(data)
+    residual of the original phase equation alongside the solver's.
+
+    The twist's Hessian is computed once here and shared by every step
+    that needs it; nothing is kept on data.
+    """
+    u1 = data.u1_field()
+    asm = assemble_beta_gamma(data, u1)
     ma = solve_monge_ampere(
         data.geom, data.alpha_harmonic(), asm.beta, asm.gamma, tol=tol, **kwargs
     )
     alpha = data.alpha_harmonic() + ddc(data.geom, ma.u)
-    zres = z_residual(data, alpha)
+    zres = z_residual(data, alpha, u1, asm.phi)
     return SurfaceSolution(
         u=ma.u,
         phi=asm.phi,
@@ -632,15 +718,24 @@ class ZResidualReport:
     grid_mean: float
 
 
-def z_residual(data: SurfaceChargeData, alpha: FormField) -> ZResidualReport:
+def z_residual(
+    data: SurfaceChargeData,
+    alpha: FormField,
+    u1: Optional[FormField] = None,
+    phi: Optional[float] = None,
+) -> ZResidualReport:
     """Pointwise density of Im(e^{-i phi} Zt) at the given curvature form.
 
     The grid mean must vanish for any form in the class since the mean
     of the density is determined by the class alone and phi is chosen
-    to cancel it.
+    to cancel it. u1 and phi, when given, are data.u1_field() and
+    data.phase().
     """
-    phi = data.phase()
-    zt = data.zt_density(alpha)
+    if u1 is None:
+        u1 = data.u1_field()
+    if phi is None:
+        phi = data.phase(u1)
+    zt = data.zt_density(alpha, u1=u1)
     res = (np.exp(-1j * phi) * zt).imag
     return ZResidualReport(res, float(np.max(np.abs(res))), float(np.mean(res)))
 
@@ -677,9 +772,10 @@ def large_volume_check(
     geom = data.geom
     if alpha is None:
         alpha = data.alpha_harmonic()
+    u1 = data.u1_field()
 
     def pairing(kk: float) -> np.ndarray:
-        zt = data.zt_density(alpha, kk)
+        zt = data.zt_density(alpha, kk, u1)
         zk = complex(np.mean(zt))
         return (np.conj(zk) * zt).imag
 
@@ -689,7 +785,7 @@ def large_volume_check(
     _, r1, r2 = data.normalised_rho()
     c = float((np.conj(r2) * r1).imag)
     g = data.omega()
-    variation = alpha + data.u1_field()
+    variation = alpha + u1
     mean = variation.mean_matrix()
     vari = variation - FormField.constant(
         geom, mean[0, 0].real, mean[0, 1], mean[1, 1].real

@@ -130,3 +130,27 @@ def test_direct_interface_matches_wrapper():
     assert np.allclose(ma.u, wrapped.u, atol=1e-11)
     assert ma.residual_sup == pytest.approx(wrapped.residual_sup,
                                             rel=1e-6, abs=1e-13)
+
+
+def test_solves_leave_no_state_on_the_data():
+    # two solves of one data object agree bit for bit and leave its
+    # attributes as they were; a new twist potential changes the answer
+    data = flat_data()
+    x = data.geom.coordinates()
+    pert = data.perturb_u1(0.1 * np.cos(2 * np.pi * x[0]))
+    before = dict(vars(pert))
+    potential = pert.u1_potential.copy()
+    first = solve_critical_equation(pert, tol=1e-10, stages=1)
+    second = solve_critical_equation(pert, tol=1e-10, stages=1)
+    assert np.array_equal(first.u, second.u)
+    assert first.residual_sup == second.residual_sup
+    assert vars(pert).keys() == before.keys()
+    assert all(vars(pert)[k] is before[k] for k in before)
+    assert np.array_equal(pert.u1_potential, potential)
+
+    pert.u1_potential = 0.08 * np.cos(2 * np.pi * x[2])
+    third = solve_critical_equation(pert, tol=1e-10, stages=1)
+    fresh = solve_critical_equation(
+        data.perturb_u1(0.08 * np.cos(2 * np.pi * x[2])), tol=1e-10, stages=1)
+    assert not np.allclose(third.u, first.u)
+    assert np.array_equal(third.u, fresh.u)

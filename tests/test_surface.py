@@ -9,6 +9,8 @@ from zcrit.surface import (
     SurfaceChargeData,
     SurfaceError,
     TorusGeometry,
+    _apply_preconditioner,
+    _precondition_symbol,
     assemble_beta_gamma,
     check_positivity,
     check_volume_form_hypothesis,
@@ -104,6 +106,88 @@ def test_potential_recovers_exact_part():
     skew.a22 = skew.a22 + geom.mode_field([1, 0, 0, 0], 1.0)
     _, remainder = potential_from_form(geom, skew)
     assert remainder > 0.1
+
+
+# Reference operators on the full complex N^4 spectrum, with fftfreq
+# frequencies on every axis. The solver works on the real-FFT half
+# spectrum and must reproduce these exactly, Nyquist planes included.
+
+
+def ref_mu(geom):
+    n = geom.size
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    mu1 = m.reshape(n, 1, 1, 1) + 1j * m.reshape(1, n, 1, 1)
+    mu2 = m.reshape(1, 1, n, 1) + 1j * m.reshape(1, 1, 1, n)
+    return mu1, mu2
+
+
+def ref_ddc(geom, u):
+    mu1, mu2 = ref_mu(geom)
+    uh = -np.pi ** 2 * np.fft.fftn(u)
+    return FormField(np.fft.ifftn(np.abs(mu1) ** 2 * uh).real,
+                     np.fft.ifftn(np.conj(mu1) * mu2 * uh),
+                     np.fft.ifftn(np.abs(mu2) ** 2 * uh).real)
+
+
+def ref_potential(geom, a):
+    mu1, mu2 = ref_mu(geom)
+    s11 = -np.pi ** 2 * np.abs(mu1) ** 2
+    s22 = -np.pi ** 2 * np.abs(mu2) ** 2
+    s12 = -np.pi ** 2 * np.conj(mu1) * mu2
+    denom = s11 ** 2 + s22 ** 2 + 2 * np.abs(s12) ** 2
+    denom[0, 0, 0, 0] = 1.0
+    wh = (s11 * np.fft.fftn(a.a11 - np.mean(a.a11))
+          + s22 * np.fft.fftn(a.a22 - np.mean(a.a22))
+          + 2 * np.conj(s12) * np.fft.fftn(a.a12 - np.mean(a.a12))) / denom
+    wh[0, 0, 0, 0] = 0.0
+    return np.fft.ifftn(wh).real
+
+
+def ref_precondition(geom, mbar, r):
+    mu1, mu2 = ref_mu(geom)
+    sym = 8 * np.pi ** 2 * (mbar[0, 0].real * np.abs(mu2) ** 2
+                            + mbar[1, 1].real * np.abs(mu1) ** 2
+                            - 2 * (mbar[0, 1] * mu1 * np.conj(mu2)).real)
+    sym[0, 0, 0, 0] = 1.0
+    zh = np.fft.fftn(r) / sym
+    zh[0, 0, 0, 0] = 0.0
+    return np.fft.ifftn(zh).real
+
+
+def assert_rel_close(new, ref, rel=1e-12):
+    assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_real_fft_operators_match_complex_reference(n):
+    # white noise fills the Nyquist planes, where conj(mu1) mu2 is not
+    # even under k -> -k
+    geom = TorusGeometry(n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(geom.shape)
+    new, ref = ddc(geom, u), ref_ddc(geom, u)
+    for a, b in ((new.a11, ref.a11), (new.a12, ref.a12), (new.a22, ref.a22)):
+        assert_rel_close(a, b)
+
+    a11, a12r, a12i, a22 = (rng.standard_normal(geom.shape) for _ in range(4))
+    form = FormField(a11, a12r + 1j * a12i, a22)
+    w, _ = potential_from_form(geom, form)
+    assert_rel_close(w, ref_potential(geom, form))
+
+    mbar = np.array([[2.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.5]])
+    r = rng.standard_normal(geom.shape)
+    z = _apply_preconditioner(geom, _precondition_symbol(geom, mbar), r)
+    assert_rel_close(z, ref_precondition(geom, mbar, r))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_hessian_square_has_zero_mean(n):
+    # mean(det ddc u) = 0 for every real u, Nyquist content included; the
+    # Newton iteration relies on it, since it fixes the residual's mean
+    geom = TorusGeometry(n)
+    u = np.random.default_rng(100 + n).standard_normal(geom.shape)
+    sq = square_density(ddc(geom, u))
+    assert abs(np.mean(sq)) <= 1e-12 * np.max(np.abs(sq))
 
 
 def test_wedge_square_identities():
