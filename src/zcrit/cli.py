@@ -257,6 +257,7 @@ def cmd_solve_surface(args) -> int:
         params["tol"] = args.tol
 
     from .surface import (
+        NumericalFailureError,
         ddc,
         large_volume_check,
         solve_critical_equation,
@@ -270,6 +271,10 @@ def cmd_solve_surface(args) -> int:
         stages=params["stages"],
         max_newton=params["max_newton"],
     )
+    if not sol.residual_sup <= params["tol"]:
+        raise NumericalFailureError(
+            f"final residual {sol.residual_sup:.3e} exceeds tol {params['tol']:.3e}"
+        )
     lv_rows = (
         large_volume_check(data, params["k_values"]) if params["k_values"] else []
     )

@@ -49,6 +49,24 @@ def parse_fraction(value, path: str) -> Fraction:
     raise ConfigError(path, f"cannot read a rational from {type(value).__name__}")
 
 
+def parse_int(value, path: str, minimum: Optional[int] = None) -> int:
+    """An integer given as a JSON integer or an integer string; floats
+    and booleans are rejected, as are values below minimum."""
+    if isinstance(value, str):
+        try:
+            value = int(value.strip())
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(
+            path, f"expected an integer, got {value!r} (counts, sizes, modes "
+            "and indices must be integers)"
+        )
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be at least {minimum}, got {value}")
+    return value
+
+
 def parse_gaussian(value, path: str) -> GaussianRational:
     if isinstance(value, dict):
         extra = set(value) - {"re", "im"}
@@ -124,7 +142,8 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
     elif man.get("preset") == "projective_space":
         if "dimension" not in man:
             raise ConfigError("manifold.dimension", "projective_space needs a dimension")
-        ring = preset_ring("projective_space", n=int(man["dimension"]))
+        n = parse_int(man["dimension"], "manifold.dimension", minimum=1)
+        ring = preset_ring("projective_space", n=n)
     elif man.get("preset") == "torus_line":
         vol = parse_fraction(man.get("volume", 1), "manifold.volume")
         ring = preset_ring("torus_line", vol=vol)
@@ -274,10 +293,7 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
         p = f"{path}.edges[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(p, "edges are [from, to] index pairs")
-        try:
-            edges.append((int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError):
-            raise ConfigError(p, "edge endpoints must be integers") from None
+        edges.append((parse_int(pair[0], p + "[0]"), parse_int(pair[1], p + "[1]")))
     try:
         return FiltrationGraph(tuple(quotients), tuple(edges))
     except Exception as exc:
@@ -316,10 +332,13 @@ def parse_mode_sum(geom, terms, path: str):
         mode = term["mode"]
         if not isinstance(mode, list) or len(mode) != 4:
             raise ConfigError(p + ".mode", "mode must be four integers")
-        try:
-            mode = [int(m) for m in mode]
-        except (TypeError, ValueError):
-            raise ConfigError(p + ".mode", "mode must be four integers") from None
+        mode = [parse_int(m, f"{p}.mode[{j}]") for j, m in enumerate(mode)]
+        if any(2 * abs(m) >= geom.size for m in mode):
+            raise ConfigError(
+                p + ".mode",
+                f"mode {mode} aliases on the N={geom.size} grid; every |m_i| must "
+                "be below N/2",
+            )
         amp = parse_float(term.get("amplitude", 1), p + ".amplitude")
         phase = term.get("phase", "cos")
         if phase not in ("cos", "sin"):
@@ -334,7 +353,10 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
 
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
-    size = n_override if n_override is not None else int(sec.get("N", 16))
+    if n_override is not None:
+        size = n_override
+    else:
+        size = parse_int(sec.get("N", 16), path + ".N")
     try:
         geom = TorusGeometry(size)
     except SurfaceError as exc:
@@ -376,8 +398,11 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
 
     params = {
         "tol": parse_float(sec.get("tol", 1e-8), path + ".tol"),
-        "stages": int(sec.get("stages", 10)),
-        "max_newton": int(sec.get("max_newton", 50)),
+        "stages": parse_int(sec.get("stages", 10), path + ".stages", minimum=1),
+        # 0 is a valid budget: a solve that needs any Newton step then fails
+        "max_newton": parse_int(
+            sec.get("max_newton", 50), path + ".max_newton", minimum=0
+        ),
         "k_values": [
             parse_float(v, f"{path}.k_values[{i}]")
             for i, v in enumerate(sec.get("k_values", []))

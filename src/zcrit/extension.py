@@ -39,6 +39,12 @@ class ExtensionError(ValueError):
     pass
 
 
+def _certify(holds: bool, claim: str) -> None:
+    """Certificate check that also runs under python -O."""
+    if not holds:
+        raise ExtensionError(f"internal error: certificate check failed: {claim}")
+
+
 @dataclass(frozen=True)
 class QuotientSpec:
     name: str
@@ -177,7 +183,7 @@ def assemble_tau_system(
         b = tuple(Fraction(0) for _ in profiles)
     else:
         b = tuple(p[q] for p in profiles)
-    assert sum(b, Fraction(0)) == 0, "discrepancy loads must balance"
+    _certify(sum(b, Fraction(0)) == 0, "discrepancy loads must balance")
     m = len(graph.quotients)
     A = [[Fraction(0)] * len(graph.edges) for _ in range(m)]
     for l, (u, v) in enumerate(graph.edges):
@@ -220,10 +226,14 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
     status, cert = solve_linear_system(A, neg_b)
     if status == "inconsistent":
         y = cert
-        assert all(
-            sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) == 0 for l in range(L)
+        _certify(
+            all(sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) == 0 for l in range(L)),
+            "inconsistency functional must annihilate the balance matrix",
         )
-        assert sum((y[i] * system.b[i] for i in range(m)), Fraction(0)) != 0
+        _certify(
+            sum((y[i] * system.b[i] for i in range(m)), Fraction(0)) != 0,
+            "inconsistency functional must not vanish on the loads",
+        )
         return TauSolution(False, None, None, {"kind": "inconsistent", "y": tuple(y)})
 
     a_ones = [sum(row, Fraction(0)) for row in A]
@@ -236,7 +246,9 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
         M = [row + [Fraction(0)] for row in M]
         M.append([Fraction(0)] * L + [Fraction(1), Fraction(-1), Fraction(1)])
         res = simplex_solve(M, neg_b + [cap], c + [Fraction(0)])
-        assert res.status == "optimal" and res.value == cap
+        _certify(
+            res.status == "optimal" and res.value == cap, "capped margin must equal the cap"
+        )
     if res.status != "optimal":
         raise ExtensionError(f"unexpected optimisation status {res.status}")
 
@@ -251,8 +263,16 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
         return TauSolution(True, margin, tau, cert)
 
     y = res.dual[:m]
-    for l in range(L):
-        assert sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) >= 0
-    assert sum((y[i] * a_ones[i] for i in range(m)), Fraction(0)) == 1
-    assert sum((y[i] * neg_b[i] for i in range(m)), Fraction(0)) == margin
+    _certify(
+        all(sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) >= 0 for l in range(L)),
+        "dual vector must satisfy A^T y >= 0",
+    )
+    _certify(
+        sum((y[i] * a_ones[i] for i in range(m)), Fraction(0)) == 1,
+        "dual vector must satisfy (A 1)^T y = 1",
+    )
+    _certify(
+        sum((y[i] * neg_b[i] for i in range(m)), Fraction(0)) == margin,
+        "dual objective must equal the margin",
+    )
     return TauSolution(False, margin, tau, {"kind": "dual", "y": tuple(y), "margin": margin})

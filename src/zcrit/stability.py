@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import realroots
 from .charge import (
@@ -118,22 +118,25 @@ def comparison_polynomial(
     return out
 
 
-def _verdict_from_values(values: Sequence[Fraction], n: int) -> PhaseVerdict:
-    for m in range(len(values) - 1, -1, -1):
-        v = values[m]
+def _verdict_from_values(
+    value_of: Callable[[int], Fraction], top: int, n: int
+) -> PhaseVerdict:
+    """Verdict from p_top, p_{top-1}, ..., p_0, asked for one at a time:
+    the first nonzero coefficient decides, so the rest are never
+    computed."""
+    for m in range(top, -1, -1):
+        v = value_of(m)
         if v != 0:
             rel = Relation.GREATER if v > 0 else Relation.LESS
             return PhaseVerdict(rel, 2 * n - m, v)
     return PhaseVerdict(Relation.EQUAL, None, None)
 
 
-def _verdict_from_signs(signs: Sequence[int], n: int) -> PhaseVerdict:
-    for m in range(len(signs) - 1, -1, -1):
-        s = signs[m]
-        if s != 0:
-            rel = Relation.GREATER if s > 0 else Relation.LESS
-            return PhaseVerdict(rel, 2 * n - m, None)
-    return PhaseVerdict(Relation.EQUAL, None, None)
+def _verdict_from_signs(sign_of: Callable[[int], int], top: int, n: int) -> PhaseVerdict:
+    """_verdict_from_values where only signs are known, at an irrational
+    point: the leading coefficient is left unset."""
+    verdict = _verdict_from_values(sign_of, top, n)
+    return PhaseVerdict(verdict.relation, verdict.order, None)
 
 
 def phase_compare(
@@ -144,7 +147,7 @@ def phase_compare(
     _assert_comparable(z_f, "Z_F")
     n = max(len(z_f), len(z_e)) - 1
     p = comparison_polynomial(z_f, z_e)
-    return _verdict_from_values(p, n)
+    return _verdict_from_values(p.__getitem__, len(p) - 1, n)
 
 
 def quotient_charge(
@@ -177,10 +180,12 @@ def slope_semistability_leading(
     n = ring.complex_dimension
     top = p[2 * n]
     sub = p[2 * n - 1]
-    assert top == 0, "k^{2n} coefficient of the comparison must cancel"
-    assert (sub > 0) == (bracket > 0) and (sub < 0) == (bracket < 0), (
-        "slope bracket and subleading comparison coefficient disagree"
-    )
+    if top != 0:
+        raise StabilityError("k^{2n} coefficient of the comparison must cancel")
+    if (sub > 0) != (bracket > 0) or (sub < 0) != (bracket < 0):
+        raise StabilityError(
+            "slope bracket and subleading comparison coefficient disagree"
+        )
     return bracket
 
 
@@ -414,10 +419,12 @@ def wall_scan(
     def report_at_value(t: Fraction) -> StabilityReport:
         entries = []
         for cand, pm in per_candidate:
-            values = [realroots.poly_eval(poly, t) for poly in pm]
-            entries.append(
-                CandidateVerdict(cand.name, cand.kind, _verdict_from_values(values, n))
-            )
+
+            def value_of(m: int, pm=pm) -> Fraction:
+                return realroots.poly_eval(pm[m], t)
+
+            verdict = _verdict_from_values(value_of, len(pm) - 1, n)
+            entries.append(CandidateVerdict(cand.name, cand.kind, verdict))
         return _aggregate(entries)
 
     def report_at_point(point: realroots.RootPoint) -> StabilityReport:
@@ -425,13 +432,13 @@ def wall_scan(
             return report_at_value(point.exact)
         entries = []
         for cand, pm in per_candidate:
-            signs = [
-                0 if realroots.poly_is_zero(poly) else realroots.sign_at(poly, point)
-                for poly in pm
-            ]
-            entries.append(
-                CandidateVerdict(cand.name, cand.kind, _verdict_from_signs(signs, n))
-            )
+
+            def sign_of(m: int, pm=pm) -> int:
+                poly = pm[m]
+                return 0 if realroots.poly_is_zero(poly) else realroots.sign_at(poly, point)
+
+            verdict = _verdict_from_signs(sign_of, len(pm) - 1, n)
+            entries.append(CandidateVerdict(cand.name, cand.kind, verdict))
         return _aggregate(entries)
 
     # assemble bounds: (printable_left, printable_right) per open cell

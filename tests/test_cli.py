@@ -1,12 +1,17 @@
 """Command-line behavior driven in process: golden delimited output,
 JSON variants, and the exit-code contract."""
 
+import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from zcrit import cli
+from zcrit import cli, surface
 from zcrit.surface import read_field_dump
 
 DHYM_CFG = "configs/p2_extension_dhym.json"
@@ -129,6 +134,33 @@ def test_walls_json(capsys):
         "stable", "semistable", "unstable")
 
 
+def test_walls_on_the_rescaled_pair(tmp_path, capsys):
+    # the pair whose comparison polynomial 11t^2 - 28t - 20 crashed the
+    # former sympy-based isolator with exit 1
+    raw = {"manifold": {"preset": "projective_space", "dimension": 2},
+           "charge": {"preset": "dhym"},
+           "sheaves": {"E": {"ch": {"1": "3", "h": "1", "h^2": "4"}},
+                       "F": {"ch": {"1": "2", "h": "-3", "h^2": "-2"}}},
+           "walls": {"object": "E", "candidates": [{"name": "F"}],
+                     "direction": {"h": "1"}, "range": ["-3", "3"]}}
+    rc, out, err = run(capsys, "walls", "--config", write_cfg(tmp_path, raw))
+    assert rc == 0, err
+    rows = rows_of(out)
+    assert [r[4] for r in rows if r[0] == "cell"] == ["stable", "stable"]
+    (wall,) = [r for r in rows if r[0] == "wall"]
+    assert wall[1].startswith("[") and wall[4:] == ["stable", "stable", "stable"]
+
+
+def test_cli_import_leaves_sympy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, zcrit.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_tau_feasible_golden(capsys):
     rc, out, _ = run(capsys, "tau", "--config", TAU_CFG)
     assert rc == 0
@@ -235,6 +267,55 @@ def test_numerical_failure_exit(tmp_path, capsys):
     rc, _, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
     assert rc == 65
     assert "numerical failure" in err
+
+
+def torus_raw(**changes):
+    raw = {"surface": {"N": 8, "preset": "dhym",
+                       "metric": {"a11": "1", "a22": "1"},
+                       "alpha0": {"a11": "2", "a22": "3"},
+                       "u1_potential": [
+                           {"mode": [1, 0, 0, 0], "amplitude": 0.1, "phase": "cos"}],
+                       "tol": 1e-10, "stages": 1}}
+    raw["surface"].update(changes)
+    return raw
+
+
+@pytest.mark.parametrize("command, raw, path", [
+    (["charge", "--sheaf", "E"],
+     {"manifold": {"preset": "projective_space", "dimension": "two"},
+      "charge": {"preset": "dhym"}, "sheaves": {"E": {"ch": {"1": "1"}}}},
+     "manifold.dimension"),
+    (["solve-surface"], torus_raw(N="abc"), "surface.N"),
+    (["solve-surface"], torus_raw(stages=0), "surface.stages"),
+    (["solve-surface"], torus_raw(max_newton=-1), "surface.max_newton"),
+    (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 0, 0, 0]}, {"mode": [5, 0, 0, 0]}]),
+     r"surface.u1_potential\[1\].mode"),
+    (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 1.5, 0, 0]}]),
+     r"surface.u1_potential\[0\].mode\[1\]"),
+], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode"])
+def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
+    rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
+    assert rc == 64
+    assert "config error" in err
+    assert re.search(path, err)
+
+
+def test_aliased_mode_checked_after_the_grid_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, torus_raw(N=16, u1_potential=[{"mode": [0, 0, 4, 0]}]))
+    rc, _, err = run(capsys, "solve-surface", "--config", cfg, "--N", "8")
+    assert rc == 64 and "surface.u1_potential[0].mode" in err
+
+
+def test_residual_above_tol_exits_65(tmp_path, capsys, monkeypatch):
+    real = surface.solve_critical_equation
+
+    def loose(data, **kwargs):
+        return dataclasses.replace(real(data, **kwargs), residual_sup=1e-3)
+
+    monkeypatch.setattr(surface, "solve_critical_equation", loose)
+    rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, torus_raw()))
+    assert rc == 65 and out == ""
+    assert "numerical failure" in err and "exceeds tol" in err
 
 
 def test_usage_errors_exit_64(capsys):

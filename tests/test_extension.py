@@ -1,8 +1,13 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from zcrit import extension
 from zcrit.charge import ChernCharacter, central_charge, charge_preset
 from zcrit.exactlp import solve_linear_system
 from zcrit.extension import (
@@ -212,3 +217,83 @@ def test_random_trees_match_direct_elimination():
         assert sol.margin == min(tau)
         if sol.feasible:
             assert list(sol.tau) == tau
+
+
+def pinned_reverse_system():
+    ring, h, rho, U = p2()
+    ch_e, ch_f, ch_q = pinned_sequence(ring)
+    rev = FiltrationGraph((QuotientSpec("F", ch_f), QuotientSpec("Q", ch_q)), ((0, 1),))
+    return assemble_tau_system(ring, h, rho, U, ch_e, rev)
+
+
+def test_unbalanced_loads_raise(monkeypatch):
+    ring, h, rho, U = p2()
+    ch_e, ch_f, ch_q = pinned_sequence(ring)
+    graph = FiltrationGraph((QuotientSpec("Q", ch_q), QuotientSpec("F", ch_f)), ((0, 1),))
+    monkeypatch.setattr(extension, "abs_critical_profile", lambda *args: [F(1)])
+    with pytest.raises(ExtensionError, match="loads must balance"):
+        assemble_tau_system(ring, h, rho, U, ch_e, graph)
+
+
+@pytest.mark.parametrize("y, claim", [
+    ((F(1), F(0)), "annihilate the balance matrix"),
+    ((F(0), F(0)), "must not vanish on the loads"),
+])
+def test_bad_inconsistency_functional_raises(monkeypatch, y, claim):
+    monkeypatch.setattr(extension, "solve_linear_system", lambda A, rhs: ("inconsistent", y))
+    with pytest.raises(ExtensionError, match=claim):
+        solve_tau_positive(pinned_reverse_system())
+
+
+def faked_simplex(monkeypatch, **changes):
+    real = extension.simplex_solve
+    monkeypatch.setattr(extension, "simplex_solve",
+                        lambda *args: dataclasses.replace(real(*args), **changes))
+
+
+@pytest.mark.parametrize("changes, claim", [
+    ({"dual": [F(0), F(1)]}, r"A\^T y >= 0"),
+    ({"dual": [F(1, 2), F(0)]}, r"\(A 1\)\^T y = 1"),
+    ({"value": F(-1)}, "dual objective must equal the margin"),
+])
+def test_bad_dual_certificate_raises(monkeypatch, changes, claim):
+    faked_simplex(monkeypatch, **changes)
+    with pytest.raises(ExtensionError, match=claim):
+        solve_tau_positive(pinned_reverse_system())
+
+
+def test_capped_margin_off_the_cap_raises(monkeypatch):
+    ring, h, rho, U = p2()
+    half = p2_character(ring, 1, 0, -1)
+    graph = FiltrationGraph((QuotientSpec("Q1", half), QuotientSpec("Q2", half)),
+                            ((0, 1), (1, 0)))
+    system = assemble_tau_system(ring, h, rho, U, half + half, graph)
+    faked_simplex(monkeypatch, value=F(2))
+    with pytest.raises(ExtensionError, match="capped margin must equal the cap"):
+        solve_tau_positive(system)
+
+
+def test_certificate_checks_run_under_optimisation():
+    code = (
+        "from fractions import Fraction\n"
+        "from zcrit import extension\n"
+        "from zcrit.charge import ChernCharacter, charge_preset\n"
+        "from zcrit.numring import preset_ring\n"
+        "ring = preset_ring('projective_space', n=2)\n"
+        "h = ring.gen('h')\n"
+        "rho, U = charge_preset('dhym', ring, h)\n"
+        "q = ChernCharacter(ring.unit())\n"
+        "graph = extension.FiltrationGraph((extension.QuotientSpec('A', q),\n"
+        "                                   extension.QuotientSpec('B', q)), ((0, 1),))\n"
+        "extension.abs_critical_profile = lambda *args: [Fraction(1)]\n"
+        "try:\n"
+        "    extension.assemble_tau_system(ring, h, rho, U, q + q, graph)\n"
+        "except extension.ExtensionError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

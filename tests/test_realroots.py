@@ -42,6 +42,10 @@ def test_multiple_roots_reported_once():
     p = mul(mul([F(-1, 2), F(1)], [F(-1, 2), F(1)]), [F(1), F(1)])
     roots = roots_in_range(p, F(-2), F(2))
     assert [r.exact for r in roots] == [F(-1), F(1, 2)]
+    # bisection midpoints and range endpoints that land on a root
+    assert [r.exact for r in roots_in_range(p, F(0), F(1))] == [F(1, 2)]
+    assert [r.exact for r in roots_in_range(p, F(-1), F(1, 2))] == [F(-1), F(1, 2)]
+    assert [r.exact for r in roots_in_range(p, F(-3), F(1))] == [F(-1), F(1, 2)]
 
 
 def test_zero_and_constant_polynomials():
@@ -94,3 +98,30 @@ def test_dedup_merges_equal_points_across_sources():
 def test_poly_eval_horner():
     p = [F(1), F(-3), F(2)]
     assert poly_eval(p, F(1, 2)) == F(1) - F(3, 2) + F(1, 2)
+
+
+def test_roots_next_to_a_rational_root_on_a_midpoint():
+    # (x - 1/2)((x - 1/2)^2 - 2*10^-40): 1/2 is the first bisection
+    # midpoint of [0, 1], and the irrational roots 1/2 -+ sqrt(2)*10^-20
+    # sit on either side of it
+    half = [F(-1, 2), F(1)]
+    p = mul(half, [F(1, 4) - F(2, 10 ** 40), F(-1), F(1)])
+    left, mid, right = roots_in_range(p, F(0), F(1))
+    assert (left.exact, mid.exact, right.exact) == (None, F(1, 2), None)
+    for r in (left, right):
+        assert poly_eval(p, r.lo) * poly_eval(p, r.hi) < 0
+        assert r.hi - r.lo <= F(1, 10 ** 10)
+    assert left.hi < F(1, 2) < right.lo
+
+
+def test_rescaled_quadratic_regression():
+    # sympy isolates -5t^2/32 - 25t/48 + 1/6 after substituting t = 2y and
+    # returned 2*CRootOf(...), which the former wrapper could not enclose
+    p = [F(1, 6), F(-25, 48), F(-5, 32)]
+    (root,) = roots_in_range(p, F(-3), F(3))
+    assert root.exact is None
+    assert F(0) < root.lo < root.hi < F(1)
+    assert root.hi - root.lo <= F(1, 10 ** 10)
+    assert poly_eval(p, root.lo) * poly_eval(p, root.hi) < 0
+    assert sign_at([F(0), F(1)], root) == 1
+    assert sign_at(mul(p, [F(7), F(1)]), root) == 0

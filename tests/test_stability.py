@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcrit.charge import (
     CentralChargePolynomial,
@@ -10,9 +12,11 @@ from zcrit.charge import (
     charge_preset,
 )
 from zcrit.gaussian import GaussianRational
-from zcrit.numring import preset_ring, ring_from_dict
+from zcrit import stability
+from zcrit.numring import class_from_dict, preset_ring, ring_from_dict
 from zcrit.realroots import poly_eval
 from zcrit.stability import (
+    PhaseVerdict,
     Relation,
     StabilityError,
     SubobjectCandidate,
@@ -130,6 +134,19 @@ def test_slope_bracket_agrees_with_subleading_coefficient():
     assert slope_semistability_leading(ring, h, U, ch_e, ch_g) == 3
 
 
+@pytest.mark.parametrize("fake, claim", [
+    ([F(0), F(0), F(0), F(0), F(1)], "must cancel"),
+    ([F(0), F(0), F(0), F(-1), F(0)], "disagree"),
+])
+def test_slope_guard_raises(fake, claim):
+    ring, h, _, U = p2_setup(F(1, 3))
+    ch_e = p2_character(ring, 3, 0, -2)
+    ch_g = p2_character(ring, 1, 1, 0)
+    with mock.patch.object(stability, "comparison_polynomial", lambda z_f, z_e: fake):
+        with pytest.raises(StabilityError, match=claim):
+            slope_semistability_leading(ring, h, U, ch_e, ch_g)
+
+
 def test_candidate_rank_constraints():
     ring, h, rho, U = p2_setup(0)
     ch_e = p2_character(ring, 2, 0, 0)
@@ -217,3 +234,81 @@ def test_wall_scan_argument_validation():
         wall_scan(ring, h, ch_e, cands, None, ring.zero(), F(0), F(1))
     with pytest.raises(StabilityError):
         wall_scan(ring, h, ch_e, cands, None, ring.unit(), F(0), F(1))
+
+
+def scan_and_check(ring, preset, ch_e, cands, t_min=F(-3), t_max=F(3)):
+    """Wall scan whose cells and rational walls agree with stability_verdict."""
+    h = ring.gen("h")
+    scan = wall_scan(ring, h, ch_e, cands, None, h, t_min, t_max, preset)
+
+    def status_at(t):
+        rho, U = charge_preset(preset, ring, h.scale(t))
+        return stability_verdict(ring, h, rho, U, ch_e, cands).status
+
+    assert scan.cells[0].t_left == t_min and scan.cells[-1].t_right == t_max
+    for cell in scan.cells:
+        assert cell.t_left < cell.sample < cell.t_right
+        assert cell.report.status == status_at(cell.sample)
+    for wall in scan.walls:
+        if wall.exact is not None:
+            assert wall.report.status == status_at(wall.exact)
+    return scan
+
+
+def test_wall_scan_on_the_rescaled_pair():
+    # E = (3, h, 4h^2), F = (2, -3h, -2h^2): the comparison polynomial
+    # 11t^2 - 28t - 20 crashed the former sympy-based isolator
+    ring = preset_ring("projective_space", n=2)
+    ch_e = ChernCharacter(class_from_dict(ring, {"1": 3, "h": 1, "h^2": 4}))
+    ch_f = ChernCharacter(class_from_dict(ring, {"1": 2, "h": -3, "h^2": -2}))
+    scan = scan_and_check(ring, "dhym", ch_e, [SubobjectCandidate("F", ch_f)])
+    (wall,) = scan.walls
+    assert wall.exact is None and wall.hi - wall.lo <= F(1, 10 ** 10)
+    p = [F(-20), F(-28), F(11)]
+    assert poly_eval(p, wall.lo) * poly_eval(p, wall.hi) < 0
+
+
+def all_signs_verdict(sign_of, top, n):
+    """Reference verdict that computes every sign p_top..p_0 first."""
+    signs = [sign_of(m) for m in range(top + 1)]
+    for m in range(top, -1, -1):
+        if signs[m]:
+            rel = Relation.GREATER if signs[m] > 0 else Relation.LESS
+            return PhaseVerdict(rel, 2 * n - m, None)
+    return PhaseVerdict(Relation.EQUAL, None, None)
+
+
+RINGS = {n: preset_ring("projective_space", n=n) for n in (2, 3)}
+
+
+@st.composite
+def scan_inputs(draw):
+    n, preset = draw(st.sampled_from([(2, "dhym"), (2, "todd"), (3, "dhym")]))
+    ring = RINGS[n]
+
+    def character(rank):
+        coeffs = {"1": F(rank)}
+        fact = 1
+        for j in range(1, n + 1):
+            fact *= j
+            coeffs["h" if j == 1 else f"h^{j}"] = F(draw(st.integers(-4, 4)), fact)
+        return ChernCharacter(class_from_dict(ring, coeffs))
+
+    rank = draw(st.integers(2, 4))
+    cands = [SubobjectCandidate(f"F{i}", character(draw(st.integers(1, rank - 1))),
+                                draw(st.sampled_from(["subbundle", "quotient"])))
+             for i in range(draw(st.integers(1, 3)))]
+    return ring, preset, character(rank), cands
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scan_inputs())
+def test_top_down_wall_verdicts_match_all_signs(inputs):
+    ring, preset, ch_e, cands = inputs
+    scan = scan_and_check(ring, preset, ch_e, cands)
+    h = ring.gen("h")
+    with mock.patch.object(stability, "_verdict_from_signs", all_signs_verdict):
+        ref = wall_scan(ring, h, ch_e, cands, None, h, F(-3), F(3), preset)
+    assert scan.cells == ref.cells
+    assert [(w.exact, w.report, w.status_left, w.status_right) for w in scan.walls] == \
+        [(w.exact, w.report, w.status_left, w.status_right) for w in ref.walls]
