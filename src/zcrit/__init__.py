@@ -5,91 +5,7 @@ exactlp, realroots) works over rationals and Gaussian rationals with
 no floating point. The numerical layer (surface) solves the critical
 equation for a line bundle over a flat complex 2-torus through its
 Monge-Ampere form. config and cli wire both into the zcrit command.
+Import names from those submodules; the package exports only its version.
 """
 
-from .gaussian import GaussianRational
-from .numring import (
-    BasisElement,
-    GradedClass,
-    NumericalRing,
-    RingError,
-    class_from_dict,
-    integrate,
-    power_series_apply,
-    preset_ring,
-    product,
-    ring_from_dict,
-    ring_to_dict,
-)
-from .charge import (
-    CentralChargePolynomial,
-    ChargeError,
-    ChernCharacter,
-    StabilityVector,
-    UnipotentOperator,
-    central_charge,
-    charge_preset,
-    deg_U,
-    dhym_stability_vector,
-    require_valid_stability_vector,
-    validate_stability_vector,
-)
-from .stability import (
-    CandidateVerdict,
-    PhaseVerdict,
-    Relation,
-    StabilityError,
-    StabilityReport,
-    SubobjectCandidate,
-    Wall,
-    WallCell,
-    WallScanReport,
-    comparison_polynomial,
-    phase_compare,
-    quotient_charge,
-    slope_semistability_leading,
-    stability_verdict,
-    wall_scan,
-)
-from .extension import (
-    ExtensionError,
-    FiltrationGraph,
-    QuotientSpec,
-    TauSolution,
-    TauSystem,
-    abs_critical_profile,
-    assemble_tau_system,
-    charge_ratio_series,
-    solve_tau_positive,
-)
-from .exactlp import LinearProgramError, SimplexResult, simplex_solve, solve_linear_system
-from .surface import (
-    ClassObstructionError,
-    FormField,
-    LargeVolumeRow,
-    MongeAmpereSolution,
-    NumericalFailureError,
-    SurfaceChargeData,
-    SurfaceError,
-    SurfaceSolution,
-    TorusGeometry,
-    ZResidualReport,
-    assemble_beta_gamma,
-    check_positivity,
-    check_volume_form_hypothesis,
-    ddc,
-    large_volume_check,
-    potential_from_form,
-    read_field_dump,
-    solve_critical_equation,
-    solve_monge_ampere,
-    square_density,
-    wedge_density,
-    write_field_dump,
-    z_residual,
-)
-from .config import ConfigError, RunConfig, config_from_dict, load_config
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,11 @@ degree-n polynomial
 
     Z(k) = sum_d rho_d * integrate(omega^d * ch * U) * k^d,
 
-computed exactly over Gaussian rationals. k stays formal here; no
-numeric evaluation happens in this module.
+computed exactly over Gaussian rationals. Along a twist pencil
+U(t) = sum_j u_j t^j the same coefficients become polynomials in t:
+charge_family returns that table in (k, t), and central_charge is its
+t = 0 column. k and t stay formal here; no numeric evaluation happens
+in this module.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational, as_fraction
-from .numring import (GradedClass, NumericalRing, RingError, integrate,
-                      power_series_apply)
+from .gaussian import GaussianRational
+from .numring import GradedClass, NumericalRing, integrate, power_series_apply
 
 
 class ChargeError(ValueError):
@@ -206,18 +208,22 @@ class CentralChargePolynomial:
                          for d in range(len(self.coefficients) - 1, -1, -1))
 
 
-def central_charge(
+def charge_family(
     ring: NumericalRing,
     omega: GradedClass,
     rho: StabilityVector,
-    U: UnipotentOperator,
+    u_coeffs: Sequence[GradedClass],
     ch: ChernCharacter,
-) -> CentralChargePolynomial:
-    """Exact charge polynomial of ch for the assignment (omega, rho, U).
+) -> List[List[GaussianRational]]:
+    """Exact charge table of ch along a twist pencil U(t) = sum_j u_j t^j.
 
-    Requires a valid stability vector, deg(omega) = 2 and
-    integrate(omega^n) > 0. For positive rank the leading coefficient
-    lands in the closed upper half-plane off the negative real axis.
+    table[d][j] is the k^d t^j coefficient of
+    Z(k, t) = sum_d rho_d * integrate(omega^d * ch * U(t)) * k^d.
+    U(0) = u_0 must be unipotent and every u_j with j >= 1 must have
+    zero degree-0 part, so U(t) is unipotent for all t. Requires a
+    valid stability vector, deg(omega) = 2 and integrate(omega^n) > 0.
+    For positive rank the leading coefficient at t = 0 lands in the
+    closed upper half-plane off the negative real axis.
     """
     n = ring.complex_dimension
     if rho.n != n:
@@ -225,33 +231,39 @@ def central_charge(
     require_valid_stability_vector(rho)
     if omega.is_zero() or omega.degrees() != [2]:
         raise ChargeError("polarisation must be a nonzero degree-2 class")
-    vol = integrate(omega ** n)
+    if (not u_coeffs or u_coeffs[0].degree0() != 1
+            or any(u.degree0() != 0 for u in u_coeffs[1:])):
+        raise ChargeError(
+            "twist pencil needs degree-0 part 1 in u_0 and 0 in every later u_j")
+    omega_powers = [ring.unit()]
+    for _ in range(n):
+        omega_powers.append(omega_powers[-1] * omega)
+    vol = integrate(omega_powers[n])
     if vol <= 0:
         raise ChargeError(f"integrate(omega^n) = {vol} must be positive")
-    base = ch.cls * U.cls
-    coeffs = []
-    omega_power = ring.unit()
-    for d in range(n + 1):
-        coeffs.append(rho[d].scale(integrate(omega_power * base)))
-        omega_power = omega_power * omega
-    z = CentralChargePolynomial(tuple(coeffs))
+    bases = [ch.cls * u for u in u_coeffs]
+    table = [[rho[d].scale(integrate(omega_powers[d] * base)) for base in bases]
+             for d in range(n + 1)]
     if ch.rank > 0:
-        lead = z[n]
+        lead = table[n][0]
         if not (lead.im > 0 or (lead.im == 0 and lead.re > 0)):
             raise ChargeError(
                 f"leading coefficient {lead} left the upper half-plane; "
                 "charge data inconsistent")
-    return z
+    return table
 
 
-def deg_U(ring: NumericalRing, omega: GradedClass, U: UnipotentOperator,
-          ch: ChernCharacter) -> Fraction:
-    """U-twisted degree: integrate(omega^(n-1) * (ch_1 + rank * U_2))."""
-    n = ring.complex_dimension
-    ch1 = ch.cls.component(2)
-    u2 = U.cls.component(2)
-    bracket = ch1 + u2.scale(ch.rank)
-    return integrate((omega ** (n - 1)) * bracket)
+def central_charge(
+    ring: NumericalRing,
+    omega: GradedClass,
+    rho: StabilityVector,
+    U: UnipotentOperator,
+    ch: ChernCharacter,
+) -> CentralChargePolynomial:
+    """Exact charge polynomial of ch for the assignment (omega, rho, U):
+    the t = 0 column of charge_family for the constant pencil U."""
+    table = charge_family(ring, omega, rho, [U.cls], ch)
+    return CentralChargePolynomial(tuple(row[0] for row in table))
 
 
 # -- presets ------------------------------------------------------------------

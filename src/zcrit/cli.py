@@ -252,9 +252,7 @@ def cmd_solve_surface(args) -> int:
     sec = cfg_raw.get("surface")
     if sec is None:
         raise ConfigError("surface", "section missing from the configuration")
-    data, params = surface_from_section(sec, n_override=args.N)
-    if args.tol is not None:
-        params["tol"] = args.tol
+    data, params = surface_from_section(sec, n_override=args.N, tol_override=args.tol)
 
     from .surface import (
         NumericalFailureError,

@@ -12,6 +12,7 @@ numerical knobs such as solver tolerances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -347,8 +348,17 @@ def parse_mode_sum(geom, terms, path: str):
     return out
 
 
-def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str = "surface"):
-    """Build the torus charge data and solver parameters from a config section."""
+def _parse_tol(value, path: str) -> float:
+    tol = parse_float(value, path)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(path, f"tolerance must be a positive finite number, got {value!r}")
+    return tol
+
+
+def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str = "surface",
+                         tol_override: Optional[float] = None):
+    """Build the torus charge data and solver parameters from a config
+    section; n_override and tol_override stand for the --N and --tol flags."""
     from .surface import SurfaceChargeData, TorusGeometry, SurfaceError
 
     if not isinstance(sec, dict):
@@ -397,7 +407,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
         raise ConfigError(path, str(exc)) from None
 
     params = {
-        "tol": parse_float(sec.get("tol", 1e-8), path + ".tol"),
+        "tol": _parse_tol(sec.get("tol", 1e-8), path + ".tol"),
         "stages": parse_int(sec.get("stages", 10), path + ".stages", minimum=1),
         # 0 is a valid budget: a solve that needs any Newton step then fails
         "max_newton": parse_int(
@@ -411,4 +421,6 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
     }
     if params["dump"] is not None and not isinstance(params["dump"], str):
         raise ConfigError(path + ".dump", "dump must be a file path string")
+    if tol_override is not None:
+        params["tol"] = _parse_tol(tol_override, "--tol")
     return data, params

@@ -208,9 +208,6 @@ class RootPoint:
     def rational(cls, x: Fraction) -> "RootPoint":
         return cls(x, x, x)
 
-    def is_rational(self) -> bool:
-        return self.exact is not None
-
     def approx(self) -> Fraction:
         return self.exact if self.exact is not None else (self.lo + self.hi) / 2
 
@@ -227,13 +224,6 @@ class RootPoint:
             self.hi = mid
         else:
             self.lo = mid
-
-    def refine_to(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
-            self.refine()
-
-    def excludes(self, x: Fraction) -> bool:
-        return x < self.lo or x > self.hi
 
     def _settle(self, width: Fraction) -> None:
         """From one root of poly in (lo, hi]: decide whether it is

@@ -59,6 +59,7 @@ from .surface import (
     ddc,
     large_volume_check,
     solve_critical_equation,
+    wedge_density,
     z_residual,
 )
 
@@ -446,7 +447,8 @@ def _criterion_10(rng: random.Random) -> Tuple[bool, str]:
     cot = np.cos(assembly.phi) / np.sin(assembly.phi)
     # omega^2 / dV = 8 det(g) on the unit-period torus
     target = (1.0 + cot ** 2) * 8.0 * det_g
-    gap = float(np.max(np.abs(assembly.f_full - target)))
+    density = wedge_density(assembly.beta, assembly.beta) / 4 - assembly.gamma
+    gap = float(np.max(np.abs(density - target)))
     ok_density = gap <= 1e-10
 
     passed = ok_rows and ok_density

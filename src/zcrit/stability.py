@@ -13,8 +13,9 @@ fast the phase gap closes: deg P = 2n - q, and the top coefficient
 p_{2n} always cancels, so q >= 1.
 
 Wall scanning works along an affine pencil B(t) = B0 + t*B1 of real
-twist classes. Every coefficient of P becomes a polynomial in t with
-rational coefficients, so wall locations are algebraic numbers that we
+twist classes. charge_family gives each charge as a table in (k, t), so
+every coefficient of P becomes a polynomial in t with rational
+coefficients and wall locations are algebraic numbers that we
 isolate exactly; each open cell between walls gets its verdict from one
 exact rational sample, and the verdict at a wall point is decided by
 exact sign evaluation at the isolated root.
@@ -30,17 +31,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import realroots
 from .charge import (
     CentralChargePolynomial,
-    ChargeError,
     ChernCharacter,
     StabilityVector,
     UnipotentOperator,
     central_charge,
-    deg_U,
-    dhym_stability_vector,
-    require_valid_stability_vector,
+    charge_family,
+    charge_preset,
 )
 from .gaussian import GaussianRational
-from .numring import GradedClass, NumericalRing, integrate, power_series_apply, product
+from .numring import GradedClass, NumericalRing
+# unused here; kept because the benchmark's traced run wraps them on this module
+from .numring import integrate, power_series_apply, product  # noqa: F401
 
 
 class StabilityError(ValueError):
@@ -100,22 +101,32 @@ def _assert_comparable(z: CentralChargePolynomial, label: str) -> None:
         )
 
 
+def _comparison_family(
+    fam_f: Sequence[Sequence[GaussianRational]],
+    fam_e: Sequence[Sequence[GaussianRational]],
+) -> List[List[Fraction]]:
+    """P = Im(Z_F conj(Z_E)) for charge tables in (k, t), as in
+    charge_family: out[m][j] is the k^m t^j coefficient."""
+    width = len(fam_f[0]) + len(fam_e[0]) - 1
+    out = [[Fraction(0)] * width for _ in range(len(fam_f) + len(fam_e) - 1)]
+    for d, row_f in enumerate(fam_f):
+        for e, row_e in enumerate(fam_e):
+            target = out[d + e]
+            for a, f in enumerate(row_f):
+                if f.is_zero():
+                    continue
+                for b, g in enumerate(row_e):
+                    target[a + b] += f.im * g.re - f.re * g.im
+    return out
+
+
 def comparison_polynomial(
     z_f: CentralChargePolynomial, z_e: CentralChargePolynomial
 ) -> List[Fraction]:
     """Coefficients of P(k) = Im(Z_F(k) conj(Z_E(k))), ascending in k."""
-    nf, ne = len(z_f), len(z_e)
-    out = [Fraction(0)] * (nf + ne - 1)
-    for d in range(nf):
-        f = z_f[d]
-        if f.is_zero():
-            continue
-        for e in range(ne):
-            g = z_e[e]
-            if g.is_zero():
-                continue
-            out[d + e] += f.im * g.re - f.re * g.im
-    return out
+    table = _comparison_family([[c] for c in z_f.coefficients],
+                               [[c] for c in z_e.coefficients])
+    return [row[0] for row in table]
 
 
 def _verdict_from_values(
@@ -148,45 +159,6 @@ def phase_compare(
     n = max(len(z_f), len(z_e)) - 1
     p = comparison_polynomial(z_f, z_e)
     return _verdict_from_values(p.__getitem__, len(p) - 1, n)
-
-
-def quotient_charge(
-    z_total: CentralChargePolynomial, z_sub: CentralChargePolynomial
-) -> CentralChargePolynomial:
-    """Charge of E/F from additivity on short exact sequences."""
-    return z_total - z_sub
-
-
-def slope_semistability_leading(
-    ring: NumericalRing,
-    omega: GradedClass,
-    U: UnipotentOperator,
-    ch_e: ChernCharacter,
-    ch_f: ChernCharacter,
-) -> Fraction:
-    """Twisted slope bracket deg_U(F) rk(E) - deg_U(E) rk(F).
-
-    Its sign matches the k^{2n-1} coefficient of the comparison
-    polynomial for any admissible stability vector, which is checked
-    here against the degree-shift vector as a guard.
-    """
-    bracket = deg_U(ring, omega, U, ch_f) * ch_e.rank - deg_U(
-        ring, omega, U, ch_e
-    ) * ch_f.rank
-    rho = dhym_stability_vector(ring.complex_dimension)
-    z_e = central_charge(ring, omega, rho, U, ch_e)
-    z_f = central_charge(ring, omega, rho, U, ch_f)
-    p = comparison_polynomial(z_f, z_e)
-    n = ring.complex_dimension
-    top = p[2 * n]
-    sub = p[2 * n - 1]
-    if top != 0:
-        raise StabilityError("k^{2n} coefficient of the comparison must cancel")
-    if (sub > 0) != (bracket > 0) or (sub < 0) != (bracket < 0):
-        raise StabilityError(
-            "slope bracket and subleading comparison coefficient disagree"
-        )
-    return bracket
 
 
 @dataclass(frozen=True)
@@ -265,67 +237,6 @@ def stability_verdict(
 # ---------------------------------------------------------------------------
 
 
-def _unipotent_family(
-    ring: NumericalRing, b_base: GradedClass, b_dir: GradedClass, preset: str
-) -> List[GradedClass]:
-    """Coefficients in t of U(t) = exp(-B0 - t B1) (times sqrt(Todd))."""
-    n = ring.complex_dimension
-    head = power_series_apply("exp", -b_base)
-    if preset == "todd":
-        if ring.todd is None:
-            raise ChargeError(f"ring {ring.name} carries no Todd class")
-        head = product(head, power_series_apply("sqrt", ring.todd))
-    elif preset != "dhym":
-        raise ChargeError(f"unknown charge preset {preset!r}")
-    coeffs: List[GradedClass] = []
-    power = ring.unit()
-    fact = 1
-    for j in range(n + 1):
-        if j > 0:
-            power = product(power, -b_dir)
-            fact *= j
-        coeffs.append(product(head, power).scale(Fraction(1, fact)))
-    return coeffs
-
-
-def _charge_family(
-    ring: NumericalRing,
-    omega_powers: Sequence[GradedClass],
-    rho: StabilityVector,
-    u_family: Sequence[GradedClass],
-    ch: ChernCharacter,
-) -> List[List[GaussianRational]]:
-    """coeffs[d][j]: the k^d t^j coefficient of the charge of ch."""
-    n = ring.complex_dimension
-    fam: List[List[GaussianRational]] = []
-    for d in range(n + 1):
-        row = []
-        for j in range(len(u_family)):
-            val = integrate(product(omega_powers[d], product(ch.cls, u_family[j])))
-            row.append(rho[d].scale(val))
-        fam.append(row)
-    return fam
-
-
-def _comparison_family(
-    fam_f: Sequence[Sequence[GaussianRational]],
-    fam_e: Sequence[Sequence[GaussianRational]],
-    n: int,
-) -> List[List[Fraction]]:
-    """p_m as polynomials in t: out[m][j] is the t^j coefficient."""
-    width = 2 * len(fam_e[0]) - 1
-    out = [[Fraction(0)] * width for _ in range(2 * n + 1)]
-    for d in range(n + 1):
-        for e in range(n + 1):
-            target = out[d + e]
-            for a, f in enumerate(fam_f[d]):
-                if f.is_zero():
-                    continue
-                for b, g in enumerate(fam_e[e]):
-                    target[a + b] += f.im * g.re - f.re * g.im
-    return out
-
-
 @dataclass(frozen=True)
 class WallCell:
     """Open interval of constant verdict, sampled at an exact point."""
@@ -385,23 +296,19 @@ def wall_scan(
     if b_dir.is_zero():
         raise StabilityError("twist direction must be nonzero")
     _check_candidate_ranks(ch_e, candidates)
-    rho = dhym_stability_vector(n)
-    require_valid_stability_vector(rho)
 
-    omega_powers = [ring.unit()]
-    for _ in range(n):
-        omega_powers.append(product(omega_powers[-1], omega))
-    vol = integrate(omega_powers[n])
-    if vol <= 0:
-        raise StabilityError("polarisation must have positive volume")
-
-    u_family = _unipotent_family(ring, b_base, b_dir, preset)
-    fam_e = _charge_family(ring, omega_powers, rho, u_family, ch_e)
+    # U(B0 + t B1) = U(B0) exp(-t B1), expanded to order n in t
+    rho, u_base = charge_preset(preset, ring, b_base)
+    u_coeffs = [u_base.cls]
+    step = -b_dir
+    for j in range(1, n + 1):
+        u_coeffs.append((u_coeffs[-1] * step).scale(Fraction(1, j)))
+    fam_e = charge_family(ring, omega, rho, u_coeffs, ch_e)
     per_candidate: List[Tuple[SubobjectCandidate, List[List[Fraction]]]] = []
     points: List[realroots.RootPoint] = []
     for cand in candidates:
-        fam_f = _charge_family(ring, omega_powers, rho, u_family, cand.ch)
-        pm = _comparison_family(fam_f, fam_e, n)
+        fam_f = charge_family(ring, omega, rho, u_coeffs, cand.ch)
+        pm = _comparison_family(fam_f, fam_e)
         per_candidate.append((cand, pm))
         for poly in pm:
             if not realroots.poly_is_zero(poly):

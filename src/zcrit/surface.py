@@ -368,8 +368,6 @@ class EquationAssembly:
     sin_phi: float
     beta: FormField
     gamma: np.ndarray
-    f_full: np.ndarray
-    m_base: FormField          # alpha0 + beta/2, the u = 0 matrix field
 
 
 def assemble_beta_gamma(
@@ -394,42 +392,7 @@ def assemble_beta_gamma(
         + im1 * wedge_density(g, u1)
         - 2 * s * data.u2_density()
     ) / (-s)
-    f_full = wedge_density(beta, beta) / 4 - gamma
-    m_base = data.alpha_harmonic() + beta.scale(0.5)
-    return EquationAssembly(phi, s, beta, gamma, f_full, m_base)
-
-
-@dataclass(frozen=True)
-class VolumeFormReport:
-    ok: bool
-    min_density: float
-    mean_density: float
-    argmin: Tuple[int, int, int, int]
-
-
-def check_volume_form_hypothesis(beta: FormField, gamma: np.ndarray) -> VolumeFormReport:
-    """Pointwise positivity of the density wedge(beta, beta)/4 - gamma."""
-    f = wedge_density(beta, beta) / 4 - gamma
-    idx = np.unravel_index(int(np.argmin(f)), f.shape)
-    return VolumeFormReport(
-        bool(f[idx] > 0), float(f[idx]), float(np.mean(f)), tuple(int(i) for i in idx)
-    )
-
-
-def check_positivity(form: FormField, mode: str = "pointwise") -> Tuple[bool, float]:
-    """Eigenvalue positivity of a Hermitian form field.
-
-    pointwise mode reports the smallest eigenvalue over the grid; class
-    mode tests only the grid average, which on the flat torus is the
-    whole Kahler-cone condition for the class of the field.
-    """
-    if mode == "pointwise":
-        margin = form.min_eigenvalue()
-    elif mode == "class":
-        margin = float(np.linalg.eigvalsh(form.mean_matrix())[0])
-    else:
-        raise SurfaceError(f"unknown positivity mode {mode!r}")
-    return margin > 0, margin
+    return EquationAssembly(phi, s, beta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -664,19 +627,13 @@ def solve_monge_ampere(
 
 
 @dataclass
-class SurfaceSolution:
-    u: np.ndarray
+class SurfaceSolution(MongeAmpereSolution):
+    """The Monge-Ampere solution with the phase and the residual of the
+    original phase equation."""
+
     phi: float
-    shift: float
-    residual_sup: float
     z_residual_sup: float
     z_residual_mean: float
-    newton_iterations: int
-    cg_iterations: int
-    stage_history: List[Tuple[float, int, float]]
-    stage_residuals: List[List[float]]
-    used_harmonic_start: bool
-    positivity_margin: float
 
 
 def solve_critical_equation(
@@ -695,20 +652,8 @@ def solve_critical_equation(
     )
     alpha = data.alpha_harmonic() + ddc(data.geom, ma.u)
     zres = z_residual(data, alpha, u1, asm.phi)
-    return SurfaceSolution(
-        u=ma.u,
-        phi=asm.phi,
-        shift=ma.shift,
-        residual_sup=ma.residual_sup,
-        z_residual_sup=zres.sup,
-        z_residual_mean=zres.grid_mean,
-        newton_iterations=ma.newton_iterations,
-        cg_iterations=ma.cg_iterations,
-        stage_history=ma.stage_history,
-        stage_residuals=ma.stage_residuals,
-        used_harmonic_start=ma.used_harmonic_start,
-        positivity_margin=ma.positivity_margin,
-    )
+    return SurfaceSolution(**vars(ma), phi=asm.phi, z_residual_sup=zres.sup,
+                           z_residual_mean=zres.grid_mean)
 
 
 @dataclass

@@ -9,14 +9,14 @@ from zcrit.charge import (
     StabilityVector,
     UnipotentOperator,
     central_charge,
+    charge_family,
     charge_preset,
-    deg_U,
     dhym_stability_vector,
     require_valid_stability_vector,
     validate_stability_vector,
 )
 from zcrit.gaussian import GaussianRational
-from zcrit.numring import power_series_apply, preset_ring, ring_from_dict
+from zcrit.numring import class_from_dict, power_series_apply, preset_ring, ring_from_dict
 
 F = Fraction
 
@@ -96,13 +96,40 @@ def test_twisted_rank3_charge_with_todd_factor():
 
 
 def test_twisted_degree():
+    # the k^{n-1} coefficient is rho_{n-1} times the U-twisted degree
+    # integrate(omega^{n-1} * (ch_1 + rank * U_2))
     ring = preset_ring("projective_space", n=2)
     h = ring.gen("h")
-    _, U = charge_preset("todd", ring, h.scale(F(1, 3)))
+    rho, U = charge_preset("todd", ring, h.scale(F(1, 3)))
     # bracket = ch_1 + rank * U_2 = 3 * (5/12) h, paired against h
-    assert deg_U(ring, h, U, p2_character(ring, 3, 0, -2)) == F(5, 4)
-    _, U0 = charge_preset("dhym", ring, ring.zero())
-    assert deg_U(ring, h, U0, p2_character(ring, 3, 5, -2)) == 5
+    z = central_charge(ring, h, rho, U, p2_character(ring, 3, 0, -2))
+    assert z[1] == rho[1].scale(F(5, 4))
+    rho0, U0 = charge_preset("dhym", ring, ring.zero())
+    z0 = central_charge(ring, h, rho0, U0, p2_character(ring, 3, 5, -2))
+    assert z0[1] == rho0[1].scale(F(5))
+
+
+@pytest.mark.parametrize("n, preset", [(2, "dhym"), (2, "todd"), (3, "dhym")])
+def test_charge_family_is_the_charge_along_the_pencil(n, preset):
+    # the table for U(B0) exp(-t B1), evaluated at rational t, is the
+    # charge of the preset at B0 + t B1
+    ring = preset_ring("projective_space", n=n)
+    h = ring.gen("h")
+    b0, b1 = h.scale(F(-2, 3)), h.scale(F(5, 4))
+    rho, u_base = charge_preset(preset, ring, b0)
+    u_coeffs = [u_base.cls]
+    for j in range(1, n + 1):
+        u_coeffs.append((u_coeffs[-1] * -b1).scale(F(1, j)))
+    ch = ChernCharacter(class_from_dict(
+        ring, {"1": 3, "h": -1, "h^2": F(7, 2), "h^3": F(-5, 6)}
+        if n == 3 else {"1": 3, "h": -1, "h^2": F(7, 2)}))
+    table = charge_family(ring, h, rho, u_coeffs, ch)
+    assert len(table) == n + 1 and all(len(row) == n + 1 for row in table)
+    for t in (F(0), F(1, 3), F(-7, 2), F(2)):
+        rho_t, U_t = charge_preset(preset, ring, b0 + b1.scale(t))
+        at_t = tuple(sum((c.scale(t ** j) for j, c in enumerate(row)), g(0))
+                     for row in table)
+        assert at_t == central_charge(ring, h, rho_t, U_t, ch).coefficients
 
 
 def test_charge_is_additive():
@@ -148,6 +175,9 @@ def test_preset_and_argument_errors():
     rho3 = dhym_stability_vector(3)
     with pytest.raises(ChargeError):
         central_charge(ring, h, rho3, U, ch)              # wrong length
+    for pencil in ([], [U.cls, ring.unit()], [h]):        # U(t) not unipotent
+        with pytest.raises(ChargeError):
+            charge_family(ring, h, rho, pencil, ch)
 
 
 def test_negative_volume_rejected():

@@ -151,10 +151,14 @@ def test_walls_on_the_rescaled_pair(tmp_path, capsys):
     assert wall[1].startswith("[") and wall[4:] == ["stable", "stable", "stable"]
 
 
-def test_cli_import_leaves_sympy_out():
+@pytest.mark.parametrize("modules, absent", [
+    ("zcrit.cli", "sympy"),
+    ("zcrit, zcrit.charge, zcrit.stability, zcrit.extension, zcrit.config", "numpy"),
+], ids=["cli-sympy", "exact-numpy"])
+def test_cli_import_leaves_sympy_out(modules, absent):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, zcrit.cli; print('sympy' in sys.modules)"
+    code = f"import sys, {modules}; print({absent!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
@@ -292,7 +296,17 @@ def torus_raw(**changes):
      r"surface.u1_potential\[1\].mode"),
     (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 1.5, 0, 0]}]),
      r"surface.u1_potential\[0\].mode\[1\]"),
-], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode"])
+    (["solve-surface"], torus_raw(tol=0), "surface.tol"),
+    (["solve-surface"], torus_raw(tol=-1), "surface.tol"),
+    (["solve-surface"], torus_raw(tol="nan"), "surface.tol"),
+    (["solve-surface"], torus_raw(tol=math.inf), "surface.tol"),
+    (["solve-surface", "--tol", "-1"], torus_raw(), "--tol"),
+    (["solve-surface", "--tol", "0"], torus_raw(), "--tol"),
+    (["solve-surface", "--tol", "nan"], torus_raw(), "--tol"),
+    (["solve-surface", "--tol", "inf"], torus_raw(), "--tol"),
+], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode",
+        "tol-zero", "tol-negative", "tol-nan", "tol-inf",
+        "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64

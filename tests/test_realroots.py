@@ -21,7 +21,7 @@ def test_rational_and_algebraic_roots_mixed():
     roots = roots_in_range(p, F(-2), F(2))
     assert len(roots) == 3
     neg, rat, pos = roots
-    assert rat.exact == F(1, 3) and rat.is_rational()
+    assert rat.exact == F(1, 3) and rat.lo == rat.hi == rat.exact
     assert neg.exact is None and pos.exact is None
     # certified enclosures: the endpoints bracket and the width is small
     assert neg.lo < neg.hi and pos.lo < pos.hi
@@ -32,7 +32,7 @@ def test_rational_and_algebraic_roots_mixed():
 def test_range_filtering_and_sorting():
     p = mul([F(-2), F(0), F(1)], [F(-1, 3), F(1)])
     inside = roots_in_range(p, F(0), F(2))
-    assert [r.is_rational() for r in inside] == [True, False]
+    assert [r.exact is not None for r in inside] == [True, False]
     assert inside[0].approx() < inside[1].approx()
     assert roots_in_range(p, F(3), F(4)) == []
 
@@ -78,10 +78,11 @@ def test_sign_at_detects_shared_algebraic_factor():
 def test_refinement_narrows_enclosures():
     p = [F(-2), F(0), F(1)]
     r = roots_in_range(p, F(0), F(2))[0]
-    r.refine_to(F(1, 10 ** 12))
+    for _ in range(60):                          # each refine halves (lo, hi)
+        r.refine()
     assert r.hi - r.lo <= F(1, 10 ** 12)
     assert r.lo ** 2 < 2 < r.hi ** 2
-    assert r.excludes(F(1)) and r.excludes(F(3, 2))
+    assert not r.lo <= F(1) <= r.hi and not r.lo <= F(3, 2) <= r.hi
 
 
 def test_dedup_merges_equal_points_across_sources():
@@ -91,7 +92,7 @@ def test_dedup_merges_equal_points_across_sources():
     c = roots_in_range([F(-1, 3), F(1)], F(0), F(2))
     merged = dedup_roots(a + b + c)
     assert len(merged) == 2
-    assert [x.is_rational() for x in merged] == [True, False]
+    assert [x.exact is not None for x in merged] == [True, False]
     assert merged[0].exact == F(1, 3)
 
 

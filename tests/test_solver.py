@@ -11,6 +11,7 @@ from zcrit.surface import (
     solve_critical_equation,
     solve_monge_ampere,
     square_density,
+    wedge_density,
 )
 
 
@@ -66,8 +67,9 @@ def test_residual_agrees_with_fresh_evaluation():
     sol = solve_critical_equation(pert, tol=1e-4, stages=2)
     assert 1e-9 < sol.residual_sup < 1e-4
     asm = assemble_beta_gamma(pert)
-    m = asm.m_base + ddc(data.geom, sol.u)
-    res = float(np.max(np.abs(square_density(m) - asm.f_full)))
+    m = pert.alpha_harmonic() + asm.beta.scale(0.5) + ddc(data.geom, sol.u)
+    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    res = float(np.max(np.abs(square_density(m) - f)))
     assert res == pytest.approx(sol.residual_sup, rel=1e-5)
     # the critical-equation residual is the rotated multiple of the
     # volume residual

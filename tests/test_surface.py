@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zcrit.surface import (
+    ClassObstructionError,
     FormField,
     SurfaceChargeData,
     SurfaceError,
@@ -12,11 +13,10 @@ from zcrit.surface import (
     _apply_preconditioner,
     _precondition_symbol,
     assemble_beta_gamma,
-    check_positivity,
-    check_volume_form_hypothesis,
     ddc,
     potential_from_form,
     read_field_dump,
+    solve_monge_ampere,
     square_density,
     wedge_density,
     write_field_dump,
@@ -280,12 +280,13 @@ def test_residual_identity_for_generic_weights():
         rand_potential(geom, rng), rand_potential(geom, rng, scale=0.2),
     )
     asm = assemble_beta_gamma(data)
+    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
     for _ in range(3):
         u = rand_potential(geom, rng)
         alpha = data.alpha_harmonic() + ddc(geom, u)
         lhs = (np.exp(-1j * asm.phi) * data.zt_density(alpha)).imag
-        m = asm.m_base + ddc(geom, u)
-        rhs = -asm.sin_phi * (square_density(m) - asm.f_full)
+        m = alpha + asm.beta.scale(0.5)
+        rhs = -asm.sin_phi * (square_density(m) - f)
         assert np.allclose(lhs, rhs, atol=1e-9)
         rep = z_residual(data, alpha)
         assert np.allclose(rep.field, lhs, atol=1e-12)
@@ -303,7 +304,8 @@ def test_default_weights_give_constant_coefficients():
     assert np.allclose(asm.beta.a12, 2 * cot * metric[1], atol=1e-12)
     assert np.allclose(asm.beta.a22, 2 * cot * metric[2], atol=1e-12)
     assert np.allclose(asm.gamma, -8 * det_g, atol=1e-12)
-    assert np.allclose(asm.f_full, 8 * (1 + cot ** 2) * det_g, atol=1e-10)
+    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    assert np.allclose(f, 8 * (1 + cot ** 2) * det_g, atol=1e-10)
 
 
 def test_degenerate_phase_rejected():
@@ -319,27 +321,30 @@ def test_volume_form_report():
     geom = TorusGeometry(8)
     data = SurfaceChargeData.dhym(geom, (1.0, 0.0, 1.0), (2.0, 0.0, 3.0))
     asm = assemble_beta_gamma(data)
-    rep = check_volume_form_hypothesis(asm.beta, asm.gamma)
-    assert rep.ok and rep.min_density == pytest.approx(16.0)
-    assert rep.mean_density == pytest.approx(16.0)
+    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    assert float(np.min(f)) == pytest.approx(16.0)
+    assert float(np.mean(f)) == pytest.approx(16.0)
 
-    # push gamma above the square term somewhere
+    # push gamma above the square term somewhere: the solver refuses it
     bad_gamma = asm.gamma + 20 * geom.mode_field([1, 0, 0, 0], 1.0)
-    rep = check_volume_form_hypothesis(asm.beta, bad_gamma)
-    assert not rep.ok and rep.min_density < 0
-    assert len(rep.argmin) == 4
+    assert float(np.min(wedge_density(asm.beta, asm.beta) / 4 - bad_gamma)) < 0
+    with pytest.raises(ClassObstructionError, match="volume-form hypothesis"):
+        solve_monge_ampere(geom, data.alpha_harmonic(), asm.beta, bad_gamma)
+    # a negative averaged class is refused before the density is looked at
+    with pytest.raises(ClassObstructionError, match="class test"):
+        solve_monge_ampere(geom, FormField.constant(geom, -5.0, 0.0, -1.0),
+                           asm.beta, asm.gamma)
 
 
 def test_positivity_modes_disagree_off_average():
+    # the class of a field is positive when its grid average is, even
+    # where the field itself is not
     geom = TorusGeometry(16)
     base = FormField.constant(geom, 1.0, 0.0, 1.0)
     spiky = base + ddc(geom, geom.mode_field([1, 0, 0, 0], 0.5))
-    ok_class, margin_class = check_positivity(spiky, mode="class")
-    ok_point, margin_point = check_positivity(spiky, mode="pointwise")
-    assert ok_class and margin_class == pytest.approx(1.0)
-    assert not ok_point and margin_point < 0
-    with pytest.raises(SurfaceError):
-        check_positivity(base, mode="average")
+    margin_class = float(np.linalg.eigvalsh(spiky.mean_matrix())[0])
+    assert margin_class == pytest.approx(1.0)
+    assert spiky.min_eigenvalue() < 0
 
 
 def test_field_dump_round_trip(tmp_path):
