@@ -4,7 +4,9 @@ Subcommands: charge, stability, walls, tau, solve-surface, selftest.
 Output is TSV by default (tab separators, '.' decimal, LF endings) or
 JSON with --format json. Exit codes: 0 success or stable verdict,
 2 unstable or infeasible, 3 semistable, 64 configuration error,
-65 numerical failure, 66 class obstruction (no solution exists).
+65 numerical failure, 66 class obstruction (no solution exists),
+70 internal error (a failed certificate check or any other unexpected
+exception; the message is printed without a traceback).
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .charge import ChargeError, central_charge
 from .config import (
     ConfigError,
-    RunConfig,
     candidates_from_section,
     graph_from_section,
     load_config,
@@ -26,7 +26,12 @@ from .config import (
     parse_fraction,
     surface_from_section,
 )
-from .extension import ExtensionError, assemble_tau_system, solve_tau_positive
+from .extension import (
+    CertificateError,
+    ExtensionError,
+    assemble_tau_system,
+    solve_tau_positive,
+)
 from .numring import RingError
 from .stability import StabilityError, stability_verdict, wall_scan
 
@@ -36,6 +41,7 @@ EXIT_SEMISTABLE = 3
 EXIT_CONFIG = 64
 EXIT_NUMERICAL = 65
 EXIT_OBSTRUCTION = 66
+EXIT_INTERNAL = 70   # EX_SOFTWARE
 
 _STATUS_EXIT = {"stable": EXIT_OK, "unstable": EXIT_UNSTABLE, "semistable": EXIT_SEMISTABLE}
 
@@ -256,11 +262,9 @@ def cmd_solve_surface(args) -> int:
 
     from .surface import (
         NumericalFailureError,
-        ddc,
         large_volume_check,
         solve_critical_equation,
         write_field_dump,
-        z_residual,
     )
 
     sol = solve_critical_equation(
@@ -277,12 +281,10 @@ def cmd_solve_surface(args) -> int:
         large_volume_check(data, params["k_values"]) if params["k_values"] else []
     )
     if params["dump"]:
-        alpha = data.alpha_harmonic() + ddc(data.geom, sol.u)
-        zres = z_residual(data, alpha)
         write_field_dump(
             params["dump"],
             data.geom.size,
-            {"u": sol.u, "z_residual": zres.field},
+            {"u": sol.u, "z_residual": sol.z_residual_field},
         )
 
     if args.format == "json":
@@ -414,6 +416,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return args.handler(args)
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -429,6 +434,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SurfaceError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

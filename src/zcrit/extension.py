@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charge import (
     CentralChargePolynomial,
-    ChargeError,
     ChernCharacter,
     StabilityVector,
     UnipotentOperator,
@@ -39,10 +38,15 @@ class ExtensionError(ValueError):
     pass
 
 
+class CertificateError(ExtensionError):
+    """A computed certificate failed its independent check: a defect in
+    this package, not in the input."""
+
+
 def _certify(holds: bool, claim: str) -> None:
     """Certificate check that also runs under python -O."""
     if not holds:
-        raise ExtensionError(f"internal error: certificate check failed: {claim}")
+        raise CertificateError(f"certificate check failed: {claim}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,7 @@ class TauSolution:
 def _check_primal(system: TauSystem, tau: Sequence[Fraction]) -> None:
     for i, row in enumerate(system.A):
         lhs = sum((row[l] * tau[l] for l in range(len(tau))), Fraction(0))
-        if lhs != -system.b[i]:
-            raise ExtensionError("internal error: weight vector fails balance")
+        _certify(lhs == -system.b[i], "weight vector must balance the loads")
 
 
 def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSolution:

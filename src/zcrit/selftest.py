@@ -41,7 +41,7 @@ from .extension import (
     solve_tau_positive,
 )
 from .gaussian import GaussianRational
-from .numring import GradedClass, NumericalRing, power_series_apply, preset_ring
+from .numring import NumericalRing, power_series_apply, preset_ring
 from .stability import (
     Relation,
     SubobjectCandidate,
@@ -51,8 +51,6 @@ from .stability import (
     wall_scan,
 )
 from .surface import (
-    ClassObstructionError,
-    FormField,
     SurfaceChargeData,
     TorusGeometry,
     assemble_beta_gamma,

@@ -50,6 +50,15 @@ phi = arg of the total charge becomes a complex Monge-Ampere equation
 solved here by damped Newton steps under an optional homotopy on f,
 each linearised step handled by conjugate gradients preconditioned
 with the Fourier symbol of the mean-coefficient operator.
+
+A constant form (FormField.constant, omega(), alpha_harmonic(), the
+twist without a potential) has numpy scalar components, and a missing
+u2 is the scalar 0; numpy broadcasting spreads them over the grid
+wherever they meet a field. beta, gamma and every density built from
+constant forms alone are scalars too. These are full N^4 grids
+whatever the inputs: ddc, mode_field, potential_from_form's input and
+potential, the solver's right side f, MongeAmpereSolution.u,
+ZResidualReport.field and field dumps.
 """
 
 from __future__ import annotations
@@ -149,12 +158,13 @@ class TorusGeometry:
         x1, y1, x2, y2 = self.coordinates()
         arg = 2 * np.pi * (mode[0] * x1 + mode[1] * y1 + mode[2] * x2 + mode[3] * y2)
         wave = np.cos(arg) if phase == "cos" else np.sin(arg)
-        return amplitude * (wave + 0 * (x1 + y1 + x2 + y2))
+        return amplitude * np.broadcast_to(wave, self.shape)
 
 
 @dataclass
 class FormField:
-    """Hermitian (1,1)-form field: components against dz_j dzbar_k."""
+    """Hermitian (1,1)-form field: components against dz_j dzbar_k,
+    each a grid or, for a constant form, a numpy scalar."""
 
     a11: np.ndarray
     a12: np.ndarray
@@ -162,8 +172,8 @@ class FormField:
 
     @staticmethod
     def constant(geom: TorusGeometry, a11: float, a12: complex, a22: float) -> "FormField":
-        one = np.ones(geom.shape)
-        return FormField(a11 * one, a12 * one.astype(complex), a22 * one)
+        """Constant form on geom's grid, held as scalars."""
+        return FormField(np.float64(a11), np.complex128(a12), np.float64(a22))
 
     def __add__(self, other: "FormField") -> "FormField":
         return FormField(self.a11 + other.a11, self.a12 + other.a12, self.a22 + other.a22)
@@ -218,8 +228,10 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
 
     Returns the mean-zero potential and the sup-norm of the unmatched
     remainder a - mean(a) - ddc(w); the remainder vanishes exactly when
-    the input is a complex Hessian.
+    the input is a complex Hessian. Scalar components are spread over
+    the grid.
     """
+    a = FormField(*(np.broadcast_to(c, geom.shape) for c in (a.a11, a.a12, a.a22)))
     pref = -np.pi ** 2
     s11 = pref * np.abs(geom.mu1) ** 2
     s22 = pref * np.abs(geom.mu2) ** 2
@@ -317,7 +329,7 @@ class SurfaceChargeData:
 
     def u2_density(self) -> np.ndarray:
         if self.u2 is None:
-            return np.zeros(self.geom.shape)
+            return np.float64(0.0)
         return np.broadcast_to(np.asarray(self.u2, dtype=float), self.geom.shape)
 
     def perturb_u1(self, potential: np.ndarray) -> "SurfaceChargeData":
@@ -335,23 +347,33 @@ class SurfaceChargeData:
 
         u1 is this data's u1_field(), for callers that already hold it.
         """
-        _, r1, r2 = self.normalised_rho()
-        g = self.omega()
         if u1 is None:
             u1 = self.u1_field()
-        real_part = (
-            square_density(alpha)
-            + 2 * wedge_density(alpha, u1)
-            + 2 * self.u2_density()
-        )
+        return self._zt(alpha, k, u1, self.u2_density())
+
+    def _zt(self, alpha: FormField, k: float, u1: FormField, u2) -> np.ndarray:
+        """zt_density with the u2 density given."""
+        _, r1, r2 = self.normalised_rho()
+        g = self.omega()
+        real_part = square_density(alpha) + 2 * wedge_density(alpha, u1) + 2 * u2
         return (
             r2 * k ** 2 * square_density(g)
             + r1 * k * wedge_density(g, alpha + u1)
-            + real_part.astype(complex)
+            + real_part
         )
 
     def total_charge(self, k: float = 1.0, u1: Optional[FormField] = None) -> complex:
-        return complex(np.mean(self.zt_density(self.alpha_harmonic(), k, u1)))
+        """Grid mean of zt_density(alpha_harmonic(), k, u1).
+
+        With alpha constant the density is affine in U1 and u2, so its
+        mean is the density at their means; no grid is built.
+        """
+        if u1 is None:
+            u1 = self.u1_field()
+        mean = u1.mean_matrix()
+        u1_mean = FormField.constant(self.geom, mean[0, 0].real, mean[0, 1], mean[1, 1].real)
+        u2_mean = np.mean(self.u2_density())
+        return complex(self._zt(self.alpha_harmonic(), k, u1_mean, u2_mean))
 
     def phase(self, u1: Optional[FormField] = None) -> float:
         z = self.total_charge(u1=u1)
@@ -446,43 +468,50 @@ def _pcg(
     tol: float,
     max_iter: int,
 ) -> Tuple[np.ndarray, int]:
-    """Conjugate gradients for -L_m x = rhs on mean-zero fields."""
+    """Conjugate gradients for -L_m x = rhs on mean-zero fields.
+
+    The residual is tested as soon as it is updated, so the last
+    iterate is never preconditioned. The iterate reached at max_iter is
+    not tested and does not count as the best one.
+    """
 
     rhs = _mean_zero(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = _apply_preconditioner(geom, symbol, r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
     norm0 = float(np.sqrt(np.sum(rhs * rhs)))
     target = tol * norm0
     best_x = x.copy()
     best_norm = norm0
     it = 0
-    while it < max_iter:
-        rnorm = float(np.sqrt(np.sum(r * r)))
-        if rnorm < best_norm:
-            best_norm = rnorm
-            best_x = x.copy()
-        if rnorm <= target:
-            break
-        ap = _mean_zero(_apply_operator(geom, m, p))
-        pap = float(np.sum(p * ap))
-        if pap <= 0:
-            # indefiniteness this late is roundoff at the attainable floor
-            if best_norm <= 1e-6 * norm0:
+    if max_iter > 0 and norm0 > target:
+        p = _apply_preconditioner(geom, symbol, r)
+        rz = float(np.sum(r * p))
+        while True:
+            ap = _mean_zero(_apply_operator(geom, m, p))
+            pap = float(np.sum(p * ap))
+            if pap <= 0:
+                # indefiniteness this late is roundoff at the attainable floor
+                if best_norm <= 1e-6 * norm0:
+                    break
+                raise NumericalFailureError(
+                    "linearised operator lost positivity during conjugate gradients"
+                )
+            alpha = rz / pap
+            x += alpha * p
+            r -= alpha * ap
+            it += 1
+            if it >= max_iter:
                 break
-            raise NumericalFailureError(
-                "linearised operator lost positivity during conjugate gradients"
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        z = _apply_preconditioner(geom, symbol, r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
+            rnorm = float(np.sqrt(np.sum(r * r)))
+            if rnorm < best_norm:
+                best_norm = rnorm
+                best_x = x.copy()
+            if rnorm <= target:
+                break
+            z = _apply_preconditioner(geom, symbol, r)
+            rz_new = float(np.sum(r * z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
     if best_norm > max(target, 1e-6 * norm0):
         raise NumericalFailureError("conjugate gradients stalled above tolerance")
     return _mean_zero(best_x), it
@@ -504,6 +533,7 @@ class MongeAmpereSolution:
     stage_residuals: List[List[float]]   # residual path per stage, initial first
     used_harmonic_start: bool
     positivity_margin: float     # min eigenvalue of M at the solution
+    hessian: FormField           # ddc(u) of the accepted step; constant 0 if u = 0
 
 
 def solve_monge_ampere(
@@ -527,7 +557,7 @@ def solve_monge_ampere(
     a positive class.
     """
     m_base = alpha0 + beta.scale(0.5)
-    f_full = wedge_density(beta, beta) / 4 - gamma
+    f_full = np.broadcast_to(wedge_density(beta, beta) / 4 - gamma, geom.shape)
     mbar = m_base.mean_matrix()
     eigs = np.linalg.eigvalsh(mbar)
     if eigs[0] <= 0:
@@ -551,10 +581,14 @@ def solve_monge_ampere(
         )
     f = f_full + shift
 
+    # the iterate u is kept with hess = ddc(u), m = m_base + hess, its
+    # smallest eigenvalue m_min and sq = 8 det(m), none recomputed
     u = np.zeros(geom.shape)
+    hess = FormField.constant(geom, 0.0, 0.0, 0.0)
     m = m_base
-    used_harmonic = False
-    if m.min_eigenvalue() <= 0:
+    m_min = m.min_eigenvalue()
+    used_harmonic = m_min <= 0
+    if used_harmonic:
         # harmonic start: cancel the oscillatory part of the base field
         w, rem = potential_from_form(geom, m_base)
         if rem > 1e-8:
@@ -563,12 +597,14 @@ def solve_monge_ampere(
                 "cannot build a positive starting point"
             )
         u = _mean_zero(-w)
-        m = m_base + ddc(geom, u)
-        used_harmonic = True
-        if m.min_eigenvalue() <= 0:
+        hess = ddc(geom, u)
+        m = m_base + hess
+        m_min = m.min_eigenvalue()
+        if m_min <= 0:
             raise NumericalFailureError("harmonic start failed to reach positivity")
 
-    f_start = square_density(m)
+    sq = square_density(m)
+    f_start = sq
     symbol = _precondition_symbol(geom, mbar)
     total_newton = 0
     total_cg = 0
@@ -578,7 +614,7 @@ def solve_monge_ampere(
     for stage in range(1, stages + 1):
         s = stage / stages
         f_s = (1 - s) * f_start + s * f
-        res = square_density(m) - f_s
+        res = sq - f_s
         res_sup = float(np.max(np.abs(res)))
         path = [res_sup]
         iters = 0
@@ -593,9 +629,12 @@ def solve_monge_ampere(
             step = 1.0
             while True:
                 trial_u = u + step * delta
-                trial_m = m_base + ddc(geom, trial_u)
-                if trial_m.min_eigenvalue() > 0:
-                    trial_res = square_density(trial_m) - f_s
+                trial_hess = ddc(geom, trial_u)
+                trial_m = m_base + trial_hess
+                trial_min = trial_m.min_eigenvalue()
+                if trial_min > 0:
+                    trial_sq = square_density(trial_m)
+                    trial_res = trial_sq - f_s
                     trial_sup = float(np.max(np.abs(trial_res)))
                     if trial_sup < res_sup:
                         break
@@ -605,14 +644,15 @@ def solve_monge_ampere(
                         f"line search exhausted at stage {s:g}; positivity or "
                         "decrease could not be maintained"
                     )
-            u, m, res, res_sup = trial_u, trial_m, trial_res, trial_sup
+            u, hess, m, m_min = trial_u, trial_hess, trial_m, trial_min
+            sq, res, res_sup = trial_sq, trial_res, trial_sup
             path.append(res_sup)
             iters += 1
             total_newton += 1
         history.append((s, iters, res_sup))
         residual_paths.append(path)
 
-    final_res = float(np.max(np.abs(square_density(m) - f_full)))
+    final_res = float(np.max(np.abs(sq - f_full)))
     return MongeAmpereSolution(
         u=_mean_zero(u),
         residual_sup=final_res,
@@ -622,7 +662,8 @@ def solve_monge_ampere(
         stage_history=history,
         stage_residuals=residual_paths,
         used_harmonic_start=used_harmonic,
-        positivity_margin=m.min_eigenvalue(),
+        positivity_margin=m_min,
+        hessian=hess,
     )
 
 
@@ -634,6 +675,7 @@ class SurfaceSolution(MongeAmpereSolution):
     phi: float
     z_residual_sup: float
     z_residual_mean: float
+    z_residual_field: np.ndarray
 
 
 def solve_critical_equation(
@@ -643,17 +685,16 @@ def solve_critical_equation(
     residual of the original phase equation alongside the solver's.
 
     The twist's Hessian is computed once here and shared by every step
-    that needs it; nothing is kept on data.
+    that needs it, and the curvature form is built from the solver's own
+    Hessian of u; nothing is kept on data.
     """
     u1 = data.u1_field()
     asm = assemble_beta_gamma(data, u1)
-    ma = solve_monge_ampere(
-        data.geom, data.alpha_harmonic(), asm.beta, asm.gamma, tol=tol, **kwargs
-    )
-    alpha = data.alpha_harmonic() + ddc(data.geom, ma.u)
-    zres = z_residual(data, alpha, u1, asm.phi)
+    alpha0 = data.alpha_harmonic()
+    ma = solve_monge_ampere(data.geom, alpha0, asm.beta, asm.gamma, tol=tol, **kwargs)
+    zres = z_residual(data, alpha0 + ma.hessian, u1, asm.phi)
     return SurfaceSolution(**vars(ma), phi=asm.phi, z_residual_sup=zres.sup,
-                           z_residual_mean=zres.grid_mean)
+                           z_residual_mean=zres.grid_mean, z_residual_field=zres.field)
 
 
 @dataclass
@@ -681,7 +722,7 @@ def z_residual(
     if phi is None:
         phi = data.phase(u1)
     zt = data.zt_density(alpha, u1=u1)
-    res = (np.exp(-1j * phi) * zt).imag
+    res = np.broadcast_to((np.exp(-1j * phi) * zt).imag, data.geom.shape)
     return ZResidualReport(res, float(np.max(np.abs(res))), float(np.mean(res)))
 
 

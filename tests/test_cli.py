@@ -9,9 +9,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from zcrit import cli, surface
+from zcrit import cli, extension, surface
+from zcrit.exactlp import LinearProgramError
 from zcrit.surface import read_field_dump
 
 DHYM_CFG = "configs/p2_extension_dhym.json"
@@ -238,6 +240,16 @@ def test_solve_surface_overrides_and_dump(tmp_path, capsys):
     assert fields["u"].shape == (8, 8, 8, 8)
 
 
+def test_dump_holds_the_reported_residual(tmp_path, capsys):
+    raw = torus_raw(dump=str(tmp_path / "fields.zfd"))
+    rc, out, _ = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 0
+    rows = {r[0]: r[1:] for r in rows_of(out)}
+    _, fields = read_field_dump(raw["surface"]["dump"])
+    assert float(np.max(np.abs(fields["z_residual"]))) == float(rows["z_residual_sup"][0])
+    assert float(np.mean(fields["z_residual"])) == float(rows["z_residual_mean"][0])
+
+
 def test_solve_surface_json(capsys):
     rc, out, _ = run(capsys, "solve-surface", "--config", TORUS_CFG,
                      "--format", "json")
@@ -330,6 +342,41 @@ def test_residual_above_tol_exits_65(tmp_path, capsys, monkeypatch):
     rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, torus_raw()))
     assert rc == 65 and out == ""
     assert "numerical failure" in err and "exceeds tol" in err
+
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "cmd_charge", broken)
+    rc, out, err = run(capsys, "charge", "--config", DHYM_CFG)
+    assert rc == 70 and out == ""
+    assert err == "internal error: handler broke\n"
+
+
+def test_linear_program_error_exits_70(monkeypatch, capsys):
+    def broken(*args):
+        raise LinearProgramError("phase 1 cannot be unbounded")
+
+    monkeypatch.setattr(extension, "simplex_solve", broken)
+    rc, _, err = run(capsys, "tau", "--config", TAU_CFG)
+    assert rc == 70
+    assert err == "internal error: phase 1 cannot be unbounded\n"
+
+
+def test_failed_certificate_exits_70(monkeypatch, capsys):
+    # a primal solution that does not balance the loads
+    real = extension.simplex_solve
+
+    def off_by_one(*args):
+        res = real(*args)
+        return dataclasses.replace(res, x=[v + 1 for v in res.x])
+
+    monkeypatch.setattr(extension, "simplex_solve", off_by_one)
+    rc, out, err = run(capsys, "tau", "--config", TAU_CFG)
+    assert rc == 70 and out == ""
+    assert err.startswith("internal error: certificate check failed")
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_64(capsys):

@@ -12,6 +12,7 @@ from zcrit.surface import (
     solve_monge_ampere,
     square_density,
     wedge_density,
+    z_residual,
 )
 
 
@@ -156,3 +157,29 @@ def test_solves_leave_no_state_on_the_data():
         data.perturb_u1(0.08 * np.cos(2 * np.pi * x[2])), tol=1e-10, stages=1)
     assert not np.allclose(third.u, first.u)
     assert np.array_equal(third.u, fresh.u)
+
+
+@pytest.mark.parametrize("case", ["flat", "newton", "harmonic"])
+def test_returned_hessian_and_margin_are_those_of_the_solution(case):
+    # the solver keeps ddc(u), 8 det and the smallest eigenvalue of its
+    # accepted step; they agree with a fresh evaluation at sol.u
+    data = flat_data()
+    x = data.geom.coordinates()
+    a1, a2 = {"flat": (0.0, 0.0), "newton": (0.1, 0.05), "harmonic": (0.3, 0.0)}[case]
+    pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
+    sol = solve_critical_equation(pert, tol=1e-10, stages=2)
+    assert sol.used_harmonic_start == (case == "harmonic")
+    assert (sol.newton_iterations > 0) == (case == "newton")
+    fresh = ddc(data.geom, sol.u)
+    for got, want in ((sol.hessian.a11, fresh.a11), (sol.hessian.a12, fresh.a12),
+                      (sol.hessian.a22, fresh.a22)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    asm = assemble_beta_gamma(pert)
+    m = pert.alpha_harmonic() + asm.beta.scale(0.5) + fresh
+    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    assert sol.residual_sup == pytest.approx(
+        float(np.max(np.abs(square_density(m) - f))), rel=1e-3, abs=1e-12)
+    assert sol.positivity_margin == pytest.approx(m.min_eigenvalue(), abs=1e-12)
+    rep = z_residual(pert, pert.alpha_harmonic() + fresh)
+    assert sol.z_residual_field.shape == data.geom.shape
+    assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12

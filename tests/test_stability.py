@@ -273,8 +273,8 @@ RINGS = {n: preset_ring("projective_space", n=n) for n in (2, 3)}
 
 
 @st.composite
-def scan_inputs(draw):
-    n, preset = draw(st.sampled_from([(2, "dhym"), (2, "todd"), (3, "dhym")]))
+def scan_inputs(draw, shapes=((2, "dhym"), (2, "todd"), (3, "dhym")), need_base=False):
+    n, preset = draw(st.sampled_from(shapes))
     ring = RINGS[n]
 
     def character(rank):
@@ -289,7 +289,11 @@ def scan_inputs(draw):
     cands = [SubobjectCandidate(f"F{i}", character(draw(st.integers(1, rank - 1))),
                                 draw(st.sampled_from(["subbundle", "quotient"])))
              for i in range(draw(st.integers(1, 3)))]
-    b = draw(st.one_of(st.none(), st.fractions(F(-3, 2), F(3, 2), max_denominator=4)))
+    b_values = st.fractions(F(-3, 2), F(3, 2), max_denominator=4)
+    if need_base:
+        b = draw(b_values.filter(lambda v: v != 0))
+    else:
+        b = draw(st.one_of(st.none(), b_values))
     base = None if b is None else ring.gen("h").scale(b)
     return ring, preset, character(rank), cands, base
 
@@ -305,3 +309,11 @@ def test_top_down_wall_verdicts_match_all_signs(inputs):
     assert scan.cells == ref.cells
     assert [(w.exact, w.report, w.status_left, w.status_right) for w in scan.walls] == \
         [(w.exact, w.report, w.status_left, w.status_right) for w in ref.walls]
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(scan_inputs(shapes=((3, "dhym"),), need_base=True))
+def test_p3_scans_with_a_base_twist(inputs):
+    # the pencil U(h b) exp(-t h) on P3, checked cell by cell and at
+    # every rational wall against stability_verdict
+    scan_and_check(*inputs)

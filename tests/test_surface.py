@@ -10,7 +10,11 @@ from zcrit.surface import (
     SurfaceChargeData,
     SurfaceError,
     TorusGeometry,
+    NumericalFailureError,
+    _apply_operator,
     _apply_preconditioner,
+    _mean_zero,
+    _pcg,
     _precondition_symbol,
     assemble_beta_gamma,
     ddc,
@@ -178,6 +182,162 @@ def test_real_fft_operators_match_complex_reference(n):
     r = rng.standard_normal(geom.shape)
     z = _apply_preconditioner(geom, _precondition_symbol(geom, mbar), r)
     assert_rel_close(z, ref_precondition(geom, mbar, r))
+
+
+def ref_pcg(geom, m, rhs, symbol, tol, max_iter):
+    """Conjugate gradients in the former loop order: the residual is
+    tested at the top of the loop, after it has been preconditioned."""
+    rhs = _mean_zero(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = _apply_preconditioner(geom, symbol, r)
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    norm0 = float(np.sqrt(np.sum(rhs * rhs)))
+    target = tol * norm0
+    best_x = x.copy()
+    best_norm = norm0
+    it = 0
+    while it < max_iter:
+        rnorm = float(np.sqrt(np.sum(r * r)))
+        if rnorm < best_norm:
+            best_norm = rnorm
+            best_x = x.copy()
+        if rnorm <= target:
+            break
+        ap = _mean_zero(_apply_operator(geom, m, p))
+        pap = float(np.sum(p * ap))
+        if pap <= 0:
+            if best_norm <= 1e-6 * norm0:
+                break
+            raise NumericalFailureError("lost positivity")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        z = _apply_preconditioner(geom, symbol, r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        it += 1
+    if best_norm > max(target, 1e-6 * norm0):
+        raise NumericalFailureError("stalled")
+    return _mean_zero(best_x), it
+
+
+def nyquist_free(geom, u):
+    """u with every mode that has a Nyquist index removed."""
+    n = geom.size
+    uh = np.fft.fftn(u)
+    for axis in range(4):
+        index = [slice(None)] * 4
+        index[axis] = n // 2
+        uh[tuple(index)] = 0
+    return np.fft.ifftn(uh).real
+
+
+def same_pcg_outcome(geom, m, rhs, symbol, tol, max_iter):
+    """Run both loop orders; True when they return, bit for bit alike,
+    False when both stall."""
+    try:
+        x_ref, it_ref = ref_pcg(geom, m, rhs, symbol, tol, max_iter)
+    except NumericalFailureError:
+        with pytest.raises(NumericalFailureError):
+            _pcg(geom, m, rhs, symbol, tol, max_iter)
+        return False
+    x, it = _pcg(geom, m, rhs, symbol, tol, max_iter)
+    assert it == it_ref
+    assert np.array_equal(x, x_ref)
+    return True
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_pcg_matches_former_loop_order(n):
+    # The iterate and the iteration count are bit for bit the former
+    # ones, also when max_iter cuts the iteration off. On Nyquist modes
+    # the operator is not symmetric, and conjugate gradients on white
+    # noise stall near 1e-3; a constant operator under a mismatched
+    # preconditioner converges to 1e-10 on Nyquist-free noise.
+    geom = TorusGeometry(n)
+    rng = np.random.default_rng(200 + n)
+    noise = rng.standard_normal(geom.shape)
+    m = FormField.constant(geom, 2.0, 0.3 + 0.4j, 1.5)
+    symbol = _precondition_symbol(geom, np.array([[1.0, 0.0], [0.0, 3.0]]))
+    rhs = nyquist_free(geom, noise)
+    _, full = ref_pcg(geom, m, rhs, symbol, 1e-10, 600)
+    assert full > 10
+    assert same_pcg_outcome(geom, m, rhs, symbol, 1e-10, 600)
+    # cut off one step early: the last tested iterate is below 1e-6
+    assert same_pcg_outcome(geom, m, rhs, symbol, 1e-10, full - 1)
+    assert not same_pcg_outcome(geom, m, rhs, symbol, 1e-10, 2)
+
+    m_var = m + ddc(geom, rand_potential(geom, random.Random(n), scale=0.002))
+    assert m_var.min_eigenvalue() > 0
+    symbol = _precondition_symbol(geom, m_var.mean_matrix())
+    assert same_pcg_outcome(geom, m_var, noise, symbol, 5e-3, 600)
+    assert not same_pcg_outcome(geom, m_var, noise, symbol, 5e-3, 1)
+
+
+def ref_constant(geom, a11, a12, a22):
+    """A constant form as full grids, as FormField.constant used to build it."""
+    one = np.ones(geom.shape)
+    return FormField(a11 * one, a12 * one.astype(complex), a22 * one)
+
+
+def test_scalar_constant_forms_match_full_grids():
+    geom = TorusGeometry(8)
+    rng = random.Random(10)
+    entries = (1.5, 0.25 - 0.5j, 2.5)
+    scalar, full = FormField.constant(geom, *entries), ref_constant(geom, *entries)
+    assert np.ndim(scalar.a11) == np.ndim(scalar.a12) == np.ndim(scalar.a22) == 0
+    field = rand_form(geom, rng)
+    for fn in (lambda a: square_density(a), lambda a: a.det(),
+               lambda a: wedge_density(a, field), lambda a: wedge_density(field, a),
+               lambda a: square_density(a + field), lambda a: (field - a.scale(0.5)).a12):
+        assert np.array_equal(np.broadcast_to(fn(scalar), geom.shape), fn(full))
+    assert scalar.min_eigenvalue() == full.min_eigenvalue()
+    assert np.array_equal(scalar.mean_matrix(), full.mean_matrix())
+
+    # the charge density and the solver's data from scalar forms equal
+    # the ones built from full grids
+    data = SurfaceChargeData(geom, (1.0, 0.2 - 0.3j, 2.0), (-1.0, 0.7 + 0.4j, 0.3),
+                             (2.0, 0.1j, 3.0), (0.05, 0.02 + 0.01j, -0.04),
+                             rand_potential(geom, rng))
+    u1 = data.u1_field()
+    u1_full = ref_constant(geom, *data.u1_const) + ddc(geom, data.u1_potential)
+    assert np.array_equal(data.zt_density(data.alpha_harmonic(), 3.0, u1),
+                          data.zt_density(ref_constant(geom, *data.alpha0), 3.0, u1_full))
+    assert np.array_equal(z_residual(data, field).field, z_residual(data, field, u1_full).field)
+    # with every input constant the residual is computed once, in scalar
+    # arithmetic, which may round differently from array arithmetic
+    flat = SurfaceChargeData.dhym(geom, (1.0, 0.5j, 2.0), (2.0, 0.0, 3.0))
+    rep = z_residual(flat, flat.alpha_harmonic())
+    assert rep.field.shape == geom.shape
+    assert np.allclose(rep.field, z_residual(flat, ref_constant(geom, *flat.alpha0)).field,
+                       rtol=0, atol=1e-13)
+
+
+def ref_total_charge(data, k):
+    """Total charge as the grid mean of the full charge density."""
+    return complex(np.mean(data.zt_density(ref_constant(data.geom, *data.alpha0), k)))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_total_charge_from_means_matches_grid_mean(seed):
+    geom = TorusGeometry(8)
+    rng = random.Random(seed)
+
+    def u():
+        return rng.uniform(-1, 1)
+
+    data = SurfaceChargeData(
+        geom, (1 + u() ** 2, u() + 1j * u(), 2 + u() ** 2),
+        (-1.0 + u(), u() + 1j * u(), 0.5 + u() ** 2),
+        (2.0 + u(), u() + 1j * u(), 3.0 + u()), (u(), u() + 1j * u(), u()),
+        rand_potential(geom, rng, scale=0.3), 1.0 + rand_potential(geom, rng, scale=0.5),
+    )
+    for k in (1.0, -2.5, 10.0):
+        z, ref = data.total_charge(k), ref_total_charge(data, k)
+        assert abs(z - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("n", [8, 16])
