@@ -32,6 +32,7 @@ from .extension import (
     assemble_tau_system,
     solve_tau_positive,
 )
+from .errors import ClassObstructionError, NumericalFailureError, SurfaceError
 from .numring import RingError
 from .stability import StabilityError, stability_verdict, wall_scan
 
@@ -260,12 +261,7 @@ def cmd_solve_surface(args) -> int:
         raise ConfigError("surface", "section missing from the configuration")
     data, params = surface_from_section(sec, n_override=args.N, tol_override=args.tol)
 
-    from .surface import (
-        NumericalFailureError,
-        large_volume_check,
-        solve_critical_equation,
-        write_field_dump,
-    )
+    from .surface import large_volume_check, solve_critical_equation, write_field_dump
 
     sol = solve_critical_equation(
         data,
@@ -304,6 +300,7 @@ def cmd_solve_surface(args) -> int:
                     {"s": s, "newton": n, "residual": r}
                     for s, n, r in sol.stage_history
                 ],
+                "stage_residuals": sol.stage_residuals,
                 "large_volume": [
                     {
                         "k": row.k,
@@ -412,8 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; exit 2 is
         # reserved for the unstable/infeasible verdict, so remap
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    from .surface import ClassObstructionError, NumericalFailureError, SurfaceError
-
     try:
         return args.handler(args)
     except CertificateError as exc:

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .numring import GradedClass, NumericalRing, class_from_dict, preset_ring, ring_from_dict
+from .errors import SurfaceError
 from .charge import (
     ChernCharacter,
     StabilityVector,
@@ -334,17 +335,14 @@ def parse_mode_sum(geom, terms, path: str):
         if not isinstance(mode, list) or len(mode) != 4:
             raise ConfigError(p + ".mode", "mode must be four integers")
         mode = [parse_int(m, f"{p}.mode[{j}]") for j, m in enumerate(mode)]
-        if any(2 * abs(m) >= geom.size for m in mode):
-            raise ConfigError(
-                p + ".mode",
-                f"mode {mode} aliases on the N={geom.size} grid; every |m_i| must "
-                "be below N/2",
-            )
         amp = parse_float(term.get("amplitude", 1), p + ".amplitude")
         phase = term.get("phase", "cos")
         if phase not in ("cos", "sin"):
             raise ConfigError(p + ".phase", f"phase must be cos or sin, got {phase!r}")
-        out = out + geom.mode_field(mode, amp, phase)
+        try:
+            out = out + geom.mode_field(mode, amp, phase)
+        except SurfaceError as exc:
+            raise ConfigError(p + ".mode", str(exc)) from None
     return out
 
 
@@ -359,7 +357,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
                          tol_override: Optional[float] = None):
     """Build the torus charge data and solver parameters from a config
     section; n_override and tol_override stand for the --N and --tol flags."""
-    from .surface import SurfaceChargeData, TorusGeometry, SurfaceError
+    from .surface import SurfaceChargeData, TorusGeometry
 
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")

@@ -49,7 +49,15 @@ phi = arg of the total charge becomes a complex Monge-Ampere equation
 
 solved here by damped Newton steps under an optional homotopy on f,
 each linearised step handled by conjugate gradients preconditioned
-with the Fourier symbol of the mean-coefficient operator.
+with the Fourier symbol of the mean-coefficient operator. The steps
+are inexact Newton steps (Dembo, Eisenstat and Steihaug 1982): with
+scale = max(1, |8 det mean(alpha0 + beta/2)|), a step taken at Newton
+residual res_sup runs conjugate gradients to the relative tolerance
+
+    eta = max(cg_tol, min(0.1, 0.1 res_sup / scale)),
+
+so cg_tol is only the floor. eta = O(res_sup) keeps the quadratic
+convergence of exact Newton steps.
 
 A constant form (FormField.constant, omega(), alpha_harmonic(), the
 twist without a potential) has numpy scalar components, and a missing
@@ -69,18 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-
-
-class SurfaceError(ValueError):
-    pass
-
-
-class ClassObstructionError(SurfaceError):
-    """The twisted class admits no positive solution branch."""
-
-
-class NumericalFailureError(SurfaceError):
-    """The iteration failed to reach the requested tolerance."""
+from .errors import ClassObstructionError, NumericalFailureError, SurfaceError
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,16 @@ class TorusGeometry:
     def mode_field(
         self, mode: Sequence[int], amplitude: float, phase: str = "cos"
     ) -> np.ndarray:
-        """Real field amplitude * cos/sin(2 pi m.x) sampled on the grid."""
+        """Real field amplitude * cos/sin(2 pi m.x) sampled on the grid.
+
+        A mode with some |m_i| >= N/2 aliases onto a lower one on the
+        grid and is rejected.
+        """
+        if any(2 * abs(m) >= self.size for m in mode):
+            raise SurfaceError(
+                f"mode {list(mode)} aliases on the N={self.size} grid; every "
+                "|m_i| must be below N/2"
+            )
         x1, y1, x2, y2 = self.coordinates()
         arg = 2 * np.pi * (mode[0] * x1 + mode[1] * y1 + mode[2] * x2 + mode[3] * y2)
         wave = np.cos(arg) if phase == "cos" else np.sin(arg)
@@ -551,6 +557,11 @@ def solve_monge_ampere(
     """Damped Newton continuation for 8 det(alpha0 + beta/2 + ddc u) = f
     with f = wedge(beta, beta)/4 - gamma.
 
+    Each Newton step solves its linear system to the forcing term
+    eta = max(cg_tol, min(0.1, 0.1 res_sup / scale)) of the module
+    docstring, where scale = max(1, |8 det mbar|) is the scale of the
+    compatibility test; cg_tol is the floor, reached as res_sup falls.
+
     Raises ClassObstructionError when the averaged matrix is not
     positive definite (the class test) or the density f fails
     positivity, and NumericalFailureError when the iteration stalls at
@@ -623,8 +634,10 @@ def solve_monge_ampere(
                 raise NumericalFailureError(
                     f"Newton stalled at stage {s:g} with residual {res_sup:.3e}"
                 )
-            # Newton step: L delta = -res, with the solver acting as -L
-            delta, cg_it = _pcg(geom, m, res, symbol, cg_tol, cg_max)
+            # inexact Newton step L delta = -res, with the solver acting
+            # as -L, solved to a tolerance that follows the residual
+            eta = max(cg_tol, min(0.1, 0.1 * res_sup / scale))
+            delta, cg_it = _pcg(geom, m, res, symbol, eta, cg_max)
             total_cg += cg_it
             step = 1.0
             while True:

@@ -20,6 +20,7 @@ DHYM_CFG = "configs/p2_extension_dhym.json"
 TODD_CFG = "configs/p2_extension_todd.json"
 TAU_CFG = "configs/tau_chain.json"
 TORUS_CFG = "configs/torus_dhym.json"
+TWO_MODE_CFG = "configs/torus_two_mode.json"
 
 
 def run(capsys, *argv):
@@ -153,18 +154,41 @@ def test_walls_on_the_rescaled_pair(tmp_path, capsys):
     assert wall[1].startswith("[") and wall[4:] == ["stable", "stable", "stable"]
 
 
+def run_fresh_python(code):
+    """stdout of code run in a new interpreter from the repository root"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 @pytest.mark.parametrize("modules, absent", [
     ("zcrit.cli", "sympy"),
     ("zcrit, zcrit.charge, zcrit.stability, zcrit.extension, zcrit.config", "numpy"),
 ], ids=["cli-sympy", "exact-numpy"])
 def test_cli_import_leaves_sympy_out(modules, absent):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = f"import sys, {modules}; print({absent!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert run_fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("charge", DHYM_CFG, 0),
+    ("stability", DHYM_CFG, 2),
+    ("walls", DHYM_CFG, 0),
+    ("walls", TODD_CFG, 0),
+    ("tau", TAU_CFG, 0),
+])
+def test_exact_subcommands_leave_numpy_out(command, config, code):
+    # the solver's exceptions, which main catches, come without numpy
+    script = ("import contextlib, io, sys\n"
+              "from zcrit import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    rc = cli.main([{command!r}, '--config', {config!r}])\n"
+              "print(rc, 'numpy' in sys.modules)")
+    assert run_fresh_python(script) == f"{code} False"
 
 
 def test_tau_feasible_golden(capsys):
@@ -261,6 +285,25 @@ def test_solve_surface_json(capsys):
     assert len(doc["stages"]) == 1
     assert [row["k"] for row in doc["large_volume"]] == [10.0, 100.0]
     assert doc["dump"] is None
+
+
+def test_solve_surface_json_reports_the_residual_path(capsys):
+    rc, out, err = run(capsys, "solve-surface", "--config", TWO_MODE_CFG,
+                       "--format", "json")
+    assert rc == 0, err
+    doc = json.loads(out)
+    (path,) = doc["stage_residuals"]
+    (stage,) = doc["stages"]
+    assert len(path) == doc["newton_iterations"] + 1 == stage["newton"] + 1
+    assert path == sorted(path, reverse=True) and path[0] > 1.0
+    assert path[-1] == stage["residual"] <= 1e-11
+    # the TSV rows stay those of the documented format
+    rc, out, _ = run(capsys, "solve-surface", "--config", TWO_MODE_CFG)
+    assert rc == 0
+    assert [r[0] for r in rows_of(out)] == [
+        "N", "phi", "residual_sup", "z_residual_sup", "z_residual_mean", "shift",
+        "positivity_margin", "newton_iterations", "cg_iterations",
+        "harmonic_start", "stage"]
 
 
 def test_obstruction_exit(tmp_path, capsys):

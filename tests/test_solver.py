@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zcrit import surface
 from zcrit.surface import (
     ClassObstructionError,
     NumericalFailureError,
@@ -56,6 +57,48 @@ def test_generic_perturbation_converges_quadratically():
     # once inside the basin the error square-contracts
     pairs = [(a, b) for a, b in zip(path, path[1:]) if a < 1.0 and b > 1e-10]
     assert pairs and all(b < 10 * a ** 2 for a, b in pairs)
+
+
+def two_mode_data(n=16):
+    data = flat_data(n)
+    x = data.geom.coordinates()
+    return data.perturb_u1(0.1 * np.cos(2 * np.pi * x[0])
+                           + 0.08 * np.cos(2 * np.pi * x[2]))
+
+
+def record_pcg_tols(monkeypatch, fixed_tol=None):
+    """Tolerances the solver passes to _pcg; with fixed_tol, _pcg solves
+    to fixed_tol instead."""
+    tols = []
+    real = surface._pcg
+
+    def pcg(geom, m, rhs, symbol, tol, max_iter):
+        tols.append(tol)
+        return real(geom, m, rhs, symbol, tol if fixed_tol is None else fixed_tol, max_iter)
+
+    monkeypatch.setattr(surface, "_pcg", pcg)
+    return tols
+
+
+def test_forcing_term_follows_the_newton_residual(monkeypatch):
+    tols = record_pcg_tols(monkeypatch)
+    sol = solve_critical_equation(two_mode_data(), tol=1e-11, stages=1)
+    assert len(tols) == sol.newton_iterations >= 3
+    assert all(1e-10 <= eta <= 0.1 for eta in tols)
+    assert tols[-1] <= tols[0]
+    # loose while the residual is large, and tightening with it
+    assert tols[0] > 1e-3 and tols == sorted(tols, reverse=True)
+
+
+def test_inexact_newton_agrees_with_exact_newton(monkeypatch):
+    data = two_mode_data()
+    inexact = solve_critical_equation(data, tol=1e-11, stages=1)
+    record_pcg_tols(monkeypatch, fixed_tol=1e-10)
+    exact = solve_critical_equation(data, tol=1e-11, stages=1)
+    assert exact.residual_sup <= 1e-11 and inexact.residual_sup <= 1e-11
+    assert float(np.max(np.abs(inexact.u - exact.u))) <= 1e-10
+    assert inexact.cg_iterations < exact.cg_iterations
+    assert inexact.newton_iterations <= exact.newton_iterations
 
 
 def test_residual_agrees_with_fresh_evaluation():

@@ -63,6 +63,14 @@ def test_mode_field_samples():
     assert g[0, 0, 2, 0] == pytest.approx(1.0)
 
 
+def test_mode_field_rejects_aliased_modes():
+    geom = TorusGeometry(8)
+    assert geom.mode_field([3, -3, 0, 3], 1.0).shape == geom.shape
+    for mode in ([4, 0, 0, 0], [0, 0, 0, -4], [0, 5, 1, 0]):
+        with pytest.raises(SurfaceError, match="aliases on the N=8 grid"):
+            geom.mode_field(mode, 1.0)
+
+
 def test_ddc_single_mode_closed_form():
     geom = TorusGeometry(16)
     x1, y1, x2, y2 = geom.coordinates()
