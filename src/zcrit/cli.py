@@ -222,6 +222,8 @@ def cmd_tau(args) -> int:
         cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, graph
     )
     cap = parse_fraction(sec.get("cap", 1), "tau.cap")
+    if cap <= 0:
+        raise ConfigError("tau.cap", f"the margin cap must be positive, got {cap}")
     solution = solve_tau_positive(system, cap=cap)
     if args.format == "json":
         _emit_json(

@@ -156,7 +156,7 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
     if "omega" in man:
         omega = parse_class(ring, man["omega"], "manifold.omega")
     else:
-        degree_two = [b.name for b in ring.basis if b.degree == 2]
+        degree_two = ring.generators_of_degree(2)
         if len(degree_two) != 1:
             raise ConfigError(
                 "manifold.omega",
@@ -353,11 +353,23 @@ def _parse_tol(value, path: str) -> float:
     return tol
 
 
+def _parse_k_values(value, path: str) -> List[float]:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list of numbers, got {value!r}")
+    out = []
+    for i, v in enumerate(value):
+        k = parse_float(v, f"{path}[{i}]")
+        if not (math.isfinite(k) and k != 0):
+            raise ConfigError(f"{path}[{i}]", f"k must be a finite nonzero number, got {v!r}")
+        out.append(k)
+    return out
+
+
 def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str = "surface",
                          tol_override: Optional[float] = None):
     """Build the torus charge data and solver parameters from a config
     section; n_override and tol_override stand for the --N and --tol flags."""
-    from .surface import SurfaceChargeData, TorusGeometry
+    from .surface import DHYM_RHO, SurfaceChargeData, TorusGeometry
 
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
@@ -377,7 +389,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
     alpha0 = parse_hermitian(sec["alpha0"], path + ".alpha0")
 
     if sec.get("preset") == "dhym":
-        rho = (-1.0 + 0j, 1j, 0.5 + 0j)
+        rho = DHYM_RHO
     elif "rho" in sec:
         entries = sec["rho"]
         if not isinstance(entries, list) or len(entries) != 3:
@@ -411,10 +423,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
         "max_newton": parse_int(
             sec.get("max_newton", 50), path + ".max_newton", minimum=0
         ),
-        "k_values": [
-            parse_float(v, f"{path}.k_values[{i}]")
-            for i, v in enumerate(sec.get("k_values", []))
-        ],
+        "k_values": _parse_k_values(sec.get("k_values", []), path + ".k_values"),
         "dump": sec.get("dump"),
     }
     if params["dump"] is not None and not isinstance(params["dump"], str):

@@ -9,29 +9,32 @@ linear program
 
     maximise delta  subject to  A tau = -b,  tau_l >= delta
 
-has positive optimum. Everything here is exact: the discrepancies come
-from power-series division of central charges in x = 1/k, the linear
-program runs over rationals, and every outcome ships a certificate
-that can be checked independently (a solving weight vector, an optimal
-dual vector, or an inconsistency functional for the balance equations).
+has positive optimum. Everything here is exact. The discrepancy of Q_i
+is the leading coefficient of Im(Z_Q/Z_E) in x = 1/k, and it comes
+from the phase comparison in stability: with P = Im(Z_Q conj Z_E) and
+n = dim X,
+
+    Im(Z_Q/Z_E) = P(1/x) x^{2n} / (|Z_E|^2 x^{2n}),
+
+where |Z_E|^2 x^{2n} is a real series in x with constant term
+|z_{E,n}|^2 > 0. So the first nonzero x-coefficient sits at the
+discrepancy order q = 2n - deg P and equals p_{2n-q} / |z_{E,n}|^2.
+The linear program runs over rationals, and every outcome ships a
+certificate that can be checked independently (a solving weight
+vector, an optimal dual vector, or an inconsistency functional for the
+balance equations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .charge import (
-    CentralChargePolynomial,
-    ChernCharacter,
-    StabilityVector,
-    UnipotentOperator,
-    central_charge,
-)
+from .charge import ChernCharacter, StabilityVector, UnipotentOperator, central_charge
 from .exactlp import simplex_solve, solve_linear_system
-from .gaussian import GaussianRational
 from .numring import GradedClass, NumericalRing
+from .stability import phase_compare
 
 
 class ExtensionError(ValueError):
@@ -80,78 +83,12 @@ class FiltrationGraph:
                 raise ExtensionError(f"edge ({u}, {v}) is a loop")
 
 
-def _series_inverse(d: Sequence[GaussianRational], order: int) -> List[GaussianRational]:
-    if d[0].is_zero():
-        raise ExtensionError("series with vanishing constant term has no inverse")
-    inv = [GaussianRational.of(1) / d[0]]
-    for j in range(1, order + 1):
-        acc = GaussianRational()
-        for i in range(1, j + 1):
-            di = d[i] if i < len(d) else GaussianRational()
-            acc = acc + di * inv[j - i]
-        inv.append(-(acc / d[0]))
-    return inv
-
-
-def charge_ratio_series(
-    z_num: CentralChargePolynomial,
-    z_den: CentralChargePolynomial,
-    order: int,
-) -> List[GaussianRational]:
-    """Coefficients of Z_num/Z_den as a series in x = 1/k up to order.
-
-    Both charges are reindexed by x = 1/k after factoring out k^n, so
-    the constant term of the denominator is its top k-coefficient,
-    which must not vanish.
-    """
-    n = max(len(z_num), len(z_den)) - 1
-    num = [z_num[n - j] for j in range(order + 1)]
-    den = [z_den[n - j] for j in range(order + 1)]
-    inv = _series_inverse(den, order)
-    out = []
-    for j in range(order + 1):
-        acc = GaussianRational()
-        for i in range(j + 1):
-            acc = acc + num[i] * inv[j - i]
-        out.append(acc)
-    return out
-
-
-def abs_critical_profile(
-    ring: NumericalRing,
-    omega: GradedClass,
-    rho: StabilityVector,
-    U: UnipotentOperator,
-    ch_e: ChernCharacter,
-    ch_q: ChernCharacter,
-) -> List[Fraction]:
-    """Imaginary part of Z_Q/Z_E as a series in 1/k, to order 2n.
-
-    The first nonzero entry sits at the discrepancy order of Q against
-    E; the profile is identically zero iff the phases agree to all
-    orders, in particular when Q = E.
-    """
-    n = ring.complex_dimension
-    z_e = central_charge(ring, omega, rho, U, ch_e)
-    z_q = central_charge(ring, omega, rho, U, ch_q)
-    series = charge_ratio_series(z_q, z_e, 2 * n)
-    return [c.im for c in series]
-
-
-def first_nonzero(values: Sequence[Fraction]) -> Optional[int]:
-    for i, v in enumerate(values):
-        if v != 0:
-            return i
-    return None
-
-
 @dataclass(frozen=True)
 class TauSystem:
     graph: FiltrationGraph
     order: Optional[int]            # common leading order q, None if all flat
     b: Tuple[Fraction, ...]         # discrepancy load per quotient
     A: Tuple[Tuple[Fraction, ...], ...]   # incidence matrix, rows = quotients
-    profiles: Tuple[Tuple[Fraction, ...], ...]
 
 
 def assemble_tau_system(
@@ -169,31 +106,29 @@ def assemble_tau_system(
     rank. The loads b_i always sum to zero because the charge ratios
     sum to 1 identically.
     """
-    n = ring.complex_dimension
     total = graph.quotients[0].ch
     for spec in graph.quotients[1:]:
         total = total + spec.ch
     if total.cls != ch_e.cls:
         raise ExtensionError("quotient characters must sum to the total character")
-    profiles = []
     for spec in graph.quotients:
         if spec.ch.rank < 1:
             raise ExtensionError(f"quotient {spec.name!r} must have positive rank")
-        profiles.append(tuple(abs_critical_profile(ring, omega, rho, U, ch_e, spec.ch)))
-    orders = [first_nonzero(p) for p in profiles]
-    present = [o for o in orders if o is not None]
+    z_e = central_charge(ring, omega, rho, U, ch_e)
+    verdicts = [phase_compare(central_charge(ring, omega, rho, U, spec.ch), z_e)
+                for spec in graph.quotients]
+    present = [v.order for v in verdicts if v.order is not None]
     q = min(present) if present else None
-    if q is None:
-        b = tuple(Fraction(0) for _ in profiles)
-    else:
-        b = tuple(p[q] for p in profiles)
+    scale = z_e.leading().abs2()
+    b = tuple(v.leading / scale if q is not None and v.order == q else Fraction(0)
+              for v in verdicts)
     _certify(sum(b, Fraction(0)) == 0, "discrepancy loads must balance")
     m = len(graph.quotients)
     A = [[Fraction(0)] * len(graph.edges) for _ in range(m)]
     for l, (u, v) in enumerate(graph.edges):
         A[u][l] += 1
         A[v][l] -= 1
-    return TauSystem(graph, q, b, tuple(tuple(r) for r in A), tuple(profiles))
+    return TauSystem(graph, q, b, tuple(tuple(r) for r in A))
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,3 @@ class GaussianRational:
         if self.im == 0:
             return str(self.re)
         return {"re": str(self.re), "im": str(self.im)}
-
-
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))

@@ -140,21 +140,6 @@ class NumericalRing:
             return {}
         return self._table.get(self._key(i, j), {})
 
-    def check_multiplicative_laws(self) -> None:
-        """Exhaustive commutativity and associativity check (small rings)."""
-        names = [b.name for b in self.basis]
-        for a in names:
-            for b in names:
-                ab = self.gen(a) * self.gen(b)
-                ba = self.gen(b) * self.gen(a)
-                if ab != ba:
-                    raise RingError(f"product not commutative on ({a},{b})")
-                for c in names:
-                    left = (self.gen(a) * self.gen(b)) * self.gen(c)
-                    right = self.gen(a) * (self.gen(b) * self.gen(c))
-                    if left != right:
-                        raise RingError(f"product not associative on ({a},{b},{c})")
-
 
 class GradedClass:
     """Rational coordinate vector in a NumericalRing basis."""
@@ -238,9 +223,6 @@ class GradedClass:
         parts = [f"{v}*{k}" for k, v in sorted(
             self.coeffs.items(), key=lambda kv: (self.ring.degree_of(kv[0]), kv[0]))]
         return " + ".join(parts)
-
-    def to_dict(self) -> Dict[str, str]:
-        return {k: str(v) for k, v in sorted(self.coeffs.items())}
 
 
 def class_from_dict(ring: NumericalRing, data: Dict[str, object]) -> GradedClass:
@@ -375,19 +357,3 @@ def ring_from_dict(data: Dict) -> NumericalRing:
         )
     except KeyError as exc:
         raise RingError(f"ring description missing field {exc}") from exc
-
-
-def ring_to_dict(ring: NumericalRing) -> Dict:
-    data = {
-        "name": ring.name,
-        "complex_dimension": ring.complex_dimension,
-        "generators": [{"name": b.name, "degree": b.degree} for b in ring.basis],
-        "products": [
-            [i, j, {k: str(v) for k, v in comb.items()}]
-            for (i, j), comb in sorted(ring._table.items())
-        ],
-        "integration": {k: str(v) for k, v in sorted(ring.integration.items())},
-    }
-    if ring.todd is not None:
-        data["todd"] = ring.todd.to_dict()
-    return data

@@ -208,9 +208,6 @@ class RootPoint:
     def rational(cls, x: Fraction) -> "RootPoint":
         return cls(x, x, x)
 
-    def approx(self) -> Fraction:
-        return self.exact if self.exact is not None else (self.lo + self.hi) / 2
-
     def refine(self) -> None:
         """Halve the enclosure (no-op for rational points). A midpoint
         at which poly vanishes is the root, which becomes exact."""

@@ -328,8 +328,7 @@ def _criterion_7(rng: random.Random) -> Tuple[bool, str]:
             A[u][l] += 1
             A[v][l] -= 1
         system = TauSystem(FiltrationGraph(specs, edges), 3, tuple(b),
-                           tuple(tuple(r) for r in A),
-                           tuple((x,) for x in b))
+                           tuple(tuple(r) for r in A))
         sol = solve_tau_positive(system)
         prefix = [sum(b[: i + 1], Fraction(0)) for i in range(m - 1)]
         tau_oracle = [-s for s in prefix]

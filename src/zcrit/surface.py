@@ -177,8 +177,8 @@ class FormField:
     a22: np.ndarray
 
     @staticmethod
-    def constant(geom: TorusGeometry, a11: float, a12: complex, a22: float) -> "FormField":
-        """Constant form on geom's grid, held as scalars."""
+    def constant(a11: float, a12: complex, a22: float) -> "FormField":
+        """Constant form, held as scalars."""
         return FormField(np.float64(a11), np.complex128(a12), np.float64(a22))
 
     def __add__(self, other: "FormField") -> "FormField":
@@ -272,6 +272,9 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
 # charge data on the torus
 # ---------------------------------------------------------------------------
 
+# deformed Hermitian Yang-Mills weights (rho0, rho1, rho2)
+DHYM_RHO = (-1.0 + 0j, 1j, 0.5 + 0j)
+
 
 @dataclass
 class SurfaceChargeData:
@@ -308,7 +311,7 @@ class SurfaceChargeData:
         alpha0: Tuple[float, complex, float],
     ) -> "SurfaceChargeData":
         """Deformed Hermitian Yang-Mills weights, trivial twist."""
-        return SurfaceChargeData(geom, metric, (-1.0, 1.0j, 0.5), alpha0)
+        return SurfaceChargeData(geom, metric, DHYM_RHO, alpha0)
 
     def _metric_det(self) -> float:
         g11, g12, g22 = self.metric
@@ -320,15 +323,15 @@ class SurfaceChargeData:
 
     def omega(self) -> FormField:
         g11, g12, g22 = self.metric
-        return FormField.constant(self.geom, g11, g12, g22)
+        return FormField.constant(g11, g12, g22)
 
     def alpha_harmonic(self) -> FormField:
         a11, a12, a22 = self.alpha0
-        return FormField.constant(self.geom, a11, a12, a22)
+        return FormField.constant(a11, a12, a22)
 
     def u1_field(self) -> FormField:
         c11, c12, c22 = self.u1_const
-        out = FormField.constant(self.geom, c11, c12, c22)
+        out = FormField.constant(c11, c12, c22)
         if self.u1_potential is not None:
             out = out + ddc(self.geom, self.u1_potential)
         return out
@@ -377,7 +380,7 @@ class SurfaceChargeData:
         if u1 is None:
             u1 = self.u1_field()
         mean = u1.mean_matrix()
-        u1_mean = FormField.constant(self.geom, mean[0, 0].real, mean[0, 1], mean[1, 1].real)
+        u1_mean = FormField.constant(mean[0, 0].real, mean[0, 1], mean[1, 1].real)
         u2_mean = np.mean(self.u2_density())
         return complex(self._zt(self.alpha_harmonic(), k, u1_mean, u2_mean))
 
@@ -595,7 +598,7 @@ def solve_monge_ampere(
     # the iterate u is kept with hess = ddc(u), m = m_base + hess, its
     # smallest eigenvalue m_min and sq = 8 det(m), none recomputed
     u = np.zeros(geom.shape)
-    hess = FormField.constant(geom, 0.0, 0.0, 0.0)
+    hess = FormField.constant(0.0, 0.0, 0.0)
     m = m_base
     m_min = m.min_eigenvalue()
     used_harmonic = m_min <= 0
@@ -786,9 +789,7 @@ def large_volume_check(
     g = data.omega()
     variation = alpha + u1
     mean = variation.mean_matrix()
-    vari = variation - FormField.constant(
-        geom, mean[0, 0].real, mean[0, 1], mean[1, 1].real
-    )
+    vari = variation - FormField.constant(mean[0, 0].real, mean[0, 1], mean[1, 1].real)
     predicted = c * square_density(g) * wedge_density(g, vari)
     pred_sup = float(np.max(np.abs(predicted)))
 

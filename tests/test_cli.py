@@ -339,6 +339,12 @@ def torus_raw(**changes):
     return raw
 
 
+def tau_raw(**changes):
+    raw = json.load(open(TAU_CFG))
+    raw["tau"].update(changes)
+    return raw
+
+
 @pytest.mark.parametrize("command, raw, path", [
     (["charge", "--sheaf", "E"],
      {"manifold": {"preset": "projective_space", "dimension": "two"},
@@ -359,9 +365,17 @@ def torus_raw(**changes):
     (["solve-surface", "--tol", "0"], torus_raw(), "--tol"),
     (["solve-surface", "--tol", "nan"], torus_raw(), "--tol"),
     (["solve-surface", "--tol", "inf"], torus_raw(), "--tol"),
+    (["solve-surface"], torus_raw(k_values="10"), r"surface.k_values: "),
+    (["solve-surface"], torus_raw(k_values=[0]), r"surface.k_values\[0\]"),
+    (["solve-surface"], torus_raw(k_values=[10, "nan"]), r"surface.k_values\[1\]"),
+    (["solve-surface"], torus_raw(k_values=["inf"]), r"surface.k_values\[0\]"),
+    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap=0), "tau.cap"),
+    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap="-1"), "tau.cap"),
 ], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
-        "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf"])
+        "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
+        "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
+        "tau-cap-zero", "tau-cap-negative"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64

@@ -275,6 +275,8 @@ def test_surface_section_builds_charge_data():
     assert params["stages"] == 4
     assert params["k_values"] == [10.0, 100.0]
     assert params["dump"] is None
+    # negative k is a valid sample point; only 0 and non-finite k are rejected
+    assert surface_from_section(dict(sec, k_values=[-10]))[1]["k_values"] == [-10.0]
 
     # the grid override wins over the section value
     data32, _ = surface_from_section(sec, n_override=32)

@@ -15,14 +15,12 @@ from zcrit.extension import (
     FiltrationGraph,
     QuotientSpec,
     TauSystem,
-    abs_critical_profile,
     assemble_tau_system,
-    charge_ratio_series,
-    first_nonzero,
     solve_tau_positive,
 )
 from zcrit.gaussian import GaussianRational
-from zcrit.numring import preset_ring
+from zcrit.numring import class_from_dict, preset_ring
+from zcrit.stability import PhaseVerdict, Relation, phase_compare
 
 F = Fraction
 
@@ -47,13 +45,55 @@ def pinned_sequence(ring):
     return ch_e, ch_f, ch_q
 
 
+# Reference for the tau loads: Z_Q/Z_E divided out as a power series in
+# x = 1/k over the Gaussian rationals, independently of the comparison
+# polynomial that assemble_tau_system reads its loads from.
+
+def ref_series_inverse(d, order):
+    inv = [GaussianRational.of(1) / d[0]]
+    for j in range(1, order + 1):
+        acc = GaussianRational()
+        for i in range(1, j + 1):
+            acc = acc + d[i] * inv[j - i]
+        inv.append(-(acc / d[0]))
+    return inv
+
+
+def ref_ratio_series(z_num, z_den, order):
+    """Coefficients of Z_num/Z_den in x = 1/k up to order, after
+    factoring out k^n from both charges."""
+    n = max(len(z_num), len(z_den)) - 1
+    num = [z_num[n - j] for j in range(order + 1)]
+    inv = ref_series_inverse([z_den[n - j] for j in range(order + 1)], order)
+    return [sum((num[i] * inv[j - i] for i in range(j + 1)), GaussianRational())
+            for j in range(order + 1)]
+
+
+def ref_profile(ring, omega, rho, U, ch_e, ch_q):
+    """Im(Z_Q/Z_E) as a series in x = 1/k, to order 2n."""
+    z_e = central_charge(ring, omega, rho, U, ch_e)
+    z_q = central_charge(ring, omega, rho, U, ch_q)
+    return [c.im for c in ref_ratio_series(z_q, z_e, 2 * ring.complex_dimension)]
+
+
+def ref_loads(ring, omega, rho, U, ch_e, chars):
+    """Common leading order q and the loads b_i = profile_i[q]."""
+    profiles = [ref_profile(ring, omega, rho, U, ch_e, ch) for ch in chars]
+    orders = [next((i for i, v in enumerate(p) if v != 0), None) for p in profiles]
+    present = [o for o in orders if o is not None]
+    if not present:
+        return None, tuple(F(0) for _ in chars)
+    q = min(present)
+    return q, tuple(p[q] for p in profiles)
+
+
 def test_ratio_series_inverts_exactly():
     ring, h, rho, U = p2()
     ch_e, ch_f, _ = pinned_sequence(ring)
     z_e = central_charge(ring, h, rho, U, ch_e)
     z_f = central_charge(ring, h, rho, U, ch_f)
-    r = charge_ratio_series(z_f, z_e, 6)
-    back = charge_ratio_series(z_e, z_e, 6)
+    r = ref_ratio_series(z_f, z_e, 6)
+    back = ref_ratio_series(z_e, z_e, 6)
     assert back[0] == GaussianRational.of(1)
     assert all(c.is_zero() for c in back[1:])
     # multiply the ratio back by the denominator series and recover Z_F
@@ -70,11 +110,15 @@ def test_ratio_series_inverts_exactly():
 def test_pinned_profiles_and_leading_order():
     ring, h, rho, U = p2()
     ch_e, ch_f, ch_q = pinned_sequence(ring)
-    prof_f = abs_critical_profile(ring, h, rho, U, ch_e, ch_f)
-    prof_q = abs_critical_profile(ring, h, rho, U, ch_e, ch_q)
-    assert first_nonzero(prof_f) == 3 and prof_f[3] == F(8, 27)
-    assert first_nonzero(prof_q) == 3 and prof_q[3] == F(-8, 27)
-    assert abs_critical_profile(ring, h, rho, U, ch_e, ch_e)[:5] == [F(0)] * 5
+    prof_f = ref_profile(ring, h, rho, U, ch_e, ch_f)
+    prof_q = ref_profile(ring, h, rho, U, ch_e, ch_q)
+    assert prof_f[:3] == [F(0)] * 3 and prof_f[3] == F(8, 27)
+    assert prof_q[:3] == [F(0)] * 3 and prof_q[3] == F(-8, 27)
+    # the phase comparison gives the same order and, over |z_{E,n}|^2,
+    # the same leading coefficient
+    z_e = central_charge(ring, h, rho, U, ch_e)
+    v_f = phase_compare(central_charge(ring, h, rho, U, ch_f), z_e)
+    assert v_f.order == 3 and v_f.leading / z_e.leading().abs2() == F(8, 27)
 
 
 def test_assembly_structure():
@@ -180,8 +224,54 @@ def test_single_quotient_trivial_system():
     ring, h, rho, U = p2()
     ch_e = p2_character(ring, 3, 0, -2)
     graph = FiltrationGraph((QuotientSpec("E", ch_e),), ())
-    sol = solve_tau_positive(assemble_tau_system(ring, h, rho, U, ch_e, graph))
+    system = assemble_tau_system(ring, h, rho, U, ch_e, graph)
+    assert system.order is None and system.b == (F(0),)
+    sol = solve_tau_positive(system)
     assert sol.feasible and sol.tau == ()
+
+
+def random_character(rng, ring, rank):
+    coeffs = {"1": F(rank)}
+    fact = 1
+    for j in range(1, ring.complex_dimension + 1):
+        fact *= j
+        coeffs["h" if j == 1 else f"h^{j}"] = F(rng.randint(-4, 4), fact)
+    return ChernCharacter(class_from_dict(ring, coeffs))
+
+
+def random_filtration_cases(seed=71, count=240):
+    """Random filtrations on P2-P5 (dhym, and todd on P2) with random
+    B-fields; about 30% of the quotients repeat an earlier character,
+    so that phases tie and some systems are flat."""
+    rng = random.Random(seed)
+    rings = {n: preset_ring("projective_space", n=n) for n in (2, 3, 4, 5)}
+    for _ in range(count):
+        n = rng.choice((2, 3, 4, 5))
+        ring = rings[n]
+        h = ring.gen("h")
+        preset = "todd" if n == 2 and rng.random() < 0.5 else "dhym"
+        rho, U = charge_preset(preset, ring, h.scale(F(rng.randint(-3, 3), rng.randint(1, 3))))
+        chars = []
+        for _ in range(rng.randint(1, 4)):
+            if chars and rng.random() < 0.3:
+                chars.append(rng.choice(chars))
+            else:
+                chars.append(random_character(rng, ring, rng.randint(1, 2)))
+        yield ring, h, rho, U, chars
+
+
+def test_loads_match_the_series_reference():
+    orders = set()
+    for ring, h, rho, U, chars in random_filtration_cases():
+        ch_e = chars[0]
+        for ch in chars[1:]:
+            ch_e = ch_e + ch
+        specs = tuple(QuotientSpec(f"Q{i}", ch) for i, ch in enumerate(chars))
+        edges = tuple((i, i + 1) for i in range(len(chars) - 1))
+        system = assemble_tau_system(ring, h, rho, U, ch_e, FiltrationGraph(specs, edges))
+        assert (system.order, system.b) == ref_loads(ring, h, rho, U, ch_e, chars)
+        orders.add(system.order)
+    assert {None, 1, 3} <= orders
 
 
 def synthetic_system(ring, b, edges):
@@ -192,7 +282,7 @@ def synthetic_system(ring, b, edges):
         A[u][l] += 1
         A[v][l] -= 1
     return TauSystem(FiltrationGraph(specs, tuple(edges)), 3, tuple(b),
-                     tuple(tuple(r) for r in A), tuple((x,) for x in b))
+                     tuple(tuple(r) for r in A))
 
 
 def test_random_trees_match_direct_elimination():
@@ -230,7 +320,8 @@ def test_unbalanced_loads_raise(monkeypatch):
     ring, h, rho, U = p2()
     ch_e, ch_f, ch_q = pinned_sequence(ring)
     graph = FiltrationGraph((QuotientSpec("Q", ch_q), QuotientSpec("F", ch_f)), ((0, 1),))
-    monkeypatch.setattr(extension, "abs_critical_profile", lambda *args: [F(1)])
+    monkeypatch.setattr(extension, "phase_compare",
+                        lambda *args: PhaseVerdict(Relation.GREATER, 1, F(1)))
     with pytest.raises(ExtensionError, match="loads must balance"):
         assemble_tau_system(ring, h, rho, U, ch_e, graph)
 
@@ -285,7 +376,8 @@ def test_certificate_checks_run_under_optimisation():
         "q = ChernCharacter(ring.unit())\n"
         "graph = extension.FiltrationGraph((extension.QuotientSpec('A', q),\n"
         "                                   extension.QuotientSpec('B', q)), ((0, 1),))\n"
-        "extension.abs_critical_profile = lambda *args: [Fraction(1)]\n"
+        "from zcrit.stability import PhaseVerdict, Relation\n"
+        "extension.phase_compare = lambda *args: PhaseVerdict(Relation.GREATER, 1, Fraction(1))\n"
         "try:\n"
         "    extension.assemble_tau_system(ring, h, rho, U, q + q, graph)\n"
         "except extension.ExtensionError:\n"

@@ -7,38 +7,54 @@ from zcrit.numring import (
     RingError,
     RingMismatchError,
     SeriesDomainError,
+    class_from_dict,
     integrate,
     power_series_apply,
     preset_ring,
     ring_from_dict,
-    ring_to_dict,
 )
 
 F = Fraction
 
 
+def assert_multiplicative_laws(ring):
+    """Exhaustive commutativity and associativity check (small rings)."""
+    names = ring.basis_names()
+    for a in names:
+        for b in names:
+            assert ring.gen(a) * ring.gen(b) == ring.gen(b) * ring.gen(a), (a, b)
+            for c in names:
+                left = (ring.gen(a) * ring.gen(b)) * ring.gen(c)
+                right = ring.gen(a) * (ring.gen(b) * ring.gen(c))
+                assert left == right, (a, b, c)
+
+
+TWO_FACTOR = {
+    "name": "two_factor",
+    "complex_dimension": 3,
+    "generators": [
+        {"name": "1", "degree": 0},
+        {"name": "a", "degree": 2},
+        {"name": "b", "degree": 2},
+        {"name": "ab", "degree": 4},
+        {"name": "b^2", "degree": 4},
+        {"name": "ab^2", "degree": 6},
+    ],
+    "products": [
+        ["a", "b", {"ab": "1"}],
+        ["b", "b", {"b^2": "1"}],
+        ["a", "b^2", {"ab^2": "1"}],
+        ["b", "ab", {"ab^2": "1"}],
+    ],
+    "integration": {"ab^2": "1"},
+    "todd": {"1": "1", "a": "1/2", "b": "3/2"},
+}
+
+
 def two_factor_ring():
     """Degree-3 ring with generators a (a^2 = 0) and b (b^3 = 0),
     int a b^2 = 1. Mixed products follow from commutativity."""
-    return ring_from_dict({
-        "name": "two_factor",
-        "complex_dimension": 3,
-        "generators": [
-            {"name": "1", "degree": 0},
-            {"name": "a", "degree": 2},
-            {"name": "b", "degree": 2},
-            {"name": "ab", "degree": 4},
-            {"name": "b^2", "degree": 4},
-            {"name": "ab^2", "degree": 6},
-        ],
-        "products": [
-            ["a", "b", {"ab": "1"}],
-            ["b", "b", {"b^2": "1"}],
-            ["a", "b^2", {"ab^2": "1"}],
-            ["b", "ab", {"ab^2": "1"}],
-        ],
-        "integration": {"ab^2": "1"},
-    })
+    return ring_from_dict(TWO_FACTOR)
 
 
 def test_projective_plane_products_and_integration():
@@ -49,7 +65,7 @@ def test_projective_plane_products_and_integration():
     assert integrate(h * h) == 1
     assert integrate(h) == 0
     assert ring.basis_names() == ["1", "h", "h^2"]
-    ring.check_multiplicative_laws()
+    assert_multiplicative_laws(ring)
 
 
 def test_stored_todd_class():
@@ -105,7 +121,7 @@ def test_two_factor_relations():
     assert integrate(b * b) == 0
     om = a + b
     assert integrate(om * om * om) == 3       # 3 a b^2 survives
-    ring.check_multiplicative_laws()
+    assert_multiplicative_laws(ring)
 
 
 def test_torus_line_preset_volume():
@@ -145,10 +161,14 @@ def test_component_and_degree_queries():
 
 
 def test_dict_round_trip():
+    # every field of the literal description reads back from the ring
     ring = two_factor_ring()
-    rebuilt = ring_from_dict(ring_to_dict(ring))
-    assert rebuilt.basis_names() == ring.basis_names()
-    a, b = rebuilt.gen("a"), rebuilt.gen("b")
-    assert integrate(a * b * b) == 1
+    assert ring.name == "two_factor" and ring.complex_dimension == 3
+    assert [(name, ring.degree_of(name)) for name in ring.basis_names()] == [
+        (g["name"], g["degree"]) for g in TWO_FACTOR["generators"]]
+    for i, j, comb in TWO_FACTOR["products"]:
+        assert ring.gen(i) * ring.gen(j) == class_from_dict(ring, comb)
+    assert integrate(ring.gen("ab^2")) == 1
+    assert ring.todd == class_from_dict(ring, TWO_FACTOR["todd"])
     with pytest.raises(RingError):
         ring_from_dict({"generators": []})

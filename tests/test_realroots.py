@@ -33,7 +33,7 @@ def test_range_filtering_and_sorting():
     p = mul([F(-2), F(0), F(1)], [F(-1, 3), F(1)])
     inside = roots_in_range(p, F(0), F(2))
     assert [r.exact is not None for r in inside] == [True, False]
-    assert inside[0].approx() < inside[1].approx()
+    assert inside[0].hi < inside[1].lo
     assert roots_in_range(p, F(3), F(4)) == []
 
 

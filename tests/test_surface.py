@@ -39,7 +39,7 @@ def rand_potential(geom, rng, scale=0.1, max_mode=3):
 
 
 def rand_form(geom, rng):
-    base = FormField.constant(geom, rng.uniform(1, 3),
+    base = FormField.constant(rng.uniform(1, 3),
                               rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5),
                               rng.uniform(1, 3))
     return base + ddc(geom, rand_potential(geom, rng))
@@ -268,7 +268,7 @@ def test_pcg_matches_former_loop_order(n):
     geom = TorusGeometry(n)
     rng = np.random.default_rng(200 + n)
     noise = rng.standard_normal(geom.shape)
-    m = FormField.constant(geom, 2.0, 0.3 + 0.4j, 1.5)
+    m = FormField.constant(2.0, 0.3 + 0.4j, 1.5)
     symbol = _precondition_symbol(geom, np.array([[1.0, 0.0], [0.0, 3.0]]))
     rhs = nyquist_free(geom, noise)
     _, full = ref_pcg(geom, m, rhs, symbol, 1e-10, 600)
@@ -295,7 +295,7 @@ def test_scalar_constant_forms_match_full_grids():
     geom = TorusGeometry(8)
     rng = random.Random(10)
     entries = (1.5, 0.25 - 0.5j, 2.5)
-    scalar, full = FormField.constant(geom, *entries), ref_constant(geom, *entries)
+    scalar, full = FormField.constant(*entries), ref_constant(geom, *entries)
     assert np.ndim(scalar.a11) == np.ndim(scalar.a12) == np.ndim(scalar.a22) == 0
     field = rand_form(geom, rng)
     for fn in (lambda a: square_density(a), lambda a: a.det(),
@@ -370,7 +370,7 @@ def test_wedge_square_identities():
     rhs = square_density(a) + 2 * wedge_density(a, b) + square_density(b)
     assert np.allclose(lhs, rhs, atol=1e-10)
     # determinant normalisation: diag(p, q) squares to 8pq
-    diag = FormField.constant(geom, 2.0, 0.0, 3.0)
+    diag = FormField.constant(2.0, 0.0, 3.0)
     assert np.allclose(square_density(diag), 48.0)
 
 
@@ -500,7 +500,7 @@ def test_volume_form_report():
         solve_monge_ampere(geom, data.alpha_harmonic(), asm.beta, bad_gamma)
     # a negative averaged class is refused before the density is looked at
     with pytest.raises(ClassObstructionError, match="class test"):
-        solve_monge_ampere(geom, FormField.constant(geom, -5.0, 0.0, -1.0),
+        solve_monge_ampere(geom, FormField.constant(-5.0, 0.0, -1.0),
                            asm.beta, asm.gamma)
 
 
@@ -508,7 +508,7 @@ def test_positivity_modes_disagree_off_average():
     # the class of a field is positive when its grid average is, even
     # where the field itself is not
     geom = TorusGeometry(16)
-    base = FormField.constant(geom, 1.0, 0.0, 1.0)
+    base = FormField.constant(1.0, 0.0, 1.0)
     spiky = base + ddc(geom, geom.mode_field([1, 0, 0, 0], 0.5))
     margin_class = float(np.linalg.eigvalsh(spiky.mean_matrix())[0])
     assert margin_class == pytest.approx(1.0)
