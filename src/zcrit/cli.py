@@ -146,6 +146,8 @@ def cmd_walls(args) -> int:
         raise ConfigError("walls.range", "expected [t_min, t_max]")
     t_min = parse_fraction(rng[0], "walls.range[0]")
     t_max = parse_fraction(rng[1], "walls.range[1]")
+    if not t_min < t_max:
+        raise ConfigError("walls.range", "expected t_min < t_max")
     if "direction" not in sec:
         raise ConfigError("walls.direction", "B-field direction class is required")
     from .config import parse_class

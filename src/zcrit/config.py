@@ -282,11 +282,14 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
             continue
         if not isinstance(body, dict) or "name" not in body:
             raise ConfigError(p, "each quotient needs a name")
+        name = body["name"]
+        if not isinstance(name, str) or not name:
+            raise ConfigError(p + ".name", "expected a non-empty string")
         if "ch" in body:
             ch = ChernCharacter(parse_class(cfg.ring, body["ch"], p + ".ch"))
         else:
-            ch = cfg.sheaf(body["name"], p + ".name")
-        quotients.append(QuotientSpec(body["name"], ch))
+            ch = cfg.sheaf(name, p + ".name")
+        quotients.append(QuotientSpec(name, ch))
     edges_raw = sec.get("edges", [])
     if not isinstance(edges_raw, list):
         raise ConfigError(path + ".edges", "expected a list of [from, to] pairs")

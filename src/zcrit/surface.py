@@ -67,6 +67,23 @@ constant forms alone are scalars too. These are full N^4 grids
 whatever the inputs: ddc, mode_field, potential_from_form's input and
 potential, the solver's right side f, MongeAmpereSolution.u,
 ZResidualReport.field and field dumps.
+
+Memory is counted in grids of N^4 float64 (a complex grid is two, a
+half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
+numpy's rfftn and irfftn in the same order, bit for bit, but the
+complex passes work in place (numpy >= 2.0): _rfft allocates one half
+spectrum, and _irfft overwrites the spectrum it is given, so every
+caller hands it a fresh product. _apply_operator sums its four inverse
+transforms into one grid and never forms ddc(delta). Beside its inputs
+(beta, gamma and the twist's Hessian, held by the caller), a solve
+holds one copy each of m_base = alpha0 + beta/2 and the iterate
+m = m_base + ddc(u) (four grids each where they vary), u, 8 det m, its
+residual and the shifted f; in a Newton step also the last step delta,
+the conjugate-gradient vectors r, x, best x and p, and the line
+search's trial u and trial m. ddc(u) is m - m_base, taken in place at
+the end. At N=16 the tracemalloc peak of solve_critical_equation is
+about 31 grids for a multi-step Newton solve and 27 for a one-step or
+harmonic-start solve.
 """
 
 from __future__ import annotations
@@ -85,17 +102,19 @@ from .errors import ClassObstructionError, NumericalFailureError, SurfaceError
 # ---------------------------------------------------------------------------
 
 
-_AXES = (0, 1, 2, 3)
-
-
 def _rfft(u: np.ndarray) -> np.ndarray:
-    """Half spectrum (N, N, N, N/2 + 1) of a real grid field."""
-    return np.fft.rfftn(u, axes=_AXES)
+    """Half spectrum (N, N, N, N/2 + 1) of a real grid field, as rfftn."""
+    spec = np.fft.rfft(u, axis=3)
+    for axis in (2, 1, 0):
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
 
 
 def _irfft(geom: "TorusGeometry", spec: np.ndarray) -> np.ndarray:
-    """Real grid field of a half spectrum."""
-    return np.fft.irfftn(spec, s=geom.shape, axes=_AXES)
+    """Real grid field of a half spectrum, as irfftn; overwrites spec."""
+    for axis in (0, 1, 2):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=geom.size, axis=3)
 
 
 @dataclass(frozen=True)
@@ -209,13 +228,24 @@ class FormField:
 def ddc(geom: TorusGeometry, u: np.ndarray) -> FormField:
     """Spectral complex Hessian of a real scalar field."""
     u = np.broadcast_to(np.asarray(u, dtype=float), geom.shape)
-    uh = -np.pi ** 2 * _rfft(u)
-    h11 = _irfft(geom, np.abs(geom.mu1) ** 2 * uh)
-    h22 = _irfft(geom, np.abs(geom.mu2) ** 2 * uh)
+    uh = _rfft(u)
+    uh *= -np.pi ** 2
+    buf = np.empty_like(uh)
+    h11 = _hessian_part(geom, np.abs(geom.mu1) ** 2, uh, buf)
+    h22 = _hessian_part(geom, np.abs(geom.mu2) ** 2, uh, buf)
     h12 = np.empty(geom.shape, dtype=complex)
-    h12.real = _irfft(geom, geom.cross_re * uh)
-    h12.imag = _irfft(geom, geom.cross_im * uh)
+    h12.real = _hessian_part(geom, geom.cross_re, uh, buf)
+    h12.imag = _hessian_part(geom, geom.cross_im, uh, buf)
     return FormField(h11, h12, h22)
+
+
+def _hessian_part(geom: TorusGeometry, symbol, spec, buf, coef=None) -> np.ndarray:
+    """irfft(symbol * spec), times coef when given, with the product
+    built in buf and spec left as it was."""
+    part = _irfft(geom, np.multiply(symbol, spec, out=buf))
+    if coef is not None:
+        part *= coef
+    return part
 
 
 def wedge_density(a: FormField, b: FormField) -> np.ndarray:
@@ -238,33 +268,38 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
     the grid.
     """
     a = FormField(*(np.broadcast_to(c, geom.shape) for c in (a.a11, a.a12, a.a22)))
+    mean = a.mean_matrix()
     pref = -np.pi ** 2
-    s11 = pref * np.abs(geom.mu1) ** 2
-    s22 = pref * np.abs(geom.mu2) ** 2
-    # |s12|^2 = s11 s22 on every mode, so s11^2 + s22^2 + 2 |s12|^2 is a square
-    denom = (s11 + s22) ** 2
-    denom[0, 0, 0, 0] = 1.0
-    f11 = _rfft(a.a11 - np.mean(a.a11))
-    f22 = _rfft(a.a22 - np.mean(a.a22))
-    d12 = a.a12 - np.mean(a.a12)
+    mu1_sq = np.abs(geom.mu1) ** 2
+    mu2_sq = np.abs(geom.mu2) ** 2
     # per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
     # with double weight on the off-diagonal pair; the real part of
     # conj(s12) f12 splits over the real and imaginary parts of a12
-    cross = (np.conj(geom.cross_re) * _rfft(d12.real)
-             + np.conj(geom.cross_im) * _rfft(d12.imag))
-    wh = (s11 * f11 + s22 * f22 + 2 * pref * cross) / denom
+    wh = np.zeros_like(geom.cross_re)
+    for symbol, weight, c, c_mean in ((mu1_sq, pref, a.a11, mean[0, 0].real),
+                                      (mu2_sq, pref, a.a22, mean[1, 1].real),
+                                      (geom.cross_re, 2 * pref, a.a12.real, mean[0, 1].real),
+                                      (geom.cross_im, 2 * pref, a.a12.imag, mean[0, 1].imag)):
+        part = _rfft(c - c_mean)
+        part *= np.conj(symbol)
+        part *= weight
+        wh += part
+    # s11 = pref |mu1|^2, s22 = pref |mu2|^2 and |s12|^2 = s11 s22 on every
+    # mode, so s11^2 + s22^2 + 2 |s12|^2 is a square
+    denom = (pref * (mu1_sq + mu2_sq)) ** 2
+    denom[0, 0, 0, 0] = 1.0
+    wh /= denom
     wh[0, 0, 0, 0] = 0.0
     w = _irfft(geom, wh)
+    del wh, part, denom     # the spectra are not held through ddc(w)
     rec = ddc(geom, w)
-    mean = a.mean_matrix()
-    rem11 = a.a11 - mean[0, 0].real - rec.a11
-    rem12 = a.a12 - mean[0, 1] - rec.a12
-    rem22 = a.a22 - mean[1, 1].real - rec.a22
-    sup = max(
-        float(np.max(np.abs(rem11))),
-        float(np.max(np.abs(rem12))),
-        float(np.max(np.abs(rem22))),
-    )
+    sup = 0.0
+    for c, c_mean, c_rec in ((a.a11, mean[0, 0].real, rec.a11),
+                             (a.a12, mean[0, 1], rec.a12),
+                             (a.a22, mean[1, 1].real, rec.a22)):
+        rem = c - c_mean
+        rem -= c_rec
+        sup = max(sup, float(np.max(np.abs(rem))))
     return w, sup
 
 
@@ -436,8 +471,21 @@ def _mean_zero(a: np.ndarray) -> np.ndarray:
 
 
 def _apply_operator(geom: TorusGeometry, m: FormField, delta: np.ndarray) -> np.ndarray:
-    """Minus the linearisation of 8 det at m: -2 wedge(m, ddc delta)."""
-    return -2 * wedge_density(m, ddc(geom, delta))
+    """Minus the linearisation of 8 det at m: -2 wedge(m, ddc delta).
+
+    With h = ddc(delta) that is -8 (m11 h22 + m22 h11 - 2 (Re m12 Re h12
+    + Im m12 Im h12)), summed one inverse transform at a time from one
+    scaled spectrum, so h itself is never formed.
+    """
+    spec = _rfft(delta)
+    spec *= 8 * np.pi ** 2          # each part is then -8 times one of h
+    buf = np.empty_like(spec)
+    out = _hessian_part(geom, np.abs(geom.mu1) ** 2, spec, buf, m.a22)
+    out += _hessian_part(geom, np.abs(geom.mu2) ** 2, spec, buf, m.a11)
+    spec *= -2                      # the cross terms carry -2
+    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real)
+    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag)
+    return out
 
 
 def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
@@ -464,7 +512,8 @@ def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
 
 
 def _apply_preconditioner(geom: TorusGeometry, symbol: np.ndarray, r: np.ndarray) -> np.ndarray:
-    zh = _rfft(r) / symbol
+    zh = _rfft(r)
+    zh /= symbol
     zh[0, 0, 0, 0] = 0.0
     return _irfft(geom, zh)
 
@@ -484,10 +533,9 @@ def _pcg(
     not tested and does not count as the best one.
     """
 
-    rhs = _mean_zero(rhs)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    norm0 = float(np.sqrt(np.sum(rhs * rhs)))
+    r = _mean_zero(rhs)
+    x = np.zeros_like(r)
+    norm0 = float(np.sqrt(np.sum(r * r)))
     target = tol * norm0
     best_x = x.copy()
     best_norm = norm0
@@ -496,7 +544,8 @@ def _pcg(
         p = _apply_preconditioner(geom, symbol, r)
         rz = float(np.sum(r * p))
         while True:
-            ap = _mean_zero(_apply_operator(geom, m, p))
+            ap = _apply_operator(geom, m, p)
+            ap -= np.mean(ap)
             pap = float(np.sum(p * ap))
             if pap <= 0:
                 # indefiniteness this late is roundoff at the attainable floor
@@ -507,7 +556,9 @@ def _pcg(
                 )
             alpha = rz / pap
             x += alpha * p
-            r -= alpha * ap
+            ap *= alpha
+            r -= ap
+            del ap          # not held through the next operator call
             it += 1
             if it >= max_iter:
                 break
@@ -519,7 +570,8 @@ def _pcg(
                 break
             z = _apply_preconditioner(geom, symbol, r)
             rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
+            z += (rz_new / rz) * p
+            p = z
             rz = rz_new
     if best_norm > max(target, 1e-6 * norm0):
         raise NumericalFailureError("conjugate gradients stalled above tolerance")
@@ -571,7 +623,7 @@ def solve_monge_ampere(
     a positive class.
     """
     m_base = alpha0 + beta.scale(0.5)
-    f_full = np.broadcast_to(wedge_density(beta, beta) / 4 - gamma, geom.shape)
+    f = np.broadcast_to(wedge_density(beta, beta) / 4 - gamma, geom.shape)
     mbar = m_base.mean_matrix()
     eigs = np.linalg.eigvalsh(mbar)
     if eigs[0] <= 0:
@@ -579,40 +631,40 @@ def solve_monge_ampere(
             "class test failed: the averaged matrix alpha0 + beta/2 is not "
             "positive definite, so no solution branch exists"
         )
-    if float(np.min(f_full)) <= 0:
+    if float(np.min(f)) <= 0:
         raise ClassObstructionError(
             "volume-form hypothesis fails: the density wedge(beta,beta)/4 "
             "- gamma is not positive everywhere"
         )
 
     det_bar = 8 * float(np.linalg.det(mbar).real)
-    shift = det_bar - float(np.mean(f_full))
+    shift = det_bar - float(np.mean(f))
     scale = max(1.0, abs(det_bar))
     if abs(shift) > 1e-6 * scale:
         raise SurfaceError(
             f"compatibility defect {shift:.3e} exceeds tolerance; the class "
             "data and the right side are inconsistent"
         )
-    f = f_full + shift
+    f = f + shift       # the residual against the unshifted f is res + shift
 
-    # the iterate u is kept with hess = ddc(u), m = m_base + hess, its
-    # smallest eigenvalue m_min and sq = 8 det(m), none recomputed
+    # the iterate u is kept with m = m_base + ddc(u), its smallest
+    # eigenvalue m_min and sq = 8 det(m), none recomputed; ddc(u) itself
+    # is recovered as m - m_base at the end
     u = np.zeros(geom.shape)
-    hess = FormField.constant(0.0, 0.0, 0.0)
     m = m_base
     m_min = m.min_eigenvalue()
     used_harmonic = m_min <= 0
     if used_harmonic:
         # harmonic start: cancel the oscillatory part of the base field
-        w, rem = potential_from_form(geom, m_base)
+        u, rem = potential_from_form(geom, m_base)
         if rem > 1e-8:
             raise NumericalFailureError(
                 "base field is not a Hessian perturbation of its mean; "
                 "cannot build a positive starting point"
             )
-        u = _mean_zero(-w)
-        hess = ddc(geom, u)
-        m = m_base + hess
+        u *= -1
+        u -= np.mean(u)
+        m = _shifted_hessian(geom, u, m_base)
         m_min = m.min_eigenvalue()
         if m_min <= 0:
             raise NumericalFailureError("harmonic start failed to reach positivity")
@@ -627,7 +679,11 @@ def solve_monge_ampere(
 
     for stage in range(1, stages + 1):
         s = stage / stages
-        f_s = (1 - s) * f_start + s * f
+        if stage == stages:
+            # (1 - s) f_start + s f is f itself; f_start need not stay
+            f_s, f_start = f, None
+        else:
+            f_s = (1 - s) * f_start + s * f
         res = sq - f_s
         res_sup = float(np.max(np.abs(res)))
         path = [res_sup]
@@ -644,9 +700,9 @@ def solve_monge_ampere(
             total_cg += cg_it
             step = 1.0
             while True:
-                trial_u = u + step * delta
-                trial_hess = ddc(geom, trial_u)
-                trial_m = m_base + trial_hess
+                trial_u = step * delta
+                trial_u += u
+                trial_m = _shifted_hessian(geom, trial_u, m_base)
                 trial_min = trial_m.min_eigenvalue()
                 if trial_min > 0:
                     trial_sq = square_density(trial_m)
@@ -660,7 +716,7 @@ def solve_monge_ampere(
                         f"line search exhausted at stage {s:g}; positivity or "
                         "decrease could not be maintained"
                     )
-            u, hess, m, m_min = trial_u, trial_hess, trial_m, trial_min
+            u, m, m_min = trial_u, trial_m, trial_min
             sq, res, res_sup = trial_sq, trial_res, trial_sup
             path.append(res_sup)
             iters += 1
@@ -668,10 +724,19 @@ def solve_monge_ampere(
         history.append((s, iters, res_sup))
         residual_paths.append(path)
 
-    final_res = float(np.max(np.abs(sq - f_full)))
+    # the iterate is final: its grids become the solution's in place
+    res += shift
+    u -= np.mean(u)
+    if m is m_base:
+        hess = FormField.constant(0.0, 0.0, 0.0)
+    else:
+        hess = m
+        hess.a11 -= m_base.a11
+        hess.a12 -= m_base.a12
+        hess.a22 -= m_base.a22
     return MongeAmpereSolution(
-        u=_mean_zero(u),
-        residual_sup=final_res,
+        u=u,
+        residual_sup=float(np.max(np.abs(res))),
         shift=shift,
         newton_iterations=total_newton,
         cg_iterations=total_cg,
@@ -681,6 +746,15 @@ def solve_monge_ampere(
         positivity_margin=m_min,
         hessian=hess,
     )
+
+
+def _shifted_hessian(geom: TorusGeometry, u: np.ndarray, base: FormField) -> FormField:
+    """base + ddc(u), added in place on the output of ddc."""
+    out = ddc(geom, u)
+    out.a11 += base.a11
+    out.a12 += base.a12
+    out.a22 += base.a22
+    return out
 
 
 @dataclass

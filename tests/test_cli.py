@@ -345,6 +345,12 @@ def tau_raw(**changes):
     return raw
 
 
+def walls_raw(**changes):
+    raw = json.load(open(DHYM_CFG))
+    raw["walls"].update(changes)
+    return raw
+
+
 @pytest.mark.parametrize("command, raw, path", [
     (["charge", "--sheaf", "E"],
      {"manifold": {"preset": "projective_space", "dimension": "two"},
@@ -371,11 +377,18 @@ def tau_raw(**changes):
     (["solve-surface"], torus_raw(k_values=["inf"]), r"surface.k_values\[0\]"),
     (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap=0), "tau.cap"),
     (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap="-1"), "tau.cap"),
+    (["tau"], tau_raw(quotients=[{"name": 5, "ch": {"1": "1"}}, "F"]),
+     r"tau.quotients\[0\].name: expected a non-empty string"),
+    (["tau"], tau_raw(quotients=[{"name": ["Q"], "ch": {"1": "1"}}, "F"]),
+     r"tau.quotients\[0\].name: expected a non-empty string"),
+    (["walls"], walls_raw(range=["1", "-1"]), "walls.range: expected t_min < t_max"),
+    (["walls"], walls_raw(range=["0", "0"]), "walls.range: expected t_min < t_max"),
 ], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
-        "tau-cap-zero", "tau-cap-negative"])
+        "tau-cap-zero", "tau-cap-negative", "tau-name-int", "tau-name-list",
+        "walls-range-reversed", "walls-range-empty"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,29 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     rep = z_residual(pert, pert.alpha_harmonic() + fresh)
     assert sol.z_residual_field.shape == data.geom.shape
     assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12
+
+
+@pytest.mark.parametrize("case, bound", [("newton", 34), ("single", 28), ("harmonic", 28)])
+def test_solve_peak_memory_in_grids(case, bound):
+    # numpy reports its array buffers to tracemalloc, so the peak in grids
+    # of N^4 float64 is the same on every machine; the data and its twist
+    # potential exist before the solve and are not counted
+    data = flat_data()
+    x = data.geom.coordinates()
+    a1, a2 = {"newton": (0.1, 0.05), "single": (0.1, 0.0), "harmonic": (0.3, 0.0)}[case]
+    pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_critical_equation(pert, tol=1e-11, stages=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sol.residual_sup <= 1e-11
+    assert sol.used_harmonic_start == (case == "harmonic")
+    assert sol.newton_iterations == {"newton": 5, "single": 1, "harmonic": 0}[case]
+    assert peak / (8 * data.geom.size ** 4) <= bound
