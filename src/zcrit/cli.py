@@ -23,6 +23,7 @@ from .config import (
     graph_from_section,
     load_config,
     load_raw,
+    parse_class,
     parse_fraction,
     surface_from_section,
 )
@@ -70,7 +71,7 @@ def cmd_charge(args) -> int:
     sheaf = args.sheaf or cfg.raw.get("charge", {}).get("object")
     if not sheaf:
         raise ConfigError("charge.object", "no sheaf named; use --sheaf or charge.object")
-    ch = cfg.sheaf(sheaf)
+    ch = cfg.sheaf(sheaf, "--sheaf" if args.sheaf else "charge.object")
     z = central_charge(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch)
     degrees = list(range(len(z) - 1, -1, -1))
     if args.format == "json":
@@ -150,8 +151,6 @@ def cmd_walls(args) -> int:
         raise ConfigError("walls.range", "expected t_min < t_max")
     if "direction" not in sec:
         raise ConfigError("walls.direction", "B-field direction class is required")
-    from .config import parse_class
-
     b_dir = parse_class(cfg.ring, sec["direction"], "walls.direction")
     b_base = (
         parse_class(cfg.ring, sec["base"], "walls.base") if "base" in sec else None

@@ -119,6 +119,7 @@ class RunConfig:
     raw: dict = field(repr=False)
 
     def sheaf(self, name: str, path: str = "sheaves") -> ChernCharacter:
+        _check_name(name, path)
         if name not in self.sheaves:
             raise ConfigError(path, f"unknown sheaf {name!r}; have {sorted(self.sheaves)}")
         return self.sheaves[name]
@@ -130,6 +131,23 @@ class RunConfig:
         if not isinstance(sec, dict):
             raise ConfigError(name, "section must be an object")
         return sec
+
+
+def _check_name(name, path: str) -> None:
+    if not isinstance(name, str) or not name:
+        raise ConfigError(path, "expected a non-empty string")
+
+
+def _named_character(cfg: RunConfig, body, path: str, what: str) -> Tuple[str, ChernCharacter]:
+    """Name of a candidate or quotient entry, and its character: the
+    inline 'ch' when given, else the named sheaf's."""
+    if not isinstance(body, dict) or "name" not in body:
+        raise ConfigError(path, f"each {what} needs a name")
+    name = body["name"]
+    _check_name(name, path + ".name")
+    if "ch" in body:
+        return name, ChernCharacter(parse_class(cfg.ring, body["ch"], path + ".ch"))
+    return name, cfg.sheaf(name, path + ".name")
 
 
 def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
@@ -256,16 +274,10 @@ def candidates_from_section(
     out = []
     for i, body in enumerate(entries):
         p = f"{path}[{i}]"
-        if not isinstance(body, dict) or "name" not in body:
-            raise ConfigError(p, "each candidate needs a name")
-        name = body["name"]
+        name, ch = _named_character(cfg, body, p, "candidate")
         kind = body.get("kind", "subbundle")
         if kind not in ("subbundle", "quotient"):
             raise ConfigError(p + ".kind", f"unknown kind {kind!r}")
-        if "ch" in body:
-            ch = ChernCharacter(parse_class(cfg.ring, body["ch"], p + ".ch"))
-        else:
-            ch = cfg.sheaf(name, p + ".name")
         out.append(SubobjectCandidate(name, ch, kind))
     return out
 
@@ -279,17 +291,8 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
         p = f"{path}.quotients[{i}]"
         if isinstance(body, str):
             quotients.append(QuotientSpec(body, cfg.sheaf(body, p)))
-            continue
-        if not isinstance(body, dict) or "name" not in body:
-            raise ConfigError(p, "each quotient needs a name")
-        name = body["name"]
-        if not isinstance(name, str) or not name:
-            raise ConfigError(p + ".name", "expected a non-empty string")
-        if "ch" in body:
-            ch = ChernCharacter(parse_class(cfg.ring, body["ch"], p + ".ch"))
         else:
-            ch = cfg.sheaf(name, p + ".name")
-        quotients.append(QuotientSpec(name, ch))
+            quotients.append(QuotientSpec(*_named_character(cfg, body, p, "quotient")))
     edges_raw = sec.get("edges", [])
     if not isinstance(edges_raw, list):
         raise ConfigError(path + ".edges", "expected a list of [from, to] pairs")
@@ -377,13 +380,14 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
     if n_override is not None:
-        size = n_override
+        size, n_path = n_override, "--N"
     else:
-        size = parse_int(sec.get("N", 16), path + ".N")
+        n_path = path + ".N"
+        size = parse_int(sec.get("N", 16), n_path)
     try:
         geom = TorusGeometry(size)
     except SurfaceError as exc:
-        raise ConfigError(path + ".N", str(exc)) from None
+        raise ConfigError(n_path, str(exc)) from None
     if "metric" not in sec:
         raise ConfigError(path + ".metric", "metric matrix required")
     metric = parse_hermitian(sec["metric"], path + ".metric")

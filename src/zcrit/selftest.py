@@ -53,11 +53,10 @@ from .stability import (
 from .surface import (
     SurfaceChargeData,
     TorusGeometry,
-    assemble_beta_gamma,
+    assemble_equation,
     ddc,
     large_volume_check,
     solve_critical_equation,
-    wedge_density,
     z_residual,
 )
 
@@ -438,14 +437,13 @@ def _criterion_10(rng: random.Random) -> Tuple[bool, str]:
     worst_rel = max(row.relative_error for row in rows)
     ok_rows = worst_rel < 1e-8
 
-    assembly = assemble_beta_gamma(data)
+    assembly = assemble_equation(data)
     g11, g12, g22 = data.metric
     det_g = g11 * g22 - abs(g12) ** 2
     cot = np.cos(assembly.phi) / np.sin(assembly.phi)
     # omega^2 / dV = 8 det(g) on the unit-period torus
     target = (1.0 + cot ** 2) * 8.0 * det_g
-    density = wedge_density(assembly.beta, assembly.beta) / 4 - assembly.gamma
-    gap = float(np.max(np.abs(density - target)))
+    gap = float(np.max(np.abs(assembly.f - target)))
     ok_density = gap <= 1e-10
 
     passed = ok_rows and ok_density

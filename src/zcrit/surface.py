@@ -45,18 +45,20 @@ Writing the normalised charge integrand with rho_0 scaled to 2,
 the critical equation Im(e^{-i phi} Zt(alpha0 + ddc u)) = 0 with
 phi = arg of the total charge becomes a complex Monge-Ampere equation
 
-    8 det(alpha0 + beta/2 + ddc u) = f,   f = wedge(beta, beta)/4 - gamma,
+    8 det(m_base + ddc u) = f,   m_base = alpha0 + beta/2,   f = wedge(beta, beta)/4 - gamma,
 
-solved here by damped Newton steps under an optional homotopy on f,
-each linearised step handled by conjugate gradients preconditioned
-with the Fourier symbol of the mean-coefficient operator. The steps
-are inexact Newton steps (Dembo, Eisenstat and Steihaug 1982): with
-scale = max(1, |8 det mean(alpha0 + beta/2)|), a step taken at Newton
-residual res_sup runs conjugate gradients to the relative tolerance
+and pointwise Im(e^{-i phi} Zt(alpha0 + ddc u)) = -sin(phi) (8 det(m_base
++ ddc u) - f). It is solved here by damped Newton steps under an
+optional homotopy on f, each linearised step handled by conjugate
+gradients preconditioned with the Fourier symbol of the mean-coefficient
+operator. The steps are inexact Newton steps (Dembo, Eisenstat and
+Steihaug 1982): with scale = max(1, |8 det mean(m_base)|), a step taken
+at Newton residual res_sup runs conjugate gradients to the relative
+tolerance
 
-    eta = max(cg_tol, min(0.1, 0.1 res_sup / scale)),
+    eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)),
 
-so cg_tol is only the floor. eta = O(res_sup) keeps the quadratic
+so CG_TOL_FLOOR is only the floor. eta = O(res_sup) keeps the quadratic
 convergence of exact Newton steps.
 
 A constant form (FormField.constant, omega(), alpha_harmonic(), the
@@ -65,8 +67,8 @@ u2 is the scalar 0; numpy broadcasting spreads them over the grid
 wherever they meet a field. beta, gamma and every density built from
 constant forms alone are scalars too. These are full N^4 grids
 whatever the inputs: ddc, mode_field, potential_from_form's input and
-potential, the solver's right side f, MongeAmpereSolution.u,
-ZResidualReport.field and field dumps.
+potential, the solver's right side f, MongeAmpereSolution.u and
+residual, ZResidualReport.field and field dumps.
 
 Memory is counted in grids of N^4 float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
@@ -74,16 +76,15 @@ numpy's rfftn and irfftn in the same order, bit for bit, but the
 complex passes work in place (numpy >= 2.0): _rfft allocates one half
 spectrum, and _irfft overwrites the spectrum it is given, so every
 caller hands it a fresh product. _apply_operator sums its four inverse
-transforms into one grid and never forms ddc(delta). Beside its inputs
-(beta, gamma and the twist's Hessian, held by the caller), a solve
-holds one copy each of m_base = alpha0 + beta/2 and the iterate
-m = m_base + ddc(u) (four grids each where they vary), u, 8 det m, its
-residual and the shifted f; in a Newton step also the last step delta,
-the conjugate-gradient vectors r, x, best x and p, and the line
-search's trial u and trial m. ddc(u) is m - m_base, taken in place at
-the end. At N=16 the tracemalloc peak of solve_critical_equation is
-about 31 grids for a multi-step Newton solve and 27 for a one-step or
-harmonic-start solve.
+transforms into one grid and never forms ddc(delta). The twist field,
+beta and gamma live only in assemble_equation. A solve holds m_base, f
+and the iterate m = m_base + ddc(u) (four grids each where they vary,
+one for f), u, 8 det m, its residual and the shifted f; in a Newton step
+also the step delta, the conjugate-gradient vectors r, x, best x and p,
+and the line search's trial u and trial m. ddc(u) is m - m_base, taken
+in place at the end, and the residual becomes the solution's. At N=16
+the tracemalloc peak of solve_critical_equation is about 23 grids for a
+multi-step Newton solve and 19 for a one-step or harmonic-start solve.
 """
 
 from __future__ import annotations
@@ -428,20 +429,19 @@ class SurfaceChargeData:
 
 @dataclass
 class EquationAssembly:
-    """Monge-Ampere data distilled from the charge inputs."""
+    """8 det(m_base + ddc u) = f and the phase of the charge inputs; a
+    constant f is a scalar."""
 
     phi: float
     sin_phi: float
-    beta: FormField
-    gamma: np.ndarray
+    m_base: FormField
+    f: np.ndarray
 
 
-def assemble_beta_gamma(
-    data: SurfaceChargeData, u1: Optional[FormField] = None
-) -> EquationAssembly:
-    """Monge-Ampere data of the charge inputs; u1 as in zt_density."""
-    if u1 is None:
-        u1 = data.u1_field()
+def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
+    """m_base = alpha0 + beta/2 and f = wedge(beta, beta)/4 - gamma of the
+    module docstring; the twist field, beta and gamma are freed on return."""
+    u1 = data.u1_field()
     phi = data.phase(u1)
     s = float(np.sin(phi))
     if abs(s) < 1e-12:
@@ -458,7 +458,8 @@ def assemble_beta_gamma(
         + im1 * wedge_density(g, u1)
         - 2 * s * data.u2_density()
     ) / (-s)
-    return EquationAssembly(phi, s, beta, gamma)
+    m_base = data.alpha_harmonic() + beta.scale(0.5)
+    return EquationAssembly(phi, s, m_base, wedge_density(beta, beta) / 4 - gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +587,8 @@ def _pcg(
 @dataclass
 class MongeAmpereSolution:
     u: np.ndarray
-    residual_sup: float          # sup |8 det M - f| against the unshifted f
+    residual: np.ndarray         # 8 det M - f against the unshifted f, a grid
+    residual_sup: float          # sup |residual|
     shift: float                 # compatibility constant added to f
     newton_iterations: int
     cg_iterations: int
@@ -597,33 +599,33 @@ class MongeAmpereSolution:
     hessian: FormField           # ddc(u) of the accepted step; constant 0 if u = 0
 
 
+# relative CG tolerance floor, and the shortest line-search step
+CG_TOL_FLOOR = 1e-10
+STEP_FLOOR = 2.0 ** -24
+
+
 def solve_monge_ampere(
     geom: TorusGeometry,
-    alpha0: FormField,
-    beta: FormField,
-    gamma: np.ndarray,
+    m_base: FormField,
+    f: np.ndarray,
     tol: float = 1e-8,
     max_newton: int = 50,
     stages: int = 10,
-    cg_tol: float = 1e-10,
     cg_max: int = 600,
-    step_floor: float = 2.0 ** -24,
 ) -> MongeAmpereSolution:
-    """Damped Newton continuation for 8 det(alpha0 + beta/2 + ddc u) = f
-    with f = wedge(beta, beta)/4 - gamma.
+    """Damped Newton continuation for 8 det(m_base + ddc u) = f.
 
     Each Newton step solves its linear system to the forcing term
-    eta = max(cg_tol, min(0.1, 0.1 res_sup / scale)) of the module
+    eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)) of the module
     docstring, where scale = max(1, |8 det mbar|) is the scale of the
-    compatibility test; cg_tol is the floor, reached as res_sup falls.
+    compatibility test; the floor is reached as res_sup falls.
 
     Raises ClassObstructionError when the averaged matrix is not
     positive definite (the class test) or the density f fails
     positivity, and NumericalFailureError when the iteration stalls at
     a positive class.
     """
-    m_base = alpha0 + beta.scale(0.5)
-    f = np.broadcast_to(wedge_density(beta, beta) / 4 - gamma, geom.shape)
+    f = np.broadcast_to(f, geom.shape)
     mbar = m_base.mean_matrix()
     eigs = np.linalg.eigvalsh(mbar)
     if eigs[0] <= 0:
@@ -695,7 +697,7 @@ def solve_monge_ampere(
                 )
             # inexact Newton step L delta = -res, with the solver acting
             # as -L, solved to a tolerance that follows the residual
-            eta = max(cg_tol, min(0.1, 0.1 * res_sup / scale))
+            eta = max(CG_TOL_FLOOR, min(0.1, 0.1 * res_sup / scale))
             delta, cg_it = _pcg(geom, m, res, symbol, eta, cg_max)
             total_cg += cg_it
             step = 1.0
@@ -711,13 +713,16 @@ def solve_monge_ampere(
                     if trial_sup < res_sup:
                         break
                 step /= 2
-                if step < step_floor:
+                if step < STEP_FLOOR:
                     raise NumericalFailureError(
                         f"line search exhausted at stage {s:g}; positivity or "
                         "decrease could not be maintained"
                     )
             u, m, m_min = trial_u, trial_m, trial_min
             sq, res, res_sup = trial_sq, trial_res, trial_sup
+            # delta is not held through the next _pcg call, and the
+            # accepted grids keep one name each
+            del delta, trial_u, trial_m, trial_sq, trial_res
             path.append(res_sup)
             iters += 1
             total_newton += 1
@@ -736,6 +741,7 @@ def solve_monge_ampere(
         hess.a22 -= m_base.a22
     return MongeAmpereSolution(
         u=u,
+        residual=res,
         residual_sup=float(np.max(np.abs(res))),
         shift=shift,
         newton_iterations=total_newton,
@@ -763,28 +769,29 @@ class SurfaceSolution(MongeAmpereSolution):
     original phase equation."""
 
     phi: float
-    z_residual_sup: float
-    z_residual_mean: float
-    z_residual_field: np.ndarray
+    z_residual_sup: float = field(init=False)
+    z_residual_mean: float = field(init=False)
+
+    def __post_init__(self):
+        z = self.z_residual_field
+        self.z_residual_sup = float(np.max(np.abs(z)))
+        self.z_residual_mean = float(np.mean(z))
+
+    @property
+    def z_residual_field(self) -> np.ndarray:
+        """Im(e^{-i phi} Zt) at the solution, built on each access."""
+        return -np.sin(self.phi) * self.residual
 
 
 def solve_critical_equation(
     data: SurfaceChargeData, tol: float = 1e-8, **kwargs
 ) -> SurfaceSolution:
     """Assemble the equation from charge data, solve it, and report the
-    residual of the original phase equation alongside the solver's.
-
-    The twist's Hessian is computed once here and shared by every step
-    that needs it, and the curvature form is built from the solver's own
-    Hessian of u; nothing is kept on data.
-    """
-    u1 = data.u1_field()
-    asm = assemble_beta_gamma(data, u1)
-    alpha0 = data.alpha_harmonic()
-    ma = solve_monge_ampere(data.geom, alpha0, asm.beta, asm.gamma, tol=tol, **kwargs)
-    zres = z_residual(data, alpha0 + ma.hessian, u1, asm.phi)
-    return SurfaceSolution(**vars(ma), phi=asm.phi, z_residual_sup=zres.sup,
-                           z_residual_mean=zres.grid_mean, z_residual_field=zres.field)
+    residual of the original phase equation, -sin(phi) times the
+    solver's, alongside the solver's."""
+    asm = assemble_equation(data)
+    ma = solve_monge_ampere(data.geom, asm.m_base, asm.f, tol=tol, **kwargs)
+    return SurfaceSolution(**vars(ma), phi=asm.phi)
 
 
 @dataclass
@@ -794,25 +801,16 @@ class ZResidualReport:
     grid_mean: float
 
 
-def z_residual(
-    data: SurfaceChargeData,
-    alpha: FormField,
-    u1: Optional[FormField] = None,
-    phi: Optional[float] = None,
-) -> ZResidualReport:
+def z_residual(data: SurfaceChargeData, alpha: FormField) -> ZResidualReport:
     """Pointwise density of Im(e^{-i phi} Zt) at the given curvature form.
 
     The grid mean must vanish for any form in the class since the mean
     of the density is determined by the class alone and phi is chosen
-    to cancel it. u1 and phi, when given, are data.u1_field() and
-    data.phase().
+    to cancel it. It evaluates the charge density, not the solver residual.
     """
-    if u1 is None:
-        u1 = data.u1_field()
-    if phi is None:
-        phi = data.phase(u1)
+    u1 = data.u1_field()
     zt = data.zt_density(alpha, u1=u1)
-    res = np.broadcast_to((np.exp(-1j * phi) * zt).imag, data.geom.shape)
+    res = np.broadcast_to((np.exp(-1j * data.phase(u1)) * zt).imag, data.geom.shape)
     return ZResidualReport(res, float(np.max(np.abs(res))), float(np.mean(res)))
 
 
@@ -833,10 +831,9 @@ class LargeVolumeRow:
 def large_volume_check(
     data: SurfaceChargeData,
     k_values: Sequence[float] = (10.0, 100.0),
-    alpha: Optional[FormField] = None,
 ) -> List[LargeVolumeRow]:
-    """Compare the measured k^3 coefficient of Im(conj(Z_k) Zt_k(x))
-    against its closed form, one row per k.
+    """Compare the measured k^3 coefficient of Im(conj(Z_k) Zt_k(x)) at
+    the harmonic representative against its closed form, one row per k.
 
     The odd part in k of the pairing is sampled at k and 2k and the
     cubic coefficient extracted by the exact finite stencil
@@ -845,9 +842,7 @@ def large_volume_check(
     which vanishes identically on constant-coefficient data satisfying
     the averaged linear equation.
     """
-    geom = data.geom
-    if alpha is None:
-        alpha = data.alpha_harmonic()
+    alpha = data.alpha_harmonic()
     u1 = data.u1_field()
 
     def pairing(kk: float) -> np.ndarray:

@@ -345,10 +345,13 @@ def tau_raw(**changes):
     return raw
 
 
-def walls_raw(**changes):
+def dhym_raw(section, **changes):
     raw = json.load(open(DHYM_CFG))
-    raw["walls"].update(changes)
+    raw[section].update(changes)
     return raw
+
+
+F_CH = {"1": "2", "h^2": "-2"}
 
 
 @pytest.mark.parametrize("command, raw, path", [
@@ -381,14 +384,24 @@ def walls_raw(**changes):
      r"tau.quotients\[0\].name: expected a non-empty string"),
     (["tau"], tau_raw(quotients=[{"name": ["Q"], "ch": {"1": "1"}}, "F"]),
      r"tau.quotients\[0\].name: expected a non-empty string"),
-    (["walls"], walls_raw(range=["1", "-1"]), "walls.range: expected t_min < t_max"),
-    (["walls"], walls_raw(range=["0", "0"]), "walls.range: expected t_min < t_max"),
+    (["walls"], dhym_raw("walls", range=["1", "-1"]), "walls.range: expected t_min < t_max"),
+    (["walls"], dhym_raw("walls", range=["0", "0"]), "walls.range: expected t_min < t_max"),
+    (["solve-surface", "--N", "12"], torus_raw(), "--N: grid size"),
+    (["charge"], dhym_raw("charge", object=["E"]), "charge.object: expected a non-empty string"),
+    (["stability"], dhym_raw("stability", object=["E"]),
+     "stability.object: expected a non-empty string"),
+    (["stability"], dhym_raw("stability", candidates=[{"name": ["F"]}]),
+     r"stability.candidates\[0\].name: expected a non-empty string"),
+    (["stability"], dhym_raw("stability", candidates=[{"name": 5, "ch": F_CH}]),
+     r"stability.candidates\[0\].name: expected a non-empty string"),
 ], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
         "tau-cap-zero", "tau-cap-negative", "tau-name-int", "tau-name-list",
-        "walls-range-reversed", "walls-range-empty"])
+        "walls-range-reversed", "walls-range-empty", "flag-N",
+        "charge-object-list", "stability-object-list", "candidate-name-list",
+        "candidate-name-int"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64

@@ -9,12 +9,11 @@ from zcrit.surface import (
     NumericalFailureError,
     SurfaceChargeData,
     TorusGeometry,
-    assemble_beta_gamma,
+    assemble_equation,
     ddc,
     solve_critical_equation,
     solve_monge_ampere,
     square_density,
-    wedge_density,
     z_residual,
 )
 
@@ -105,21 +104,23 @@ def test_inexact_newton_agrees_with_exact_newton(monkeypatch):
 
 def test_residual_agrees_with_fresh_evaluation():
     # solve loosely so the residual sits far above roundoff and the
-    # identities can be compared in relative terms
+    # identities can be compared in relative terms: the charge density
+    # is evaluated to about 2e-14, and the residual here is about 1e-4
     data = flat_data()
     x = data.geom.coordinates()
     pert = data.perturb_u1(0.12 * np.cos(2 * np.pi * x[0])
                            + 0.1 * np.cos(2 * np.pi * x[2]))
-    sol = solve_critical_equation(pert, tol=1e-4, stages=2)
-    assert 1e-9 < sol.residual_sup < 1e-4
-    asm = assemble_beta_gamma(pert)
-    m = pert.alpha_harmonic() + asm.beta.scale(0.5) + ddc(data.geom, sol.u)
-    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
-    res = float(np.max(np.abs(square_density(m) - f)))
+    sol = solve_critical_equation(pert, tol=1e-3, stages=1)
+    assert 1e-5 < sol.residual_sup < 1e-3
+    asm = assemble_equation(pert)
+    fresh = ddc(data.geom, sol.u)
+    res = float(np.max(np.abs(square_density(asm.m_base + fresh) - asm.f)))
     assert res == pytest.approx(sol.residual_sup, rel=1e-5)
-    # the critical-equation residual is the rotated multiple of the
-    # volume residual
-    assert sol.z_residual_sup == pytest.approx(abs(asm.sin_phi) * res, rel=1e-5)
+    # the critical-equation residual, evaluated from the charge density
+    # alone, is the rotated multiple of the volume residual, sign included
+    rep = z_residual(pert, pert.alpha_harmonic() + fresh)
+    assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-8 * rep.sup
+    assert sol.z_residual_sup == pytest.approx(rep.sup, rel=1e-8)
     assert abs(sol.z_residual_mean) < 1e-10
 
 
@@ -171,13 +172,13 @@ def test_direct_interface_matches_wrapper():
     data = flat_data()
     x = data.geom.coordinates()
     pert = data.perturb_u1(0.05 * np.cos(2 * np.pi * x[2]))
-    asm = assemble_beta_gamma(pert)
-    ma = solve_monge_ampere(pert.geom, pert.alpha_harmonic(), asm.beta,
-                            asm.gamma, tol=1e-9)
+    asm = assemble_equation(pert)
+    ma = solve_monge_ampere(pert.geom, asm.m_base, asm.f, tol=1e-9)
     wrapped = solve_critical_equation(pert, tol=1e-9)
     assert np.allclose(ma.u, wrapped.u, atol=1e-11)
     assert ma.residual_sup == pytest.approx(wrapped.residual_sup,
                                             rel=1e-6, abs=1e-13)
+    assert np.array_equal(ma.residual, wrapped.residual)
 
 
 def test_solves_leave_no_state_on_the_data():
@@ -219,18 +220,17 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     for got, want in ((sol.hessian.a11, fresh.a11), (sol.hessian.a12, fresh.a12),
                       (sol.hessian.a22, fresh.a22)):
         assert np.max(np.abs(got - want)) <= 1e-12
-    asm = assemble_beta_gamma(pert)
-    m = pert.alpha_harmonic() + asm.beta.scale(0.5) + fresh
-    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    asm = assemble_equation(pert)
+    m = asm.m_base + fresh
     assert sol.residual_sup == pytest.approx(
-        float(np.max(np.abs(square_density(m) - f))), rel=1e-3, abs=1e-12)
+        float(np.max(np.abs(square_density(m) - asm.f))), rel=1e-3, abs=1e-12)
     assert sol.positivity_margin == pytest.approx(m.min_eigenvalue(), abs=1e-12)
     rep = z_residual(pert, pert.alpha_harmonic() + fresh)
     assert sol.z_residual_field.shape == data.geom.shape
     assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12
 
 
-@pytest.mark.parametrize("case, bound", [("newton", 34), ("single", 28), ("harmonic", 28)])
+@pytest.mark.parametrize("case, bound", [("newton", 25), ("single", 21), ("harmonic", 21)])
 def test_solve_peak_memory_in_grids(case, bound):
     # numpy reports its array buffers to tracemalloc, so the peak in grids
     # of N^4 float64 is the same on every machine; the data and its twist

@@ -18,7 +18,7 @@ from zcrit.surface import (
     _pcg,
     _precondition_symbol,
     _rfft,
-    assemble_beta_gamma,
+    assemble_equation,
     ddc,
     potential_from_form,
     read_field_dump,
@@ -332,7 +332,9 @@ def test_scalar_constant_forms_match_full_grids():
     u1_full = ref_constant(geom, *data.u1_const) + ddc(geom, data.u1_potential)
     assert np.array_equal(data.zt_density(data.alpha_harmonic(), 3.0, u1),
                           data.zt_density(ref_constant(geom, *data.alpha0), 3.0, u1_full))
-    assert np.array_equal(z_residual(data, field).field, z_residual(data, field, u1_full).field)
+    rot = np.exp(-1j * data.phase())
+    assert np.array_equal(z_residual(data, field).field,
+                          (rot * data.zt_density(field, u1=u1_full)).imag)
     # with every input constant the residual is computed once, in scalar
     # arithmetic, which may round differently from array arithmetic
     flat = SurfaceChargeData.dhym(geom, (1.0, 0.5j, 2.0), (2.0, 0.0, 3.0))
@@ -434,8 +436,9 @@ def test_beta_equals_rotated_combination():
         (2.0, 0.1j, 3.0), (0.05, 0.02 + 0.01j, -0.04),
         rand_potential(geom, rng), rand_potential(geom, rng, scale=0.3),
     )
-    asm = assemble_beta_gamma(data)
+    asm = assemble_equation(data)
     phi, s = asm.phi, asm.sin_phi
+    beta = (asm.m_base - data.alpha_harmonic()).scale(2.0)
     _, r1, _ = data.normalised_rho()
     om, u1, ah = data.omega(), data.u1_field(), data.alpha_harmonic()
     rot = np.exp(-1j * phi)
@@ -450,9 +453,9 @@ def test_beta_equals_rotated_combination():
                + im_unit * (2 * component_u1 + 2 * component_a))
         return num / (-s) - 2 * component_a
 
-    assert np.allclose(asm.beta.a11, alt(om.a11, u1.a11, ah.a11), atol=1e-10)
-    assert np.allclose(asm.beta.a22, alt(om.a22, u1.a22, ah.a22), atol=1e-10)
-    assert np.allclose(asm.beta.a12, alt(om.a12, u1.a12, ah.a12), atol=1e-10)
+    assert np.allclose(beta.a11, alt(om.a11, u1.a11, ah.a11), atol=1e-10)
+    assert np.allclose(beta.a22, alt(om.a22, u1.a22, ah.a22), atol=1e-10)
+    assert np.allclose(beta.a12, alt(om.a12, u1.a12, ah.a12), atol=1e-10)
 
 
 def test_residual_identity_for_generic_weights():
@@ -465,14 +468,12 @@ def test_residual_identity_for_generic_weights():
         (2.0, 0.3, 3.0), (0.0, 0.0, 0.0),
         rand_potential(geom, rng), rand_potential(geom, rng, scale=0.2),
     )
-    asm = assemble_beta_gamma(data)
-    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
+    asm = assemble_equation(data)
     for _ in range(3):
-        u = rand_potential(geom, rng)
-        alpha = data.alpha_harmonic() + ddc(geom, u)
+        hess = ddc(geom, rand_potential(geom, rng))
+        alpha = data.alpha_harmonic() + hess
         lhs = (np.exp(-1j * asm.phi) * data.zt_density(alpha)).imag
-        m = alpha + asm.beta.scale(0.5)
-        rhs = -asm.sin_phi * (square_density(m) - f)
+        rhs = -asm.sin_phi * (square_density(asm.m_base + hess) - asm.f)
         assert np.allclose(lhs, rhs, atol=1e-9)
         rep = z_residual(data, alpha)
         assert np.allclose(rep.field, lhs, atol=1e-12)
@@ -484,14 +485,13 @@ def test_default_weights_give_constant_coefficients():
     metric = (1.0, 0.5 + 0.25j, 2.0)
     det_g = 1.0 * 2.0 - abs(0.5 + 0.25j) ** 2
     data = SurfaceChargeData.dhym(geom, metric, (2.0, 0.0, 3.0))
-    asm = assemble_beta_gamma(data)
+    asm = assemble_equation(data)
     cot = math.cos(asm.phi) / math.sin(asm.phi)
-    assert np.allclose(asm.beta.a11, 2 * cot * metric[0], atol=1e-12)
-    assert np.allclose(asm.beta.a12, 2 * cot * metric[1], atol=1e-12)
-    assert np.allclose(asm.beta.a22, 2 * cot * metric[2], atol=1e-12)
-    assert np.allclose(asm.gamma, -8 * det_g, atol=1e-12)
-    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
-    assert np.allclose(f, 8 * (1 + cot ** 2) * det_g, atol=1e-10)
+    # beta = 2 cot(phi) g, so gamma = wedge(beta, beta)/4 - f = -8 det g
+    assert np.allclose(asm.m_base.a11, 2.0 + cot * metric[0], atol=1e-12)
+    assert np.allclose(asm.m_base.a12, cot * metric[1], atol=1e-12)
+    assert np.allclose(asm.m_base.a22, 3.0 + cot * metric[2], atol=1e-12)
+    assert np.allclose(asm.f, 8 * (1 + cot ** 2) * det_g, atol=1e-10)
 
 
 def test_degenerate_phase_rejected():
@@ -500,26 +500,24 @@ def test_degenerate_phase_rejected():
     data = SurfaceChargeData(geom, (1.0, 0.0, 1.0), (-1.0, 0.0, 0.5),
                              (2.0, 0.0, 3.0))
     with pytest.raises(SurfaceError):
-        assemble_beta_gamma(data)
+        assemble_equation(data)
 
 
 def test_volume_form_report():
     geom = TorusGeometry(8)
     data = SurfaceChargeData.dhym(geom, (1.0, 0.0, 1.0), (2.0, 0.0, 3.0))
-    asm = assemble_beta_gamma(data)
-    f = wedge_density(asm.beta, asm.beta) / 4 - asm.gamma
-    assert float(np.min(f)) == pytest.approx(16.0)
-    assert float(np.mean(f)) == pytest.approx(16.0)
+    asm = assemble_equation(data)
+    assert float(np.min(asm.f)) == pytest.approx(16.0)
+    assert float(np.mean(asm.f)) == pytest.approx(16.0)
 
     # push gamma above the square term somewhere: the solver refuses it
-    bad_gamma = asm.gamma + 20 * geom.mode_field([1, 0, 0, 0], 1.0)
-    assert float(np.min(wedge_density(asm.beta, asm.beta) / 4 - bad_gamma)) < 0
+    bad_f = asm.f - 20 * geom.mode_field([1, 0, 0, 0], 1.0)
+    assert float(np.min(bad_f)) < 0
     with pytest.raises(ClassObstructionError, match="volume-form hypothesis"):
-        solve_monge_ampere(geom, data.alpha_harmonic(), asm.beta, bad_gamma)
+        solve_monge_ampere(geom, asm.m_base, bad_f)
     # a negative averaged class is refused before the density is looked at
     with pytest.raises(ClassObstructionError, match="class test"):
-        solve_monge_ampere(geom, FormField.constant(-5.0, 0.0, -1.0),
-                           asm.beta, asm.gamma)
+        solve_monge_ampere(geom, FormField.constant(-5.0, 0.0, -1.0), asm.f)
 
 
 def test_positivity_modes_disagree_off_average():
