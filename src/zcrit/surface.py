@@ -70,6 +70,23 @@ whatever the inputs: ddc, mode_field, potential_from_form's input and
 potential, the solver's right side f, MongeAmpereSolution.u and
 residual, ZResidualReport.field and field dumps.
 
+The Newton-Krylov vectors are half spectra: the iterate u, the Newton
+step delta, the line search's trial u and the conjugate-gradient
+vectors r, x, best x and p. Real grids are what pointwise products
+need: the iterate m = m_base + ddc(u), 8 det m, the residual and the
+operator's output. For real fields x, y with half spectra a, b,
+Parseval gives
+
+    sum(x y) = (1 / N^4) sum_k w_k Re(conj(a_k) b_k),
+
+with w_k = 1 on the k3 = 0 and k3 = N/2 planes and 2 off them, where
+a half-spectrum mode also stands for its conjugate. In real transforms
+of N^4 points, a conjugate-gradient iteration costs five (the
+operator's four inverse transforms and one forward transform of its
+output), a line-search trial four inverse transforms, and a Newton
+right side one forward transform; u is transformed back once, at the
+end of a solve.
+
 Memory is counted in grids of N^4 float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
 numpy's rfftn and irfftn in the same order, bit for bit, but the
@@ -78,13 +95,13 @@ spectrum, and _irfft overwrites the spectrum it is given, so every
 caller hands it a fresh product. _apply_operator sums its four inverse
 transforms into one grid and never forms ddc(delta). The twist field,
 beta and gamma live only in assemble_equation. A solve holds m_base, f
-and the iterate m = m_base + ddc(u) (four grids each where they vary,
-one for f), u, 8 det m, its residual and the shifted f; in a Newton step
-also the step delta, the conjugate-gradient vectors r, x, best x and p,
-and the line search's trial u and trial m. ddc(u) is m - m_base, taken
-in place at the end, and the residual becomes the solution's. At N=16
-the tracemalloc peak of solve_critical_equation is about 23 grids for a
-multi-step Newton solve and 19 for a one-step or harmonic-start solve.
+and m (four grids each where they vary, one for f), the spectrum of u,
+8 det m and its residual against f plus the compatibility constant,
+which is subtracted in place, so no shifted copy of f is made; in a
+Newton step also the spectra of delta, of the conjugate-gradient
+vectors and of the trial u, and the trial m. At N=16 the tracemalloc
+peak of solve_critical_equation is about 22 grids for a multi-step
+Newton solve and 18 for a one-step or harmonic-start solve.
 """
 
 from __future__ import annotations
@@ -229,21 +246,36 @@ class FormField:
 def ddc(geom: TorusGeometry, u: np.ndarray) -> FormField:
     """Spectral complex Hessian of a real scalar field."""
     u = np.broadcast_to(np.asarray(u, dtype=float), geom.shape)
-    uh = _rfft(u)
-    uh *= -np.pi ** 2
-    buf = np.empty_like(uh)
-    h11 = _hessian_part(geom, np.abs(geom.mu1) ** 2, uh, buf)
-    h22 = _hessian_part(geom, np.abs(geom.mu2) ** 2, uh, buf)
+    return _spectral_hessian(geom, _rfft(u))
+
+
+def _spectral_hessian(
+    geom: TorusGeometry, spec: np.ndarray, base: Optional[FormField] = None
+) -> FormField:
+    """base + ddc of the real field with half spectrum spec, from four
+    inverse transforms and no forward one; spec is left as it was, and
+    a missing base is the zero form."""
+    c = -np.pi ** 2
+    buf = np.empty_like(spec)
+    h11 = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf)
+    h22 = _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf)
     h12 = np.empty(geom.shape, dtype=complex)
-    h12.real = _hessian_part(geom, geom.cross_re, uh, buf)
-    h12.imag = _hessian_part(geom, geom.cross_im, uh, buf)
+    np.multiply(_hessian_part(geom, geom.cross_re, spec, buf), c, out=h12.real)
+    np.multiply(_hessian_part(geom, geom.cross_im, spec, buf), c, out=h12.imag)
+    if base is not None:
+        h11 += base.a11
+        h12 += base.a12
+        h22 += base.a22
     return FormField(h11, h12, h22)
 
 
-def _hessian_part(geom: TorusGeometry, symbol, spec, buf, coef=None) -> np.ndarray:
-    """irfft(symbol * spec), times coef when given, with the product
-    built in buf and spec left as it was."""
-    part = _irfft(geom, np.multiply(symbol, spec, out=buf))
+def _hessian_part(geom: TorusGeometry, symbol, spec, buf, coef=None, scale=None) -> np.ndarray:
+    """irfft(scale * symbol * spec), times coef when given, with the
+    product built in buf and spec left as it was."""
+    np.multiply(symbol, spec, out=buf)
+    if scale is not None:
+        buf *= scale
+    part = _irfft(geom, buf)
     if coef is not None:
         part *= coef
     return part
@@ -467,25 +499,34 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
 # ---------------------------------------------------------------------------
 
 
-def _mean_zero(a: np.ndarray) -> np.ndarray:
-    return a - np.mean(a)
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(x * y) over the grid for real fields x, y with half spectra a, b.
+
+    By Parseval each mode off the k3 = 0 and k3 = N/2 planes stands for
+    itself and its conjugate, so it weighs 2 and a mode on them 1, and
+    the sum is divided by N^4.
+    """
+    n = a.shape[0]
+    total = (2 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+             - np.vdot(a[..., -1], b[..., -1]).real)
+    return float(total) / n ** 4
 
 
-def _apply_operator(geom: TorusGeometry, m: FormField, delta: np.ndarray) -> np.ndarray:
-    """Minus the linearisation of 8 det at m: -2 wedge(m, ddc delta).
+def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.ndarray:
+    """Minus the linearisation of 8 det at m, -2 wedge(m, ddc delta), as a
+    real grid, for the delta with half spectrum spec (left as it was).
 
     With h = ddc(delta) that is -8 (m11 h22 + m22 h11 - 2 (Re m12 Re h12
-    + Im m12 Im h12)), summed one inverse transform at a time from one
-    scaled spectrum, so h itself is never formed.
+    + Im m12 Im h12)), summed one inverse transform at a time, so h
+    itself is never formed.
     """
-    spec = _rfft(delta)
-    spec *= 8 * np.pi ** 2          # each part is then -8 times one of h
+    c = 8 * np.pi ** 2              # each part is then -8 times one of h
     buf = np.empty_like(spec)
-    out = _hessian_part(geom, np.abs(geom.mu1) ** 2, spec, buf, m.a22)
-    out += _hessian_part(geom, np.abs(geom.mu2) ** 2, spec, buf, m.a11)
-    spec *= -2                      # the cross terms carry -2
-    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real)
-    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag)
+    out = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf, m.a22)
+    out += _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf, m.a11)
+    # the cross terms carry -2
+    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real, -2 * c)
+    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag, -2 * c)
     return out
 
 
@@ -512,13 +553,6 @@ def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
     return 2 / (1 / sigma(s_even + s_odd) + 1 / sigma(s_even - s_odd))
 
 
-def _apply_preconditioner(geom: TorusGeometry, symbol: np.ndarray, r: np.ndarray) -> np.ndarray:
-    zh = _rfft(r)
-    zh /= symbol
-    zh[0, 0, 0, 0] = 0.0
-    return _irfft(geom, zh)
-
-
 def _pcg(
     geom: TorusGeometry,
     m: FormField,
@@ -527,27 +561,33 @@ def _pcg(
     tol: float,
     max_iter: int,
 ) -> Tuple[np.ndarray, int]:
-    """Conjugate gradients for -L_m x = rhs on mean-zero fields.
+    """Conjugate gradients for -L_m x = rhs on mean-zero fields; returns
+    the half spectrum of x and the iteration count.
 
-    The residual is tested as soon as it is updated, so the last
-    iterate is never preconditioned. The iterate reached at max_iter is
-    not tested and does not count as the best one.
+    The real right side is transformed once. r, x, best x and p are
+    half spectra with a zero mean mode, preconditioning is a division
+    by symbol, inner products are taken by Parseval (_inner), and each
+    iteration transforms the operator's output once, so it costs five
+    real transforms. The residual is tested as soon as it is updated, so
+    the last iterate is never preconditioned. The iterate reached at
+    max_iter is not tested and does not count as the best one.
     """
 
-    r = _mean_zero(rhs)
+    r = _rfft(rhs)
+    r[0, 0, 0, 0] = 0.0
     x = np.zeros_like(r)
-    norm0 = float(np.sqrt(np.sum(r * r)))
+    norm0 = float(np.sqrt(_inner(r, r)))
     target = tol * norm0
     best_x = x.copy()
     best_norm = norm0
     it = 0
     if max_iter > 0 and norm0 > target:
-        p = _apply_preconditioner(geom, symbol, r)
-        rz = float(np.sum(r * p))
+        p = r / symbol
+        rz = _inner(r, p)
         while True:
-            ap = _apply_operator(geom, m, p)
-            ap -= np.mean(ap)
-            pap = float(np.sum(p * ap))
+            ap = _rfft(_apply_operator(geom, m, p))
+            ap[0, 0, 0, 0] = 0.0
+            pap = _inner(p, ap)
             if pap <= 0:
                 # indefiniteness this late is roundoff at the attainable floor
                 if best_norm <= 1e-6 * norm0:
@@ -563,20 +603,20 @@ def _pcg(
             it += 1
             if it >= max_iter:
                 break
-            rnorm = float(np.sqrt(np.sum(r * r)))
+            rnorm = float(np.sqrt(_inner(r, r)))
             if rnorm < best_norm:
                 best_norm = rnorm
                 best_x = x.copy()
             if rnorm <= target:
                 break
-            z = _apply_preconditioner(geom, symbol, r)
-            rz_new = float(np.sum(r * z))
+            z = r / symbol
+            rz_new = _inner(r, z)
             z += (rz_new / rz) * p
             p = z
             rz = rz_new
     if best_norm > max(target, 1e-6 * norm0):
         raise NumericalFailureError("conjugate gradients stalled above tolerance")
-    return _mean_zero(best_x), it
+    return best_x, it
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +636,6 @@ class MongeAmpereSolution:
     stage_residuals: List[List[float]]   # residual path per stage, initial first
     used_harmonic_start: bool
     positivity_margin: float     # min eigenvalue of M at the solution
-    hessian: FormField           # ddc(u) of the accepted step; constant 0 if u = 0
 
 
 # relative CG tolerance floor, and the shortest line-search step
@@ -647,26 +686,27 @@ def solve_monge_ampere(
             f"compatibility defect {shift:.3e} exceeds tolerance; the class "
             "data and the right side are inconsistent"
         )
-    f = f + shift       # the residual against the unshifted f is res + shift
 
-    # the iterate u is kept with m = m_base + ddc(u), its smallest
-    # eigenvalue m_min and sq = 8 det(m), none recomputed; ddc(u) itself
-    # is recovered as m - m_base at the end
-    u = np.zeros(geom.shape)
+    # the iterate is kept as the half spectrum u_hat of u, with
+    # m = m_base + ddc(u), its smallest eigenvalue m_min and sq = 8 det(m),
+    # none recomputed; u itself is transformed back once, at the end
+    u_hat = np.zeros_like(geom.cross_re)
     m = m_base
     m_min = m.min_eigenvalue()
     used_harmonic = m_min <= 0
     if used_harmonic:
         # harmonic start: cancel the oscillatory part of the base field
-        u, rem = potential_from_form(geom, m_base)
+        w, rem = potential_from_form(geom, m_base)
         if rem > 1e-8:
             raise NumericalFailureError(
                 "base field is not a Hessian perturbation of its mean; "
                 "cannot build a positive starting point"
             )
-        u *= -1
-        u -= np.mean(u)
-        m = _shifted_hessian(geom, u, m_base)
+        u_hat = _rfft(w)
+        del w           # not held through the start's Hessian
+        u_hat *= -1
+        u_hat[0, 0, 0, 0] = 0.0
+        m = _spectral_hessian(geom, u_hat, m_base)
         m_min = m.min_eigenvalue()
         if m_min <= 0:
             raise NumericalFailureError("harmonic start failed to reach positivity")
@@ -686,7 +726,11 @@ def solve_monge_ampere(
             f_s, f_start = f, None
         else:
             f_s = (1 - s) * f_start + s * f
+        # the stage solves 8 det = f_s + s shift; the compatibility
+        # constant is subtracted in place, so f + shift is never built
+        c_s = s * shift
         res = sq - f_s
+        res -= c_s
         res_sup = float(np.max(np.abs(res)))
         path = [res_sup]
         iters = 0
@@ -698,17 +742,18 @@ def solve_monge_ampere(
             # inexact Newton step L delta = -res, with the solver acting
             # as -L, solved to a tolerance that follows the residual
             eta = max(CG_TOL_FLOOR, min(0.1, 0.1 * res_sup / scale))
-            delta, cg_it = _pcg(geom, m, res, symbol, eta, cg_max)
+            delta_hat, cg_it = _pcg(geom, m, res, symbol, eta, cg_max)
             total_cg += cg_it
             step = 1.0
             while True:
-                trial_u = step * delta
-                trial_u += u
-                trial_m = _shifted_hessian(geom, trial_u, m_base)
+                trial_hat = step * delta_hat
+                trial_hat += u_hat
+                trial_m = _spectral_hessian(geom, trial_hat, m_base)
                 trial_min = trial_m.min_eigenvalue()
                 if trial_min > 0:
                     trial_sq = square_density(trial_m)
                     trial_res = trial_sq - f_s
+                    trial_res -= c_s
                     trial_sup = float(np.max(np.abs(trial_res)))
                     if trial_sup < res_sup:
                         break
@@ -718,27 +763,22 @@ def solve_monge_ampere(
                         f"line search exhausted at stage {s:g}; positivity or "
                         "decrease could not be maintained"
                     )
-            u, m, m_min = trial_u, trial_m, trial_min
+            u_hat, m, m_min = trial_hat, trial_m, trial_min
             sq, res, res_sup = trial_sq, trial_res, trial_sup
             # delta is not held through the next _pcg call, and the
             # accepted grids keep one name each
-            del delta, trial_u, trial_m, trial_sq, trial_res
+            del delta_hat, trial_hat, trial_m, trial_sq, trial_res
             path.append(res_sup)
             iters += 1
             total_newton += 1
         history.append((s, iters, res_sup))
         residual_paths.append(path)
 
-    # the iterate is final: its grids become the solution's in place
+    # the iterate is final: the residual against the unshifted f is
+    # res + shift, and u is transformed back once
     res += shift
-    u -= np.mean(u)
-    if m is m_base:
-        hess = FormField.constant(0.0, 0.0, 0.0)
-    else:
-        hess = m
-        hess.a11 -= m_base.a11
-        hess.a12 -= m_base.a12
-        hess.a22 -= m_base.a22
+    u_hat[0, 0, 0, 0] = 0.0
+    u = _irfft(geom, u_hat)
     return MongeAmpereSolution(
         u=u,
         residual=res,
@@ -750,17 +790,7 @@ def solve_monge_ampere(
         stage_residuals=residual_paths,
         used_harmonic_start=used_harmonic,
         positivity_margin=m_min,
-        hessian=hess,
     )
-
-
-def _shifted_hessian(geom: TorusGeometry, u: np.ndarray, base: FormField) -> FormField:
-    """base + ddc(u), added in place on the output of ddc."""
-    out = ddc(geom, u)
-    out.a11 += base.a11
-    out.a12 += base.a12
-    out.a22 += base.a22
-    return out
 
 
 @dataclass

@@ -102,6 +102,32 @@ def test_inexact_newton_agrees_with_exact_newton(monkeypatch):
     assert inexact.newton_iterations <= exact.newton_iterations
 
 
+def test_transform_budget_of_the_spectral_solve(monkeypatch):
+    # u, the step and the conjugate-gradient vectors are half spectra: a
+    # Newton right side costs one forward transform, a CG iteration one
+    # forward and four inverse, a line-search trial four inverse, and u
+    # is transformed back once; ddc of the twist potential adds one
+    # forward and four inverse
+    counts = {"forward": 0, "inverse": 0, "hessian": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(surface, "_rfft", counted("forward", surface._rfft))
+    monkeypatch.setattr(surface, "_irfft", counted("inverse", surface._irfft))
+    monkeypatch.setattr(surface, "_spectral_hessian",
+                        counted("hessian", surface._spectral_hessian))
+    sol = solve_critical_equation(two_mode_data(), tol=1e-11, stages=1)
+    trials = counts["hessian"] - 1
+    newton, cg = sol.newton_iterations, sol.cg_iterations
+    assert (newton, cg, trials) == (5, 22, 6)
+    assert counts["forward"] == 1 + newton + cg == 28
+    assert counts["inverse"] == 4 * (1 + cg + trials) + 1 == 117
+
+
 def test_residual_agrees_with_fresh_evaluation():
     # solve loosely so the residual sits far above roundoff and the
     # identities can be compared in relative terms: the charge density
@@ -207,8 +233,9 @@ def test_solves_leave_no_state_on_the_data():
 
 @pytest.mark.parametrize("case", ["flat", "newton", "harmonic"])
 def test_returned_hessian_and_margin_are_those_of_the_solution(case):
-    # the solver keeps ddc(u), 8 det and the smallest eigenvalue of its
-    # accepted step; they agree with a fresh evaluation at sol.u
+    # the solver keeps 8 det, the residual and the smallest eigenvalue of
+    # its accepted step; they agree with a fresh evaluation at the
+    # Hessian of sol.u
     data = flat_data()
     x = data.geom.coordinates()
     a1, a2 = {"flat": (0.0, 0.0), "newton": (0.1, 0.05), "harmonic": (0.3, 0.0)}[case]
@@ -217,9 +244,6 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     assert sol.used_harmonic_start == (case == "harmonic")
     assert (sol.newton_iterations > 0) == (case == "newton")
     fresh = ddc(data.geom, sol.u)
-    for got, want in ((sol.hessian.a11, fresh.a11), (sol.hessian.a12, fresh.a12),
-                      (sol.hessian.a22, fresh.a22)):
-        assert np.max(np.abs(got - want)) <= 1e-12
     asm = assemble_equation(pert)
     m = asm.m_base + fresh
     assert sol.residual_sup == pytest.approx(
@@ -230,7 +254,7 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12
 
 
-@pytest.mark.parametrize("case, bound", [("newton", 25), ("single", 21), ("harmonic", 21)])
+@pytest.mark.parametrize("case, bound", [("newton", 24), ("single", 20), ("harmonic", 20)])
 def test_solve_peak_memory_in_grids(case, bound):
     # numpy reports its array buffers to tracemalloc, so the peak in grids
     # of N^4 float64 is the same on every machine; the data and its twist

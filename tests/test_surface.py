@@ -12,9 +12,8 @@ from zcrit.surface import (
     TorusGeometry,
     NumericalFailureError,
     _apply_operator,
-    _apply_preconditioner,
+    _inner,
     _irfft,
-    _mean_zero,
     _pcg,
     _precondition_symbol,
     _rfft,
@@ -190,7 +189,7 @@ def test_real_fft_operators_match_complex_reference(n):
 
     mbar = np.array([[2.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.5]])
     r = rng.standard_normal(geom.shape)
-    z = _apply_preconditioner(geom, _precondition_symbol(geom, mbar), r)
+    z = ref_apply_preconditioner(geom, _precondition_symbol(geom, mbar), r)
     assert_rel_close(z, ref_precondition(geom, mbar, r))
 
     # the fused linearised operator against the wedge with the full ddc,
@@ -200,8 +199,11 @@ def test_real_fft_operators_match_complex_reference(n):
                   + 0.4j * rng.standard_normal(geom.shape),
                   1.5 + 0.3 * rng.standard_normal(geom.shape))
     delta = rng.standard_normal(geom.shape)
-    assert_rel_close(_apply_operator(geom, m, delta),
+    delta_hat = _rfft(delta)
+    kept = delta_hat.copy()
+    assert_rel_close(_apply_operator(geom, m, delta_hat),
                      -2 * wedge_density(m, ref_ddc(geom, delta)))
+    assert np.array_equal(delta_hat, kept)
 
     # the in-place transforms run numpy's passes in numpy's order
     spec = np.fft.rfftn(u, axes=(0, 1, 2, 3))
@@ -210,13 +212,25 @@ def test_real_fft_operators_match_complex_reference(n):
                           np.fft.irfftn(spec, s=geom.shape, axes=(0, 1, 2, 3)))
 
 
+def mean_zero(a):
+    return a - np.mean(a)
+
+
+def ref_apply_preconditioner(geom, symbol, r):
+    """The preconditioner on a real grid: a division of its half spectrum."""
+    zh = _rfft(r) / symbol
+    zh[0, 0, 0, 0] = 0.0
+    return _irfft(geom, zh)
+
+
 def ref_pcg(geom, m, rhs, symbol, tol, max_iter):
-    """Conjugate gradients in the former loop order: the residual is
-    tested at the top of the loop, after it has been preconditioned."""
-    rhs = _mean_zero(rhs)
+    """Conjugate gradients on real grids in the former loop order: the
+    residual is tested at the top of the loop, after it has been
+    preconditioned."""
+    rhs = mean_zero(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = _apply_preconditioner(geom, symbol, r)
+    z = ref_apply_preconditioner(geom, symbol, r)
     p = z.copy()
     rz = float(np.sum(r * z))
     norm0 = float(np.sqrt(np.sum(rhs * rhs)))
@@ -231,7 +245,7 @@ def ref_pcg(geom, m, rhs, symbol, tol, max_iter):
             best_x = x.copy()
         if rnorm <= target:
             break
-        ap = _mean_zero(_apply_operator(geom, m, p))
+        ap = mean_zero(_apply_operator(geom, m, _rfft(p)))
         pap = float(np.sum(p * ap))
         if pap <= 0:
             if best_norm <= 1e-6 * norm0:
@@ -240,14 +254,14 @@ def ref_pcg(geom, m, rhs, symbol, tol, max_iter):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = _apply_preconditioner(geom, symbol, r)
+        z = ref_apply_preconditioner(geom, symbol, r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
     if best_norm > max(target, 1e-6 * norm0):
         raise NumericalFailureError("stalled")
-    return _mean_zero(best_x), it
+    return mean_zero(best_x), it
 
 
 def nyquist_free(geom, u):
@@ -262,26 +276,27 @@ def nyquist_free(geom, u):
 
 
 def same_pcg_outcome(geom, m, rhs, symbol, tol, max_iter):
-    """Run both loop orders; True when they return, bit for bit alike,
-    False when both stall."""
+    """Run the spectral loop and the real-grid reference; True when they
+    return the same count and, transformed back, the same step to 1e-12
+    relative, False when both stall."""
     try:
         x_ref, it_ref = ref_pcg(geom, m, rhs, symbol, tol, max_iter)
     except NumericalFailureError:
         with pytest.raises(NumericalFailureError):
             _pcg(geom, m, rhs, symbol, tol, max_iter)
         return False
-    x, it = _pcg(geom, m, rhs, symbol, tol, max_iter)
+    x_hat, it = _pcg(geom, m, rhs, symbol, tol, max_iter)
     assert it == it_ref
-    assert np.array_equal(x, x_ref)
+    assert_rel_close(_irfft(geom, x_hat), x_ref)
     return True
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_pcg_matches_former_loop_order(n):
-    # The iterate and the iteration count are bit for bit the former
-    # ones, also when max_iter cuts the iteration off. On Nyquist modes
-    # the operator is not symmetric, and conjugate gradients on white
-    # noise stall near 1e-3; a constant operator under a mismatched
+    # The iteration count is the former one and the step agrees to
+    # roundoff, also when max_iter cuts the iteration off. On Nyquist
+    # modes the operator is not symmetric, and conjugate gradients on
+    # white noise stall near 1e-3; a constant operator under a mismatched
     # preconditioner converges to 1e-10 on Nyquist-free noise.
     geom = TorusGeometry(n)
     rng = np.random.default_rng(200 + n)
@@ -301,6 +316,27 @@ def test_pcg_matches_former_loop_order(n):
     symbol = _precondition_symbol(geom, m_var.mean_matrix())
     assert same_pcg_outcome(geom, m_var, noise, symbol, 5e-3, 600)
     assert not same_pcg_outcome(geom, m_var, noise, symbol, 5e-3, 1)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_parseval_inner_product_matches_grid_sum(n):
+    # white noise has content on the k3 = 0 and k3 = N/2 planes, where a
+    # half-spectrum mode stands for itself alone
+    geom = TorusGeometry(n)
+    rng = np.random.default_rng(300 + n)
+    a, b = rng.standard_normal(geom.shape), rng.standard_normal(geom.shape)
+    a_hat, b_hat = _rfft(a), _rfft(b)
+    for plane in (0, -1):
+        assert np.max(np.abs(a_hat[..., plane])) > 0
+    for x, y, x_hat, y_hat in ((a, b, a_hat, b_hat), (a, a, a_hat, a_hat)):
+        want = float(np.sum(x * y))
+        assert _inner(x_hat, y_hat) == pytest.approx(want, rel=1e-12)
+    # fields living on the two planes alone, and off them alone
+    for keep in (np.s_[..., 1:-1], np.s_[..., [0, -1]]):
+        c_hat = a_hat.copy()
+        c_hat[keep] = 0.0
+        c = _irfft(geom, c_hat.copy())
+        assert _inner(c_hat, b_hat) == pytest.approx(float(np.sum(c * b)), rel=1e-12)
 
 
 def ref_constant(geom, a11, a12, a22):
