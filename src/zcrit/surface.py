@@ -48,18 +48,32 @@ phi = arg of the total charge becomes a complex Monge-Ampere equation
     8 det(m_base + ddc u) = f,   m_base = alpha0 + beta/2,   f = wedge(beta, beta)/4 - gamma,
 
 and pointwise Im(e^{-i phi} Zt(alpha0 + ddc u)) = -sin(phi) (8 det(m_base
-+ ddc u) - f). It is solved here by damped Newton steps under an
-optional homotopy on f, each linearised step handled by conjugate
-gradients preconditioned with the Fourier symbol of the mean-coefficient
++ ddc u) - f). With U1 = u1_const + ddc(phi_U) for the twist potential
+phi_U, m_base = a0 + ddc(phi_U) for the constant form
+a0 = alpha0 + u1_const - (im1 / (2 sin phi)) g, where im1 is the
+imaginary part of e^{-i phi} rho1 (normalised), so the equation is posed
+as
+
+    8 det(a0 + ddc psi) = f,   psi = phi_U + u,
+
+and solved for psi from psi = 0, that is from u = -phi_U. There m = a0
+is constant, positive because it is the averaged matrix that passed the
+class test, and the first linearised operator is the preconditioner's.
+The residual there is quadratic in ddc(phi_U) when u1_const = 0 and u2
+is constant, and vanishes for a single-mode phi_U, whose ddc has rank
+one. The equation is solved by damped Newton steps under an optional
+homotopy on f, each linearised step handled by conjugate gradients
+preconditioned with the Fourier symbol of the mean-coefficient
 operator. The steps are inexact Newton steps (Dembo, Eisenstat and
-Steihaug 1982): with scale = max(1, |8 det mean(m_base)|), a step taken
-at Newton residual res_sup runs conjugate gradients to the relative
-tolerance
+Steihaug 1982): with scale = max(1, |8 det a0|), a step taken at Newton
+residual res_sup runs conjugate gradients to the relative tolerance
 
     eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)),
 
 so CG_TOL_FLOOR is only the floor. eta = O(res_sup) keeps the quadratic
-convergence of exact Newton steps.
+convergence of exact Newton steps. A residual within ROUNDOFF_FLOOR
+times eps * scale is at the roundoff floor of the equation; when the
+line search cannot go below it, the failure names that floor.
 
 A constant form (FormField.constant, omega(), alpha_harmonic(), the
 twist without a potential) has numpy scalar components, and a missing
@@ -70,12 +84,14 @@ whatever the inputs: ddc, mode_field, potential_from_form's input and
 potential, the solver's right side f, MongeAmpereSolution.u and
 residual, ZResidualReport.field and field dumps.
 
-The Newton-Krylov vectors are half spectra: the iterate u, the Newton
-step delta, the line search's trial u and the conjugate-gradient
-vectors r, x, best x and p. Real grids are what pointwise products
-need: the iterate m = m_base + ddc(u), 8 det m, the residual and the
-operator's output. For real fields x, y with half spectra a, b,
-Parseval gives
+The Newton-Krylov vectors are half spectra: the iterate psi, the
+Newton step delta, the line search's trial psi and the
+conjugate-gradient vectors r, x, best x and p. Real grids are what
+pointwise products need: the iterate m = a0 + ddc(psi), 8 det m, the
+residual and the operator's output. The line search tests positivity
+as min(m11) > 0 and min(8 det m) > 0, from the determinant the residual
+needs anyway; the smallest eigenvalue is taken once, at the end. For
+real fields x, y with half spectra a, b, Parseval gives
 
     sum(x y) = (1 / N^4) sum_k w_k Re(conj(a_k) b_k),
 
@@ -84,8 +100,8 @@ a half-spectrum mode also stands for its conjugate. In real transforms
 of N^4 points, a conjugate-gradient iteration costs five (the
 operator's four inverse transforms and one forward transform of its
 output), a line-search trial four inverse transforms, and a Newton
-right side one forward transform; u is transformed back once, at the
-end of a solve.
+right side one forward transform; u = psi - phi_U is transformed back
+once, at the end of a solve.
 
 Memory is counted in grids of N^4 float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
@@ -94,14 +110,16 @@ complex passes work in place (numpy >= 2.0): _rfft allocates one half
 spectrum, and _irfft overwrites the spectrum it is given, so every
 caller hands it a fresh product. _apply_operator sums its four inverse
 transforms into one grid and never forms ddc(delta). The twist field,
-beta and gamma live only in assemble_equation. A solve holds m_base, f
-and m (four grids each where they vary, one for f), the spectrum of u,
-8 det m and its residual against f plus the compatibility constant,
-which is subtracted in place, so no shifted copy of f is made; in a
-Newton step also the spectra of delta, of the conjugate-gradient
-vectors and of the trial u, and the trial m. At N=16 the tracemalloc
-peak of solve_critical_equation is about 22 grids for a multi-step
-Newton solve and 18 for a one-step or harmonic-start solve.
+beta and gamma live only in assemble_equation, and m_base is never
+built: a0 is held as scalars and phi_U as its half spectrum. A solve
+holds f (one grid), m (scalars at the start, four grids after a Newton
+step), the spectra of psi and phi_U, 8 det m and its residual against
+f plus the compatibility constant, which is subtracted in place, so no
+shifted copy of f is made; in a Newton step also the spectra of delta,
+of the conjugate-gradient vectors and of the trial psi, and the trial
+m. At N=16 the tracemalloc peak of solve_critical_equation is about 19
+grids for a multi-step Newton solve and 14 for a solve that ends at
+its start.
 """
 
 from __future__ import annotations
@@ -234,7 +252,7 @@ class FormField:
         )
 
     def det(self) -> np.ndarray:
-        return self.a11 * self.a22 - np.abs(self.a12) ** 2
+        return self.a11 * self.a22 - (self.a12.real ** 2 + self.a12.imag ** 2)
 
     def min_eigenvalue(self) -> float:
         """Smallest pointwise eigenvalue over the grid."""
@@ -398,11 +416,19 @@ class SurfaceChargeData:
         return FormField.constant(a11, a12, a22)
 
     def u1_field(self) -> FormField:
+        return self._u1_and_potential_hat()[0]
+
+    def _u1_and_potential_hat(self) -> Tuple[FormField, Optional[np.ndarray]]:
+        """U1, and the half spectrum of u1_potential with its mean mode
+        zeroed (None without a potential); u1_const is added in place."""
         c11, c12, c22 = self.u1_const
-        out = FormField.constant(c11, c12, c22)
-        if self.u1_potential is not None:
-            out = out + ddc(self.geom, self.u1_potential)
-        return out
+        const = FormField.constant(c11, c12, c22)
+        if self.u1_potential is None:
+            return const, None
+        potential = np.broadcast_to(np.asarray(self.u1_potential, dtype=float), self.geom.shape)
+        potential_hat = _rfft(potential)
+        potential_hat[0, 0, 0, 0] = 0.0
+        return _spectral_hessian(self.geom, potential_hat, const), potential_hat
 
     def u2_density(self) -> np.ndarray:
         if self.u2 is None:
@@ -461,19 +487,23 @@ class SurfaceChargeData:
 
 @dataclass
 class EquationAssembly:
-    """8 det(m_base + ddc u) = f and the phase of the charge inputs; a
-    constant f is a scalar."""
+    """8 det(a0 + ddc(phi_U + u)) = f and the phase phi of the charge
+    inputs: a0 is a constant form, potential_hat the half spectrum of the
+    twist potential phi_U with its mean mode zeroed (None without one),
+    and a constant f is a scalar."""
 
     phi: float
     sin_phi: float
-    m_base: FormField
+    a0: FormField
+    potential_hat: Optional[np.ndarray]
     f: np.ndarray
 
 
 def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
-    """m_base = alpha0 + beta/2 and f = wedge(beta, beta)/4 - gamma of the
-    module docstring; the twist field, beta and gamma are freed on return."""
-    u1 = data.u1_field()
+    """a0 = alpha0 + u1_const - (im1 / (2 sin phi)) g, the constant part of
+    alpha0 + beta/2, and f = wedge(beta, beta)/4 - gamma of the module
+    docstring; the twist field, beta and gamma are freed on return."""
+    u1, potential_hat = data._u1_and_potential_hat()
     phi = data.phase(u1)
     s = float(np.sin(phi))
     if abs(s) < 1e-12:
@@ -490,8 +520,11 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
         + im1 * wedge_density(g, u1)
         - 2 * s * data.u2_density()
     ) / (-s)
-    m_base = data.alpha_harmonic() + beta.scale(0.5)
-    return EquationAssembly(phi, s, m_base, wedge_density(beta, beta) / 4 - gamma)
+    c11, c12, c22 = data.u1_const
+    a0 = data.alpha_harmonic() + (FormField.constant(c11, c12, c22)
+                                  + g.scale(-im1 / (2 * s)))
+    return EquationAssembly(phi, s, a0, potential_hat,
+                            wedge_density(beta, beta) / 4 - gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -634,38 +667,45 @@ class MongeAmpereSolution:
     cg_iterations: int
     stage_history: List[Tuple[float, int, float]]
     stage_residuals: List[List[float]]   # residual path per stage, initial first
-    used_harmonic_start: bool
+    used_harmonic_start: bool    # the solve started at u = -phi_U
     positivity_margin: float     # min eigenvalue of M at the solution
 
 
-# relative CG tolerance floor, and the shortest line-search step
+# relative CG tolerance floor, the shortest line-search step, and the
+# multiple of eps * scale below which a residual is at roundoff
 CG_TOL_FLOOR = 1e-10
 STEP_FLOOR = 2.0 ** -24
+ROUNDOFF_FLOOR = 16
 
 
 def solve_monge_ampere(
     geom: TorusGeometry,
-    m_base: FormField,
+    a0: FormField,
+    potential_hat: Optional[np.ndarray],
     f: np.ndarray,
     tol: float = 1e-8,
     max_newton: int = 50,
     stages: int = 10,
     cg_max: int = 600,
 ) -> MongeAmpereSolution:
-    """Damped Newton continuation for 8 det(m_base + ddc u) = f.
+    """Damped Newton continuation for 8 det(a0 + ddc(phi_U + u)) = f.
 
-    Each Newton step solves its linear system to the forcing term
+    a0 is a constant form and potential_hat the half spectrum of the
+    twist potential phi_U (None for phi_U = 0). The iterate is
+    psi = phi_U + u, from psi = 0, where m = a0 is positive by the class
+    test and the first Newton operator has constant coefficients. Each
+    Newton step solves its linear system to the forcing term
     eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)) of the module
-    docstring, where scale = max(1, |8 det mbar|) is the scale of the
+    docstring, where scale = max(1, |8 det a0|) is the scale of the
     compatibility test; the floor is reached as res_sup falls.
 
-    Raises ClassObstructionError when the averaged matrix is not
-    positive definite (the class test) or the density f fails
-    positivity, and NumericalFailureError when the iteration stalls at
-    a positive class.
+    Raises ClassObstructionError when a0 is not positive definite (the
+    class test) or the density f fails positivity, and
+    NumericalFailureError when the iteration stalls at a positive class,
+    naming the roundoff floor when the residual has reached it.
     """
     f = np.broadcast_to(f, geom.shape)
-    mbar = m_base.mean_matrix()
+    mbar = a0.mean_matrix()
     eigs = np.linalg.eigvalsh(mbar)
     if eigs[0] <= 0:
         raise ClassObstructionError(
@@ -687,30 +727,12 @@ def solve_monge_ampere(
             "data and the right side are inconsistent"
         )
 
-    # the iterate is kept as the half spectrum u_hat of u, with
-    # m = m_base + ddc(u), its smallest eigenvalue m_min and sq = 8 det(m),
-    # none recomputed; u itself is transformed back once, at the end
-    u_hat = np.zeros_like(geom.cross_re)
-    m = m_base
-    m_min = m.min_eigenvalue()
-    used_harmonic = m_min <= 0
-    if used_harmonic:
-        # harmonic start: cancel the oscillatory part of the base field
-        w, rem = potential_from_form(geom, m_base)
-        if rem > 1e-8:
-            raise NumericalFailureError(
-                "base field is not a Hessian perturbation of its mean; "
-                "cannot build a positive starting point"
-            )
-        u_hat = _rfft(w)
-        del w           # not held through the start's Hessian
-        u_hat *= -1
-        u_hat[0, 0, 0, 0] = 0.0
-        m = _spectral_hessian(geom, u_hat, m_base)
-        m_min = m.min_eigenvalue()
-        if m_min <= 0:
-            raise NumericalFailureError("harmonic start failed to reach positivity")
-
+    # the iterate is kept as the half spectrum psi_hat of psi, with
+    # m = a0 + ddc(psi) and sq = 8 det(m), neither recomputed; the start
+    # m = a0 and its sq are scalars, and u = psi - phi_U is transformed
+    # back once, at the end
+    psi_hat = np.zeros_like(geom.cross_re)
+    m = a0
     sq = square_density(m)
     f_start = sq
     symbol = _precondition_symbol(geom, mbar)
@@ -747,11 +769,12 @@ def solve_monge_ampere(
             step = 1.0
             while True:
                 trial_hat = step * delta_hat
-                trial_hat += u_hat
-                trial_m = _spectral_hessian(geom, trial_hat, m_base)
-                trial_min = trial_m.min_eigenvalue()
-                if trial_min > 0:
-                    trial_sq = square_density(trial_m)
+                trial_hat += psi_hat
+                trial_m = _spectral_hessian(geom, trial_hat, a0)
+                trial_sq = square_density(trial_m)
+                # a Hermitian 2x2 matrix is positive definite where its
+                # a11 and its determinant are
+                if float(np.min(trial_m.a11)) > 0 and float(np.min(trial_sq)) > 0:
                     trial_res = trial_sq - f_s
                     trial_res -= c_s
                     trial_sup = float(np.max(np.abs(trial_res)))
@@ -759,11 +782,18 @@ def solve_monge_ampere(
                         break
                 step /= 2
                 if step < STEP_FLOOR:
+                    floor = ROUNDOFF_FLOOR * np.finfo(float).eps * scale
+                    if res_sup <= floor:
+                        raise NumericalFailureError(
+                            f"residual {res_sup:.3e} at stage {s:g} is at the "
+                            f"roundoff floor {floor:.3e} of this equation and "
+                            f"cannot reach tol {tol:.3e}"
+                        )
                     raise NumericalFailureError(
                         f"line search exhausted at stage {s:g}; positivity or "
                         "decrease could not be maintained"
                     )
-            u_hat, m, m_min = trial_hat, trial_m, trial_min
+            psi_hat, m = trial_hat, trial_m
             sq, res, res_sup = trial_sq, trial_res, trial_sup
             # delta is not held through the next _pcg call, and the
             # accepted grids keep one name each
@@ -775,10 +805,14 @@ def solve_monge_ampere(
         residual_paths.append(path)
 
     # the iterate is final: the residual against the unshifted f is
-    # res + shift, and u is transformed back once
+    # res + shift, and u = psi - phi_U is transformed back once
     res += shift
-    u_hat[0, 0, 0, 0] = 0.0
-    u = _irfft(geom, u_hat)
+    margin = m.min_eigenvalue()
+    del m, sq       # not held through the transform back
+    if potential_hat is not None:
+        psi_hat -= potential_hat
+    psi_hat[0, 0, 0, 0] = 0.0
+    u = _irfft(geom, psi_hat)
     return MongeAmpereSolution(
         u=u,
         residual=res,
@@ -788,8 +822,8 @@ def solve_monge_ampere(
         cg_iterations=total_cg,
         stage_history=history,
         stage_residuals=residual_paths,
-        used_harmonic_start=used_harmonic,
-        positivity_margin=m_min,
+        used_harmonic_start=potential_hat is not None,
+        positivity_margin=margin,
     )
 
 
@@ -820,7 +854,7 @@ def solve_critical_equation(
     residual of the original phase equation, -sin(phi) times the
     solver's, alongside the solver's."""
     asm = assemble_equation(data)
-    ma = solve_monge_ampere(data.geom, asm.m_base, asm.f, tol=tol, **kwargs)
+    ma = solve_monge_ampere(data.geom, asm.a0, asm.potential_hat, asm.f, tol=tol, **kwargs)
     return SurfaceSolution(**vars(ma), phi=asm.phi)
 
 

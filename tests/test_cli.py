@@ -236,7 +236,8 @@ def test_solve_surface_tsv(capsys):
     assert float(rows["phi"][0]) == pytest.approx(-math.pi / 4, rel=1e-12)
     assert float(rows["residual_sup"][0]) < 1e-11
     assert float(rows["positivity_margin"][0]) > 0.9
-    assert rows["harmonic_start"] == ["false"]
+    # the twist has a potential, so the solve starts at u = -potential
+    assert rows["harmonic_start"] == ["true"]
     stages = [r for r in rows_of(out) if r[0] == "stage"]
     assert len(stages) == 1 and float(stages[0][1]) == 1.0
     lv = [r for r in rows_of(out) if r[0] == "largevolume"]
@@ -321,11 +322,25 @@ def test_numerical_failure_exit(tmp_path, capsys):
                        "alpha0": {"a11": "2", "a22": "3"},
                        "u1_potential": [
                            {"mode": [1, 0, 0, 0], "amplitude": 0.1,
+                            "phase": "cos"},
+                           {"mode": [0, 0, 1, 0], "amplitude": 0.08,
                             "phase": "cos"}],
                        "max_newton": 0}}
     rc, _, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
     assert rc == 65
     assert "numerical failure" in err
+
+
+def test_roundoff_floor_is_named(tmp_path, capsys):
+    # at metric 256 I the equation's scale |8 det a0| is about 1.4e9, so
+    # its roundoff floor lies far above tol 1e-11: the solve stops there
+    # and says so, not that the line search lost positivity or decrease
+    raw = json.load(open(TWO_MODE_CFG))
+    raw["surface"]["metric"] = {"a11": "256", "a12": "0", "a22": "256"}
+    rc, _, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 65
+    assert "roundoff floor" in err and "tol 1.000e-11" in err
+    assert "line search exhausted" not in err
 
 
 def torus_raw(**changes):

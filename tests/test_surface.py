@@ -17,6 +17,7 @@ from zcrit.surface import (
     _pcg,
     _precondition_symbol,
     _rfft,
+    _spectral_hessian,
     assemble_equation,
     ddc,
     potential_from_form,
@@ -474,7 +475,8 @@ def test_beta_equals_rotated_combination():
     )
     asm = assemble_equation(data)
     phi, s = asm.phi, asm.sin_phi
-    beta = (asm.m_base - data.alpha_harmonic()).scale(2.0)
+    m_base = _spectral_hessian(geom, asm.potential_hat, asm.a0)
+    beta = (m_base - data.alpha_harmonic()).scale(2.0)
     _, r1, _ = data.normalised_rho()
     om, u1, ah = data.omega(), data.u1_field(), data.alpha_harmonic()
     rot = np.exp(-1j * phi)
@@ -505,11 +507,12 @@ def test_residual_identity_for_generic_weights():
         rand_potential(geom, rng), rand_potential(geom, rng, scale=0.2),
     )
     asm = assemble_equation(data)
+    m_base = _spectral_hessian(geom, asm.potential_hat, asm.a0)
     for _ in range(3):
         hess = ddc(geom, rand_potential(geom, rng))
         alpha = data.alpha_harmonic() + hess
         lhs = (np.exp(-1j * asm.phi) * data.zt_density(alpha)).imag
-        rhs = -asm.sin_phi * (square_density(asm.m_base + hess) - asm.f)
+        rhs = -asm.sin_phi * (square_density(m_base + hess) - asm.f)
         assert np.allclose(lhs, rhs, atol=1e-9)
         rep = z_residual(data, alpha)
         assert np.allclose(rep.field, lhs, atol=1e-12)
@@ -524,9 +527,10 @@ def test_default_weights_give_constant_coefficients():
     asm = assemble_equation(data)
     cot = math.cos(asm.phi) / math.sin(asm.phi)
     # beta = 2 cot(phi) g, so gamma = wedge(beta, beta)/4 - f = -8 det g
-    assert np.allclose(asm.m_base.a11, 2.0 + cot * metric[0], atol=1e-12)
-    assert np.allclose(asm.m_base.a12, cot * metric[1], atol=1e-12)
-    assert np.allclose(asm.m_base.a22, 3.0 + cot * metric[2], atol=1e-12)
+    assert asm.potential_hat is None
+    assert np.allclose(asm.a0.a11, 2.0 + cot * metric[0], atol=1e-12)
+    assert np.allclose(asm.a0.a12, cot * metric[1], atol=1e-12)
+    assert np.allclose(asm.a0.a22, 3.0 + cot * metric[2], atol=1e-12)
     assert np.allclose(asm.f, 8 * (1 + cot ** 2) * det_g, atol=1e-10)
 
 
@@ -550,10 +554,10 @@ def test_volume_form_report():
     bad_f = asm.f - 20 * geom.mode_field([1, 0, 0, 0], 1.0)
     assert float(np.min(bad_f)) < 0
     with pytest.raises(ClassObstructionError, match="volume-form hypothesis"):
-        solve_monge_ampere(geom, asm.m_base, bad_f)
+        solve_monge_ampere(geom, asm.a0, None, bad_f)
     # a negative averaged class is refused before the density is looked at
     with pytest.raises(ClassObstructionError, match="class test"):
-        solve_monge_ampere(geom, FormField.constant(-5.0, 0.0, -1.0), asm.f)
+        solve_monge_ampere(geom, FormField.constant(-5.0, 0.0, -1.0), None, asm.f)
 
 
 def test_positivity_modes_disagree_off_average():
