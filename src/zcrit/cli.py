@@ -267,10 +267,7 @@ def cmd_solve_surface(args) -> int:
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 
     sol = solve_critical_equation(
-        data,
-        tol=params["tol"],
-        stages=params["stages"],
-        max_newton=params["max_newton"],
+        data, tol=params["tol"], max_newton=params["max_newton"]
     )
     if not sol.residual_sup <= params["tol"]:
         raise NumericalFailureError(
@@ -286,6 +283,7 @@ def cmd_solve_surface(args) -> int:
             {"u": sol.u, "z_residual": sol.z_residual_field},
         )
 
+    last = sol.residual_path[-1]
     if args.format == "json":
         _emit_json(
             {
@@ -299,11 +297,8 @@ def cmd_solve_surface(args) -> int:
                 "newton_iterations": sol.newton_iterations,
                 "cg_iterations": sol.cg_iterations,
                 "harmonic_start": sol.used_harmonic_start,
-                "stages": [
-                    {"s": s, "newton": n, "residual": r}
-                    for s, n, r in sol.stage_history
-                ],
-                "stage_residuals": sol.stage_residuals,
+                "stages": [{"s": 1.0, "newton": sol.newton_iterations, "residual": last}],
+                "stage_residuals": [sol.residual_path],
                 "large_volume": [
                     {
                         "k": row.k,
@@ -329,8 +324,7 @@ def cmd_solve_surface(args) -> int:
             ["cg_iterations", str(sol.cg_iterations)],
             ["harmonic_start", "true" if sol.used_harmonic_start else "false"],
         ]
-        for s, n, r in sol.stage_history:
-            rows.append(["stage", _fnum(s), str(n), _fnum(r)])
+        rows.append(["stage", _fnum(1.0), str(sol.newton_iterations), _fnum(last)])
         for row in lv_rows:
             rows.append(
                 [

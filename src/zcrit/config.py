@@ -423,9 +423,14 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str 
     except SurfaceError as exc:
         raise ConfigError(path, str(exc)) from None
 
+    # stages is still read so that a config asking for a homotopy fails
+    # rather than silently running a single solve
+    if parse_int(sec.get("stages", 1), path + ".stages") != 1:
+        raise ConfigError(
+            path + ".stages", "only 1 is accepted: the solver runs one Newton solve"
+        )
     params = {
         "tol": _parse_tol(sec.get("tol", 1e-8), path + ".tol"),
-        "stages": parse_int(sec.get("stages", 10), path + ".stages", minimum=1),
         # 0 is a valid budget: a solve that needs any Newton step then fails
         "max_newton": parse_int(
             sec.get("max_newton", 50), path + ".max_newton", minimum=0

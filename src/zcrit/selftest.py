@@ -394,8 +394,8 @@ def _criterion_9(rng: random.Random) -> Tuple[bool, str]:
                     and float(np.max(np.abs(sol_p.u - (-v)))) < 1e-10)
 
     two = flat.perturb_u1(0.1 * np.cos(2 * np.pi * x[0]) + 0.08 * np.cos(2 * np.pi * x[2]))
-    sol_two = solve_critical_equation(two, tol=1e-11, stages=1)
-    path = sol_two.stage_residuals[-1]
+    sol_two = solve_critical_equation(two, tol=1e-11)
+    path = sol_two.residual_path
     ratios = [path[i + 1] / path[i] ** 2
               for i in range(len(path) - 1)
               if path[i] < 1.0 and path[i + 1] > 1e-10]

@@ -307,6 +307,19 @@ def test_solve_surface_json_reports_the_residual_path(capsys):
         "harmonic_start", "stage"]
 
 
+def test_stages_key_is_optional(tmp_path, capsys):
+    # without the key the solve is the one Newton solve that stages: 1 asks for
+    raw = json.load(open(TWO_MODE_CFG))
+    raw["surface"].pop("stages", None)
+    rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 0, err
+    raw["surface"]["stages"] = 1
+    rc_one, out_one, _ = run(capsys, "solve-surface", "--config",
+                             write_cfg(tmp_path, raw, "one.json"))
+    assert rc_one == 0
+    assert out_one == out
+
+
 def test_obstruction_exit(tmp_path, capsys):
     raw = {"surface": {"N": 8, "preset": "dhym",
                        "metric": {"a11": "1", "a22": "1"},
@@ -376,6 +389,7 @@ F_CH = {"1": "2", "h^2": "-2"}
      "manifold.dimension"),
     (["solve-surface"], torus_raw(N="abc"), "surface.N"),
     (["solve-surface"], torus_raw(stages=0), "surface.stages"),
+    (["solve-surface"], torus_raw(stages=2), "surface.stages"),
     (["solve-surface"], torus_raw(max_newton=-1), "surface.max_newton"),
     (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 0, 0, 0]}, {"mode": [5, 0, 0, 0]}]),
      r"surface.u1_potential\[1\].mode"),
@@ -409,7 +423,7 @@ F_CH = {"1": "2", "h^2": "-2"}
      r"stability.candidates\[0\].name: expected a non-empty string"),
     (["stability"], dhym_raw("stability", candidates=[{"name": 5, "ch": F_CH}]),
      r"stability.candidates\[0\].name: expected a non-empty string"),
-], ids=["dimension", "N", "stages", "max_newton", "aliased-mode", "float-mode",
+], ids=["dimension", "N", "stages", "stages-two", "max_newton", "aliased-mode", "float-mode",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",

@@ -256,7 +256,7 @@ def surface_section():
             {"mode": [0, 1, 2, 0], "amplitude": 0.05, "phase": "sin"},
         ],
         "tol": 1e-9,
-        "stages": 4,
+        "stages": 1,
         "k_values": ["10", 100],
     }
 
@@ -272,7 +272,8 @@ def test_surface_section_builds_charge_data():
         data.geom.mode_field([0, 1, 2, 0], 0.05, "sin")
     assert np.allclose(data.u1_potential, expected)
     assert params["tol"] == 1e-9
-    assert params["stages"] == 4
+    # stages is accepted as 1 and is not a solver parameter
+    assert "stages" not in params
     assert params["k_values"] == [10.0, 100.0]
     assert params["dump"] is None
     # negative k is a valid sample point; only 0 and non-finite k are rejected
@@ -318,6 +319,12 @@ def test_surface_section_errors():
     sec = surface_section()
     sec["u1_potential"][0]["phase"] = "tan"
     with pytest.raises(ConfigError, match="cos or sin"):
+        surface_from_section(sec)
+
+    # the solver runs no homotopy, so a config asking for one fails
+    sec = surface_section()
+    sec["stages"] = 4
+    with pytest.raises(ConfigError, match="surface.stages"):
         surface_from_section(sec)
 
     sec = surface_section()

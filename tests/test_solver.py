@@ -8,6 +8,7 @@ from zcrit.surface import (
     ClassObstructionError,
     NumericalFailureError,
     SurfaceChargeData,
+    SurfaceError,
     TorusGeometry,
     assemble_equation,
     ddc,
@@ -30,9 +31,9 @@ def test_constant_data_solves_to_zero():
     assert sol.positivity_margin > 0
     assert abs(sol.shift) < 1e-10
     assert not sol.used_harmonic_start
-    assert len(sol.stage_history) == 10
-    assert [s for s, _, _ in sol.stage_history] == pytest.approx(
-        [i / 10 for i in range(1, 11)])
+    # the start is the solution: one residual, no Newton step
+    assert len(sol.residual_path) == 1
+    assert sol.newton_iterations == 0
 
 
 def test_single_mode_perturbation_has_exact_solution():
@@ -65,7 +66,7 @@ def test_generic_perturbation_converges_quadratically():
     v = 0.1 * np.cos(2 * np.pi * x[0]) + 0.08 * np.cos(2 * np.pi * (x[2] + x[1]))
     sol = solve_critical_equation(data.perturb_u1(v), tol=1e-11, stages=1)
     assert sol.residual_sup < 1e-10
-    path = sol.stage_residuals[-1]
+    path = sol.residual_path
     assert path == sorted(path, reverse=True)
     # once inside the basin the error square-contracts
     pairs = [(a, b) for a, b in zip(path, path[1:]) if a < 1.0 and b > 1e-10]
@@ -208,11 +209,17 @@ def test_failed_volume_hypothesis_is_an_obstruction():
         solve_critical_equation(data)
 
 
-def test_exhausted_linear_solver_reports_numerical_failure():
+def test_exhausted_linear_solver_reports_numerical_failure(monkeypatch):
     # a single mode solves at the start, so the two-mode twist is needed
     # to reach conjugate gradients
+    monkeypatch.setattr(surface, "CG_MAX", 0)
     with pytest.raises(NumericalFailureError, match="conjugate gradients"):
-        solve_critical_equation(two_mode_data(), cg_max=0, stages=1)
+        solve_critical_equation(two_mode_data(), stages=1)
+
+
+def test_stages_other_than_one_are_rejected():
+    with pytest.raises(SurfaceError, match="stages=2"):
+        solve_critical_equation(two_mode_data(), stages=2)
 
 
 def test_newton_budget_enforced():
@@ -269,7 +276,7 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     x = data.geom.coordinates()
     a1, a2 = {"flat": (0.0, 0.0), "newton": (0.1, 0.05), "harmonic": (0.3, 0.0)}[case]
     pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
-    sol = solve_critical_equation(pert, tol=1e-10, stages=2)
+    sol = solve_critical_equation(pert, tol=1e-10)
     # every case has a twist potential (zero for flat), so every solve
     # starts at u = -potential
     assert sol.used_harmonic_start
