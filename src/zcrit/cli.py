@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .charge import ChargeError, central_charge
 from .config import (
@@ -48,17 +48,36 @@ EXIT_INTERNAL = 70   # EX_SOFTWARE
 _STATUS_EXIT = {"stable": EXIT_OK, "unstable": EXIT_UNSTABLE, "semistable": EXIT_SEMISTABLE}
 
 
-def _emit_tsv(rows: List[List[str]]) -> None:
-    out = "".join("\t".join(row) + "\n" for row in rows)
+def _cell(v) -> str:
+    """One TSV cell: None is '-', a bool is true/false, a float is its
+    shortest round-trip repr (float() first, since numpy 2 scalars repr
+    as np.float64(...)), and anything else is str(v)."""
+    if v is None:
+        return "-"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def _text(v) -> Optional[str]:
+    """An exact number as a JSON string, None kept."""
+    return None if v is None else str(v)
+
+
+def _head(fields: dict) -> List[list]:
+    """One TSV row per field, a list value spread over its cells."""
+    return [[k, *v] if isinstance(v, list) else [k, v] for k, v in fields.items()]
+
+
+def _emit(fmt: str, doc: dict, rows: Iterable[Sequence]) -> None:
+    """Write doc as a JSON document, or rows as TSV under the cell rule."""
+    if fmt == "json":
+        out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        out = "".join("\t".join(map(_cell, row)) + "\n" for row in rows)
     sys.stdout.write(out)
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _fnum(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +92,9 @@ def cmd_charge(args) -> int:
         raise ConfigError("charge.object", "no sheaf named; use --sheaf or charge.object")
     ch = cfg.sheaf(sheaf, "--sheaf" if args.sheaf else "charge.object")
     z = central_charge(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch)
-    degrees = list(range(len(z) - 1, -1, -1))
-    if args.format == "json":
-        _emit_json(
-            {
-                "sheaf": sheaf,
-                "coefficients": {f"k^{d}": z[d].to_json() for d in degrees},
-            }
-        )
-    else:
-        _emit_tsv([[f"k^{d}", str(z[d])] for d in degrees])
+    terms = [(f"k^{d}", z[d]) for d in range(len(z) - 1, -1, -1)]
+    doc = {"sheaf": sheaf, "coefficients": {k: c.to_json() for k, c in terms}}
+    _emit(args.format, doc, terms)
     return EXIT_OK
 
 
@@ -94,44 +106,14 @@ def cmd_stability(args) -> int:
     ch_e = cfg.sheaf(sec["object"], "stability.object")
     cands = candidates_from_section(cfg, sec.get("candidates"), "stability.candidates")
     report = stability_verdict(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, cands)
-    if args.format == "json":
-        _emit_json(
-            {
-                "status": report.status,
-                "witness": report.witness,
-                "order": report.order,
-                "candidates": [
-                    {
-                        "name": cv.name,
-                        "kind": cv.kind,
-                        "relation": cv.verdict.relation.value,
-                        "order": cv.verdict.order,
-                        "leading": None
-                        if cv.verdict.leading is None
-                        else str(cv.verdict.leading),
-                    }
-                    for cv in report.details
-                ],
-            }
-        )
-    else:
-        rows = [
-            ["status", report.status],
-            ["witness", report.witness if report.witness is not None else "-"],
-            ["order", str(report.order) if report.order is not None else "-"],
-        ]
-        for cv in report.details:
-            rows.append(
-                [
-                    "candidate",
-                    cv.name,
-                    cv.kind,
-                    cv.verdict.relation.value,
-                    str(cv.verdict.order) if cv.verdict.order is not None else "-",
-                    str(cv.verdict.leading) if cv.verdict.leading is not None else "-",
-                ]
-            )
-        _emit_tsv(rows)
+    head = {"status": report.status, "witness": report.witness, "order": report.order}
+    details = [
+        {"name": cv.name, "kind": cv.kind, "relation": cv.verdict.relation.value,
+         "order": cv.verdict.order, "leading": _text(cv.verdict.leading)}
+        for cv in report.details
+    ]
+    rows = _head(head) + [["candidate", *d.values()] for d in details]
+    _emit(args.format, {**head, "candidates": details}, rows)
     return _STATUS_EXIT[report.status]
 
 
@@ -152,63 +134,28 @@ def cmd_walls(args) -> int:
     if "direction" not in sec:
         raise ConfigError("walls.direction", "B-field direction class is required")
     b_dir = parse_class(cfg.ring, sec["direction"], "walls.direction")
-    b_base = (
-        parse_class(cfg.ring, sec["base"], "walls.base") if "base" in sec else None
-    )
+    b_base = parse_class(cfg.ring, sec["base"], "walls.base") if "base" in sec else None
     preset = sec.get("preset", cfg.charge_preset_name)
     if preset is None:
-        raise ConfigError(
-            "walls.preset", "scan needs a charge preset (dhym or todd)"
-        )
-    report = wall_scan(
-        cfg.ring, cfg.omega, ch_e, cands, b_base, b_dir, t_min, t_max, preset
-    )
-    if args.format == "json":
-        _emit_json(
-            {
-                "range": [str(report.t_min), str(report.t_max)],
-                "preset": preset,
-                "cells": [
-                    {
-                        "left": str(c.t_left),
-                        "right": str(c.t_right),
-                        "sample": str(c.sample),
-                        "status": c.report.status,
-                    }
-                    for c in report.cells
-                ],
-                "walls": [
-                    {
-                        "location": w.location_str(),
-                        "exact": None if w.exact is None else str(w.exact),
-                        "enclosure": [str(w.lo), str(w.hi)],
-                        "status": w.report.status,
-                        "status_left": w.status_left,
-                        "status_right": w.status_right,
-                    }
-                    for w in report.walls
-                ],
-            }
-        )
-    else:
-        rows = [["range", str(report.t_min), str(report.t_max)], ["preset", preset]]
-        for c in report.cells:
-            rows.append(
-                ["cell", str(c.t_left), str(c.t_right), str(c.sample), c.report.status]
-            )
-        for w in report.walls:
-            rows.append(
-                [
-                    "wall",
-                    w.location_str(),
-                    str(w.lo),
-                    str(w.hi),
-                    w.status_left or "-",
-                    w.report.status,
-                    w.status_right or "-",
-                ]
-            )
-        _emit_tsv(rows)
+        raise ConfigError("walls.preset", "scan needs a charge preset (dhym or todd)")
+    report = wall_scan(cfg.ring, cfg.omega, ch_e, cands, b_base, b_dir, t_min, t_max, preset)
+    head = {"range": [str(report.t_min), str(report.t_max)], "preset": preset}
+    cells = [
+        {"left": str(c.t_left), "right": str(c.t_right), "sample": str(c.sample),
+         "status": c.report.status}
+        for c in report.cells
+    ]
+    walls = [
+        {"location": w.location_str(), "exact": _text(w.exact),
+         "enclosure": [str(w.lo), str(w.hi)], "status": w.report.status,
+         "status_left": w.status_left, "status_right": w.status_right}
+        for w in report.walls
+    ]
+    rows = _head(head) + [["cell", *c.values()] for c in cells]
+    # the wall row puts the enclosure after the location and has no exact
+    rows += [["wall", w["location"], *w["enclosure"], w["status_left"], w["status"],
+              w["status_right"]] for w in walls]
+    _emit(args.format, {**head, "cells": cells, "walls": walls}, rows)
     return EXIT_OK
 
 
@@ -219,41 +166,21 @@ def cmd_tau(args) -> int:
         raise ConfigError("tau.object", "name of the filtered object is required")
     ch_e = cfg.sheaf(sec["object"], "tau.object")
     graph = graph_from_section(cfg, sec, "tau")
-    system = assemble_tau_system(
-        cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, graph
-    )
+    system = assemble_tau_system(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, graph)
     cap = parse_fraction(sec.get("cap", 1), "tau.cap")
     if cap <= 0:
         raise ConfigError("tau.cap", f"the margin cap must be positive, got {cap}")
     solution = solve_tau_positive(system, cap=cap)
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": system.order,
-                "profile": {
-                    q.name: str(b) for q, b in zip(graph.quotients, system.b)
-                },
-                "feasible": solution.feasible,
-                "margin": None if solution.margin is None else str(solution.margin),
-                "tau": None
-                if solution.tau is None
-                else [str(t) for t in solution.tau],
-                "certificate": solution.certificate.get("kind"),
-            }
-        )
-    else:
-        rows = [["order", str(system.order) if system.order is not None else "-"]]
-        for q, b in zip(graph.quotients, system.b):
-            rows.append(["profile", q.name, str(b)])
-        rows.append(["feasible", "true" if solution.feasible else "false"])
-        rows.append(
-            ["margin", str(solution.margin) if solution.margin is not None else "-"]
-        )
-        if solution.tau is not None:
-            for idx, (edge, t) in enumerate(zip(graph.edges, solution.tau)):
-                rows.append(["tau", str(idx), f"{edge[0]}->{edge[1]}", str(t)])
-        rows.append(["certificate", solution.certificate.get("kind", "-")])
-        _emit_tsv(rows)
+    profile = [(q.name, str(b)) for q, b in zip(graph.quotients, system.b)]
+    tau = None if solution.tau is None else [str(t) for t in solution.tau]
+    head = {"order": system.order, "feasible": solution.feasible,
+            "margin": _text(solution.margin), "certificate": solution.certificate.get("kind")}
+    order, feasible, margin, certificate = _head(head)
+    rows = [order, *(["profile", *p] for p in profile), feasible, margin]
+    rows += [["tau", i, f"{edge[0]}->{edge[1]}", t]
+             for i, (edge, t) in enumerate(zip(graph.edges, tau or []))]
+    rows.append(certificate)
+    _emit(args.format, {**head, "profile": dict(profile), "tau": tau}, rows)
     return EXIT_OK if solution.feasible else EXIT_UNSTABLE
 
 
@@ -266,78 +193,42 @@ def cmd_solve_surface(args) -> int:
 
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 
-    sol = solve_critical_equation(
-        data, tol=params["tol"], max_newton=params["max_newton"]
-    )
+    sol = solve_critical_equation(data, tol=params["tol"], max_newton=params["max_newton"])
     if not sol.residual_sup <= params["tol"]:
         raise NumericalFailureError(
             f"final residual {sol.residual_sup:.3e} exceeds tol {params['tol']:.3e}"
         )
-    lv_rows = (
-        large_volume_check(data, params["k_values"]) if params["k_values"] else []
-    )
+    lv_rows = large_volume_check(data, params["k_values"]) if params["k_values"] else []
     if params["dump"]:
-        write_field_dump(
-            params["dump"],
-            data.geom.size,
-            {"u": sol.u, "z_residual": sol.z_residual_field},
-        )
+        write_field_dump(params["dump"], data.geom.size,
+                         {"u": sol.u, "z_residual": sol.z_residual_field})
 
-    last = sol.residual_path[-1]
-    if args.format == "json":
-        _emit_json(
-            {
-                "N": data.geom.size,
-                "phi": sol.phi,
-                "residual_sup": sol.residual_sup,
-                "z_residual_sup": sol.z_residual_sup,
-                "z_residual_mean": sol.z_residual_mean,
-                "shift": sol.shift,
-                "positivity_margin": sol.positivity_margin,
-                "newton_iterations": sol.newton_iterations,
-                "cg_iterations": sol.cg_iterations,
-                "harmonic_start": sol.used_harmonic_start,
-                "stages": [{"s": 1.0, "newton": sol.newton_iterations, "residual": last}],
-                "stage_residuals": [sol.residual_path],
-                "large_volume": [
-                    {
-                        "k": row.k,
-                        "measured_sup": row.measured_sup,
-                        "predicted_sup": row.predicted_sup,
-                        "relative_error": row.relative_error,
-                    }
-                    for row in lv_rows
-                ],
-                "dump": params["dump"],
-            }
-        )
-    else:
-        rows = [
-            ["N", str(data.geom.size)],
-            ["phi", _fnum(sol.phi)],
-            ["residual_sup", _fnum(sol.residual_sup)],
-            ["z_residual_sup", _fnum(sol.z_residual_sup)],
-            ["z_residual_mean", _fnum(sol.z_residual_mean)],
-            ["shift", _fnum(sol.shift)],
-            ["positivity_margin", _fnum(sol.positivity_margin)],
-            ["newton_iterations", str(sol.newton_iterations)],
-            ["cg_iterations", str(sol.cg_iterations)],
-            ["harmonic_start", "true" if sol.used_harmonic_start else "false"],
-        ]
-        rows.append(["stage", _fnum(1.0), str(sol.newton_iterations), _fnum(last)])
-        for row in lv_rows:
-            rows.append(
-                [
-                    "largevolume",
-                    _fnum(row.k),
-                    _fnum(row.measured_sup),
-                    _fnum(row.predicted_sup),
-                    _fnum(row.relative_error),
-                ]
-            )
-        if params["dump"]:
-            rows.append(["dump", params["dump"]])
-        _emit_tsv(rows)
+    head = {
+        "N": data.geom.size,
+        "phi": sol.phi,
+        "residual_sup": sol.residual_sup,
+        "z_residual_sup": sol.z_residual_sup,
+        "z_residual_mean": sol.z_residual_mean,
+        "shift": sol.shift,
+        "positivity_margin": sol.positivity_margin,
+        "newton_iterations": sol.newton_iterations,
+        "cg_iterations": sol.cg_iterations,
+        "harmonic_start": sol.used_harmonic_start,
+    }
+    stage = {"s": 1.0, "newton": sol.newton_iterations, "residual": sol.residual_path[-1]}
+    large_volume = [
+        {"k": row.k, "measured_sup": row.measured_sup, "predicted_sup": row.predicted_sup,
+         "relative_error": row.relative_error}
+        for row in lv_rows
+    ]
+    dump = {"dump": params["dump"]}
+    rows = _head(head) + [["stage", *stage.values()]]
+    rows += [["largevolume", *row.values()] for row in large_volume]
+    if params["dump"]:
+        rows += _head(dump)
+    doc = {**head, "stages": [stage], "stage_residuals": [sol.residual_path],
+           "large_volume": large_volume, **dump}
+    _emit(args.format, doc, rows)
     return EXIT_OK
 
 
@@ -360,12 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument(
-            "--format", choices=("tsv", "json"), default="tsv", help="output format"
-        )
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON configuration file")
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv", help="output format")
 
     p = sub.add_parser("charge", help="print exact central charge coefficients")
     add_common(p)
@@ -392,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument(
-        "--only", type=int, default=None, help="run a single criterion by number"
-    )
+    p.add_argument("--only", type=int, default=None, help="run a single criterion by number")
     p.set_defaults(handler=cmd_selftest)
     return parser
 
@@ -411,19 +297,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RingError, ChargeError, StabilityError, ExtensionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ClassObstructionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SurfaceError as exc:
+    except (ConfigError, RingError, ChargeError, StabilityError, ExtensionError,
+            SurfaceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

@@ -161,11 +161,6 @@ class GradedClass:
     def coefficient(self, name: str) -> Fraction:
         return self.coeffs.get(name, Fraction(0))
 
-    def component(self, degree: int) -> "GradedClass":
-        return GradedClass(self.ring, {
-            k: v for k, v in self.coeffs.items() if self.ring.degree_of(k) == degree
-        })
-
     def degree0(self) -> Fraction:
         return self.coefficient(self.ring.unit_name)
 
@@ -200,14 +195,6 @@ class GradedClass:
                 for k, c in self.ring._pair_product(i, j).items():
                     out[k] = out.get(k, Fraction(0)) + a * b * c
         return GradedClass(self.ring, out)
-
-    def __pow__(self, exponent: int) -> "GradedClass":
-        if exponent < 0:
-            raise RingError("negative powers are not defined; use power_series_apply")
-        acc = self.ring.unit()
-        for _ in range(exponent):
-            acc = acc * self
-        return acc
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedClass)

@@ -443,16 +443,9 @@ class SurfaceChargeData:
             self.u1_const, base + potential, self.u2,
         )
 
-    def zt_density(
-        self, alpha: FormField, k: float = 1.0, u1: Optional[FormField] = None
-    ) -> np.ndarray:
-        """Complex density of the normalised charge integrand at scale k.
-
-        u1 is this data's u1_field(), for callers that already hold it.
-        """
-        if u1 is None:
-            u1 = self.u1_field()
-        return self._zt(alpha, k, u1, self.u2_density())
+    def zt_density(self, alpha: FormField, k: float = 1.0) -> np.ndarray:
+        """Complex density of the normalised charge integrand at scale k."""
+        return self._zt(alpha, k, self.u1_field(), self.u2_density())
 
     def _zt(self, alpha: FormField, k: float, u1: FormField, u2) -> np.ndarray:
         """zt_density with the u2 density given."""
@@ -465,21 +458,21 @@ class SurfaceChargeData:
             + real_part
         )
 
-    def total_charge(self, k: float = 1.0, u1: Optional[FormField] = None) -> complex:
-        """Grid mean of zt_density(alpha_harmonic(), k, u1).
+    def total_charge(self, k: float = 1.0) -> complex:
+        """Grid mean of zt_density(alpha_harmonic(), k), a class quantity.
 
         With alpha constant the density is affine in U1 and u2, so its
-        mean is the density at their means; no grid is built.
+        mean is the density at their means. ddc of the twist potential
+        has mean zero, so the mean of U1 is u1_const: the charge depends
+        on rho, alpha0, metric, u1_const and the mean of u2 only, and no
+        grid is built.
         """
-        if u1 is None:
-            u1 = self.u1_field()
-        mean = u1.mean_matrix()
-        u1_mean = FormField.constant(mean[0, 0].real, mean[0, 1], mean[1, 1].real)
         u2_mean = np.mean(self.u2_density())
+        u1_mean = FormField.constant(*self.u1_const)
         return complex(self._zt(self.alpha_harmonic(), k, u1_mean, u2_mean))
 
-    def phase(self, u1: Optional[FormField] = None) -> float:
-        z = self.total_charge(u1=u1)
+    def phase(self) -> float:
+        z = self.total_charge()
         if z == 0:
             raise SurfaceError("total charge vanishes; phase undefined")
         return float(np.angle(z))
@@ -504,7 +497,7 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     alpha0 + beta/2, and f = wedge(beta, beta)/4 - gamma of the module
     docstring; the twist field, beta and gamma are freed on return."""
     u1, potential_hat = data._u1_and_potential_hat()
-    phi = data.phase(u1)
+    phi = data.phase()
     s = float(np.sin(phi))
     if abs(s) < 1e-12:
         raise SurfaceError(
@@ -858,9 +851,8 @@ def z_residual(data: SurfaceChargeData, alpha: FormField) -> ZResidualReport:
     of the density is determined by the class alone and phi is chosen
     to cancel it. It evaluates the charge density, not the solver residual.
     """
-    u1 = data.u1_field()
-    zt = data.zt_density(alpha, u1=u1)
-    res = np.broadcast_to((np.exp(-1j * data.phase(u1)) * zt).imag, data.geom.shape)
+    zt = data.zt_density(alpha)
+    res = np.broadcast_to((np.exp(-1j * data.phase()) * zt).imag, data.geom.shape)
     return ZResidualReport(res, float(np.max(np.abs(res))), float(np.mean(res)))
 
 
@@ -893,10 +885,10 @@ def large_volume_check(
     the averaged linear equation.
     """
     alpha = data.alpha_harmonic()
-    u1 = data.u1_field()
+    u1, u2 = data.u1_field(), data.u2_density()
 
     def pairing(kk: float) -> np.ndarray:
-        zt = data.zt_density(alpha, kk, u1)
+        zt = data._zt(alpha, kk, u1, u2)
         zk = complex(np.mean(zt))
         return (np.conj(zk) * zt).imag
 

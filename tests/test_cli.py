@@ -154,6 +154,37 @@ def test_walls_on_the_rescaled_pair(tmp_path, capsys):
     assert wall[1].startswith("[") and wall[4:] == ["stable", "stable", "stable"]
 
 
+def test_walls_json_on_the_rescaled_pair(tmp_path, capsys):
+    # an irrational wall has no exact value and is located by its enclosure
+    raw = {"manifold": {"preset": "projective_space", "dimension": 2},
+           "charge": {"preset": "dhym"},
+           "sheaves": {"E": {"ch": {"1": "3", "h": "1", "h^2": "4"}},
+                       "F": {"ch": {"1": "2", "h": "-3", "h^2": "-2"}}},
+           "walls": {"object": "E", "candidates": [{"name": "F"}],
+                     "direction": {"h": "1"}, "range": ["-3", "3"]}}
+    rc, out, err = run(capsys, "walls", "--config", write_cfg(tmp_path, raw),
+                       "--format", "json")
+    assert rc == 0, err
+    (wall,) = json.loads(out)["walls"]
+    assert wall["exact"] is None
+    lo, hi = wall["enclosure"]
+    assert wall["location"] == f"[{lo}, {hi}]"
+
+
+def test_stability_json_without_a_bfield(tmp_path, capsys):
+    raw = json.load(open(DHYM_CFG))
+    del raw["charge"]["bfield"]
+    rc, out, _ = run(capsys, "stability", "--config", write_cfg(tmp_path, raw),
+                     "--format", "json")
+    assert rc == 3
+    doc = json.loads(out)
+    assert doc["order"] is None
+    assert doc["candidates"] == [
+        {"name": "F", "kind": "subbundle", "relation": "Equal",
+         "order": None, "leading": None}
+    ]
+
+
 def run_fresh_python(code):
     """stdout of code run in a new interpreter from the repository root"""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -226,6 +257,73 @@ def test_tau_json(capsys):
     assert doc["margin"] == "8/27"
     assert doc["tau"] == ["8/27"]
     assert doc["certificate"] == "primal"
+
+
+def test_tau_without_edges(tmp_path, capsys):
+    # no edge can carry the profile: no margin, no tau, and the
+    # inconsistency certificate
+    cfg = write_cfg(tmp_path, tau_raw(edges=[]))
+    rc, out, _ = run(capsys, "tau", "--config", cfg)
+    assert rc == 2
+    assert rows_of(out) == [
+        ["order", "3"],
+        ["profile", "Q", "-8/27"],
+        ["profile", "F", "8/27"],
+        ["feasible", "false"],
+        ["margin", "-"],
+        ["certificate", "inconsistent"],
+    ]
+    rc, out, _ = run(capsys, "tau", "--config", cfg, "--format", "json")
+    assert rc == 2
+    assert json.loads(out) == {
+        "order": 3, "profile": {"Q": "-8/27", "F": "8/27"}, "feasible": False,
+        "margin": None, "tau": None, "certificate": "inconsistent"}
+
+
+def test_tau_margin_is_capped_on_a_cycle(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tau_raw(edges=[[0, 1], [1, 0]]))
+    rc, out, _ = run(capsys, "tau", "--config", cfg)
+    assert rc == 0
+    assert rows_of(out)[4:] == [
+        ["margin", "1"],
+        ["tau", "0", "0->1", "35/27"],
+        ["tau", "1", "1->0", "1"],
+        ["certificate", "primal"],
+    ]
+    rc, out, _ = run(capsys, "tau", "--config", cfg, "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["margin"], doc["tau"], doc["certificate"]) == ("1", ["35/27", "1"], "primal")
+
+
+def cell(value):
+    """The documented TSV rule for one JSON value."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("config", sorted(os.listdir("configs")))
+@pytest.mark.parametrize("command", ["charge", "stability", "walls", "tau", "solve-surface"])
+def test_tsv_head_rows_match_json(capsys, command, config):
+    # a TSV head row is named after a scalar JSON field and carries its
+    # value; the walls range is the one list, spread over its cells
+    path = os.path.join("configs", config)
+    rc, out, err = run(capsys, command, "--config", path)
+    rc_json, out_json, err_json = run(capsys, command, "--config", path, "--format", "json")
+    assert (rc, err) == (rc_json, err_json)
+    if rc not in (0, 2, 3):
+        return
+    doc = json.loads(out_json)
+    head = {k: [cell(v)] for k, v in doc.items() if not isinstance(v, (dict, list))}
+    if "range" in doc:
+        head["range"] = [cell(v) for v in doc["range"]]
+    rows = [row for row in rows_of(out) if row[0] in head]
+    assert rows or command == "charge"
+    for row in rows:
+        assert row[1:] == head[row[0]]
 
 
 def test_solve_surface_tsv(capsys):

@@ -365,13 +365,13 @@ def test_scalar_constant_forms_match_full_grids():
     data = SurfaceChargeData(geom, (1.0, 0.2 - 0.3j, 2.0), (-1.0, 0.7 + 0.4j, 0.3),
                              (2.0, 0.1j, 3.0), (0.05, 0.02 + 0.01j, -0.04),
                              rand_potential(geom, rng))
-    u1 = data.u1_field()
+    u1, u2 = data.u1_field(), data.u2_density()
     u1_full = ref_constant(geom, *data.u1_const) + ddc(geom, data.u1_potential)
-    assert np.array_equal(data.zt_density(data.alpha_harmonic(), 3.0, u1),
-                          data.zt_density(ref_constant(geom, *data.alpha0), 3.0, u1_full))
+    assert np.array_equal(data._zt(data.alpha_harmonic(), 3.0, u1, u2),
+                          data._zt(ref_constant(geom, *data.alpha0), 3.0, u1_full, u2))
     rot = np.exp(-1j * data.phase())
     assert np.array_equal(z_residual(data, field).field,
-                          (rot * data.zt_density(field, u1=u1_full)).imag)
+                          (rot * data._zt(field, 1.0, u1_full, u2)).imag)
     # with every input constant the residual is computed once, in scalar
     # arithmetic, which may round differently from array arithmetic
     flat = SurfaceChargeData.dhym(geom, (1.0, 0.5j, 2.0), (2.0, 0.0, 3.0))
@@ -403,6 +403,19 @@ def test_total_charge_from_means_matches_grid_mean(seed):
     for k in (1.0, -2.5, 10.0):
         z, ref = data.total_charge(k), ref_total_charge(data, k)
         assert abs(z - ref) <= 1e-12 * abs(ref)
+
+
+def test_phase_is_a_class_quantity():
+    # ddc of the twist potential has mean zero, so the total charge and
+    # the phase are the same for every potential in the (1,1) class
+    geom = TorusGeometry(16)
+    rng = random.Random(14)
+    data = SurfaceChargeData(geom, (1.0, 0.25 + 0.125j, 2.0), (-1.0, 1j, 0.5),
+                             (2.0, 0.0, 3.0), (0.3, 0.1 + 0.05j, 0.2))
+    for _ in range(20):
+        moved = data.perturb_u1(rand_potential(geom, rng, scale=0.05))
+        assert moved.phase() == data.phase()
+        assert moved.total_charge(3.0) == data.total_charge(3.0)
 
 
 @pytest.mark.parametrize("n", [8, 16])
