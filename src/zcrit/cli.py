@@ -200,8 +200,12 @@ def cmd_solve_surface(args) -> int:
         )
     lv_rows = large_volume_check(data, params["k_values"]) if params["k_values"] else []
     if params["dump"]:
-        write_field_dump(params["dump"], data.geom.size,
-                         {"u": sol.u, "z_residual": sol.z_residual_field})
+        try:
+            write_field_dump(params["dump"], data.geom.size,
+                             {"u": sol.u, "z_residual": sol.z_residual_field})
+        except OSError as exc:
+            raise ConfigError("surface.dump",
+                              f"cannot write {params['dump']!r}: {exc.strerror or exc}") from None
 
     head = {
         "N": data.geom.size,

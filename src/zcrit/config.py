@@ -242,10 +242,14 @@ def _build_sheaves(raw: dict, ring: NumericalRing) -> Dict[str, ChernCharacter]:
 def load_raw(path: str) -> dict:
     """Parse the JSON file, reporting position on syntax errors."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(path, "file not found") from None
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read the file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(raw, dict):
@@ -342,6 +346,9 @@ def parse_mode_sum(geom, terms, path: str):
             raise ConfigError(p + ".mode", "mode must be four integers")
         mode = [parse_int(m, f"{p}.mode[{j}]") for j, m in enumerate(mode)]
         amp = parse_float(term.get("amplitude", 1), p + ".amplitude")
+        if not math.isfinite(amp):
+            raise ConfigError(p + ".amplitude",
+                              f"amplitude must be finite, got {term['amplitude']!r}")
         phase = term.get("phase", "cos")
         if phase not in ("cos", "sin"):
             raise ConfigError(p + ".phase", f"phase must be cos or sin, got {phase!r}")
@@ -371,12 +378,13 @@ def _parse_k_values(value, path: str) -> List[float]:
     return out
 
 
-def surface_from_section(sec: dict, n_override: Optional[int] = None, path: str = "surface",
+def surface_from_section(sec: dict, n_override: Optional[int] = None,
                          tol_override: Optional[float] = None):
-    """Build the torus charge data and solver parameters from a config
+    """Build the torus charge data and solver parameters from the surface
     section; n_override and tol_override stand for the --N and --tol flags."""
     from .surface import DHYM_RHO, SurfaceChargeData, TorusGeometry
 
+    path = "surface"
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
     if n_override is not None:

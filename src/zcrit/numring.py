@@ -246,15 +246,13 @@ def _series_coefficient(series: str, j: int) -> Fraction:
             c *= (Fraction(1, 2) - m)
             c /= (m + 1)
         return c
-    if series == "inverse":
-        return Fraction(-1) ** j
-    raise RingError(f"unknown series name {series!r}; expected exp, sqrt or inverse")
+    raise RingError(f"unknown series name {series!r}; expected exp or sqrt")
 
 
 def power_series_apply(series: str, a: GradedClass) -> GradedClass:
     """Apply a named truncated power series to a graded class.
 
-    exp expects degree-0 part 0; sqrt and inverse expect degree-0 part 1.
+    exp expects degree-0 part 0 and sqrt degree-0 part 1.
     The series truncates exactly: a class with no degree-0 part is
     nilpotent of order n+1, so the sum is finite.
     """

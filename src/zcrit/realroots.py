@@ -28,8 +28,8 @@ Enclosure convention: a rational root has exact set and
 lo == hi == exact. An irrational root is the only root of the
 squarefree primitive integer polynomial poly in the open interval
 (lo, hi); poly is nonzero at lo and at hi, with opposite signs, and
-hi - lo is at most the requested width (DEFAULT_ENCLOSURE_WIDTH). The
-enclosure only shrinks afterwards, through refine().
+hi - lo is at most DEFAULT_ENCLOSURE_WIDTH. The enclosure only shrinks
+afterwards, through refine().
 
 Signs at an irrational root: sign_at first tries the mean-value
 certificate |q(mid)| > max|q'| * (hi - lo)/2, which proves that q keeps
@@ -222,7 +222,7 @@ class RootPoint:
         else:
             self.lo = mid
 
-    def _settle(self, width: Fraction) -> None:
+    def _settle(self) -> None:
         """From one root of poly in (lo, hi]: decide whether it is
         rational, and if not, narrow (lo, hi) to the enclosure
         convention of the module docstring."""
@@ -242,7 +242,7 @@ class RootPoint:
             return
         # lo may still be a neighbouring root of poly; move it off
         stuck = self.lo if _sign(self.poly, self.lo) == 0 else None
-        while self.hi - self.lo > width or self.lo == stuck:
+        while self.hi - self.lo > DEFAULT_ENCLOSURE_WIDTH or self.lo == stuck:
             self.refine()
 
     def __str__(self) -> str:
@@ -251,20 +251,13 @@ class RootPoint:
         return f"[{self.lo}, {self.hi}]"
 
 
-def roots_in_range(
-    coeffs: Sequence[Fraction],
-    lo: Fraction,
-    hi: Fraction,
-    width: Fraction = DEFAULT_ENCLOSURE_WIDTH,
-) -> List[RootPoint]:
+def roots_in_range(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> List[RootPoint]:
     """All distinct real roots of the polynomial in [lo, hi], sorted.
 
     The zero polynomial is rejected (every point would be a root).
     """
     if poly_is_zero(coeffs):
         raise ValueError("zero polynomial has no isolated roots")
-    if not width > 0:
-        raise ValueError("enclosure width must be positive")
     lo, hi = Fraction(lo), Fraction(hi)
     p = _squarefree(_integer_poly(coeffs))
     if len(p) == 1 or lo > hi:
@@ -281,7 +274,7 @@ def roots_in_range(
         a, va, b, vb = stack.pop()
         if va - vb == 1:
             point = RootPoint(None, a, b, poly)
-            point._settle(width)
+            point._settle()
             out.append(point)
         elif va - vb > 1:
             m = (a + b) / 2

@@ -60,8 +60,8 @@ class PhaseVerdict:
 
     order is the discrepancy exponent q (phase gap ~ k^{-q}), None when
     the comparison polynomial vanishes identically. leading is the
-    leading coefficient of P when it is known exactly; at an algebraic
-    wall point only its sign is available, so leading may be None.
+    leading coefficient of P when it is known exactly; a wall scan
+    decides from signs alone and leaves it None.
     """
 
     relation: Relation
@@ -144,8 +144,8 @@ def _verdict_from_values(
 
 
 def _verdict_from_signs(sign_of: Callable[[int], int], top: int, n: int) -> PhaseVerdict:
-    """_verdict_from_values where only signs are known, at an irrational
-    point: the leading coefficient is left unset."""
+    """_verdict_from_values where only signs are known, as in a wall
+    scan: the leading coefficient is left unset."""
     verdict = _verdict_from_values(sign_of, top, n)
     return PhaseVerdict(verdict.relation, verdict.order, None)
 
@@ -323,61 +323,34 @@ def wall_scan(
             while p.lo <= t_min or p.hi >= t_max:
                 p.refine()
 
-    def report_at_value(t: Fraction) -> StabilityReport:
-        entries = []
-        for cand, pm in per_candidate:
-
-            def value_of(m: int, pm=pm) -> Fraction:
-                return realroots.poly_eval(pm[m], t)
-
-            verdict = _verdict_from_values(value_of, len(pm) - 1, n)
-            entries.append(CandidateVerdict(cand.name, cand.kind, verdict))
-        return _aggregate(entries)
-
-    def report_at_point(point: realroots.RootPoint) -> StabilityReport:
-        if point.exact is not None:
-            return report_at_value(point.exact)
+    def report_at(point: realroots.RootPoint) -> StabilityReport:
         entries = []
         for cand, pm in per_candidate:
 
             def sign_of(m: int, pm=pm) -> int:
-                poly = pm[m]
-                return 0 if realroots.poly_is_zero(poly) else realroots.sign_at(poly, point)
+                return realroots.sign_at(pm[m], point)
 
             verdict = _verdict_from_signs(sign_of, len(pm) - 1, n)
             entries.append(CandidateVerdict(cand.name, cand.kind, verdict))
         return _aggregate(entries)
 
-    # assemble bounds: (printable_left, printable_right) per open cell
-    bounds: List[Fraction] = [t_min]
-    interior: List[realroots.RootPoint] = []
-    at_min = at_max = None
-    for p in points:
-        if p.exact == t_min:
-            at_min = p
-        elif p.exact == t_max:
-            at_max = p
-        else:
-            interior.append(p)
-            bounds.extend([p.lo, p.hi])
-    bounds.append(t_max)
-
+    # one open cell before, between and after the interior points
+    interior = [p for p in points if p.exact not in (t_min, t_max)]
+    bounds = [t_min] + [x for p in interior for x in (p.lo, p.hi)] + [t_max]
     cells: List[WallCell] = []
-    for i in range(0, len(bounds) - 1, 2):
-        left, right = bounds[i], bounds[i + 1]
+    for left, right in zip(bounds[::2], bounds[1::2]):
         sample = (left + right) / 2
-        cells.append(WallCell(left, right, sample, report_at_value(sample)))
+        report = report_at(realroots.RootPoint.rational(sample))
+        cells.append(WallCell(left, right, sample, report))
 
+    # statuses[k + 1] is cell k's; points are sorted, so the q-th point
+    # not at t_min (from 1) lies between cells q - 1 and q, a point at
+    # t_min has q = 0, and a range endpoint has no cell beyond it
+    statuses = [None] + [cell.report.status for cell in cells] + [None]
+    first = 0 if points and points[0].exact == t_min else 1
     walls: List[Wall] = []
-    ordered = ([at_min] if at_min else []) + interior + ([at_max] if at_max else [])
-    for p in ordered:
-        rep = report_at_point(p)
-        left = right = None
-        for cell in cells:
-            if cell.t_right <= p.lo:
-                left = cell.report.status
-            if right is None and cell.t_left >= p.hi:
-                right = cell.report.status
-        walls.append(Wall(p.exact, p.lo, p.hi, rep, left, right))
+    for q, p in enumerate(points, start=first):
+        rep = report_at(p)  # may refine p, so read lo and hi afterwards
+        walls.append(Wall(p.exact, p.lo, p.hi, rep, statuses[q], statuses[q + 1]))
 
     return WallScanReport(t_min, t_max, tuple(cells), tuple(walls))

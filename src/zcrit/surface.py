@@ -866,7 +866,6 @@ class LargeVolumeRow:
     k: float
     measured_sup: float
     predicted_sup: float
-    difference_sup: float
     relative_error: float
 
 
@@ -909,11 +908,7 @@ def large_volume_check(
         measured = (odd(2 * k) - 2 * odd(k)) / (6 * k ** 3)
         diff = float(np.max(np.abs(measured - predicted)))
         rel = diff / pred_sup if pred_sup > 0 else diff
-        rows.append(
-            LargeVolumeRow(
-                float(k), float(np.max(np.abs(measured))), pred_sup, diff, rel
-            )
-        )
+        rows.append(LargeVolumeRow(float(k), float(np.max(np.abs(measured))), pred_sup, rel))
     return rows
 
 

@@ -493,6 +493,13 @@ F_CH = {"1": "2", "h^2": "-2"}
      r"surface.u1_potential\[1\].mode"),
     (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 1.5, 0, 0]}]),
      r"surface.u1_potential\[0\].mode\[1\]"),
+    (["solve-surface"], torus_raw(u1_potential=[{"mode": [1, 0, 0, 0], "amplitude": "nan"}]),
+     r"surface.u1_potential\[0\].amplitude"),
+    (["solve-surface"], torus_raw(u1_potential=[{"mode": [1, 0, 0, 0], "amplitude": "inf"}]),
+     r"surface.u1_potential\[0\].amplitude"),
+    (["solve-surface"], torus_raw(u2=[{"mode": [0, 0, 0, 0]}, {"mode": [0, 1, 0, 0],
+                                                              "amplitude": math.nan}]),
+     r"surface.u2\[1\].amplitude"),
     (["solve-surface"], torus_raw(tol=0), "surface.tol"),
     (["solve-surface"], torus_raw(tol=-1), "surface.tol"),
     (["solve-surface"], torus_raw(tol="nan"), "surface.tol"),
@@ -522,6 +529,7 @@ F_CH = {"1": "2", "h^2": "-2"}
     (["stability"], dhym_raw("stability", candidates=[{"name": 5, "ch": F_CH}]),
      r"stability.candidates\[0\].name: expected a non-empty string"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "aliased-mode", "float-mode",
+        "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
@@ -534,6 +542,24 @@ def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     assert rc == 64
     assert "config error" in err
     assert re.search(path, err)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["directory", "not-utf8"])
+def test_unreadable_config_exits_64(tmp_path, capsys, binary):
+    path = tmp_path
+    if binary:
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff{}")
+    rc, out, err = run(capsys, "charge", "--config", str(path))
+    assert rc == 64 and out == ""
+    assert err.startswith(f"config error: {path}: ")
+
+
+def test_unwritable_dump_exits_64(tmp_path, capsys):
+    raw = torus_raw(dump=str(tmp_path / "missing" / "fields.zfd"))
+    rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 64 and out == ""
+    assert err.startswith("config error: surface.dump: cannot write")
 
 
 def test_aliased_mode_checked_after_the_grid_override(tmp_path, capsys):

@@ -177,6 +177,27 @@ def test_pinned_wall_scan_on_projective_plane():
     assert scan_t.walls[0].location_str() == "3/4"
 
 
+@pytest.mark.parametrize("preset, t_min, t_max, wall", [
+    ("dhym", F(0), F(1), (0, None, "semistable", "unstable")),
+    ("dhym", F(-1), F(0), (0, "stable", "semistable", None)),
+    ("todd", F(3, 4), F(2), (F(3, 4), None, "semistable", "unstable")),
+    ("todd", F(0), F(3, 4), (F(3, 4), "stable", "semistable", None)),
+], ids=["dhym-left", "dhym-right", "todd-left", "todd-right"])
+def test_wall_at_a_range_endpoint(preset, t_min, t_max, wall):
+    # the pinned pair with its one wall at t_min or at t_max: one cell
+    # spans the range and the wall has no status beyond the endpoint
+    ring = preset_ring("projective_space", n=2)
+    h = ring.gen("h")
+    ch_e = p2_character(ring, 3, 0, -2)
+    cands = [SubobjectCandidate("F", p2_character(ring, 2, 0, -2), "subbundle")]
+    scan = wall_scan(ring, h, ch_e, cands, None, h, t_min, t_max, preset=preset)
+    (cell,) = scan.cells
+    assert (cell.t_left, cell.t_right) == (t_min, t_max)
+    assert cell.report.status == (wall[1] or wall[3])
+    assert [(w.exact, w.status_left, w.report.status, w.status_right)
+            for w in scan.walls] == [wall]
+
+
 def test_wall_scan_isolates_irrational_walls():
     ring = two_factor_ring()
     om = ring.gen("a") + ring.gen("b")
