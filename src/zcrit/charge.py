@@ -7,18 +7,21 @@ degree-n polynomial
 
     Z(k) = sum_d rho_d * integrate(omega^d * ch * U) * k^d,
 
-computed exactly over Gaussian rationals. Along a twist pencil
+computed exactly over Gaussian rationals. A charge is the tuple of its
+coefficients (z_0, ..., z_n), ascending in k. Along a twist pencil
 U(t) = sum_j u_j t^j the same coefficients become polynomials in t:
 charge_family returns that table in (k, t), and central_charge is its
 t = 0 column. k and t stay formal here; no numeric evaluation happens
-in this module.
+in this module. A StabilityVector checks the weight conditions when it
+is built, so every charge assignment in use is valid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .numring import GradedClass, NumericalRing, integrate, power_series_apply
@@ -30,36 +33,14 @@ class ChargeError(ValueError):
 
 # -- stability vectors -------------------------------------------------------
 
+def _invalid(d: int, reason: str) -> ChargeError:
+    return ChargeError(f"invalid stability vector at index {d}: {reason}")
+
+
 @dataclass(frozen=True)
 class StabilityVector:
-    """Weights rho_0..rho_n of a polynomial central charge."""
-
-    rho: Tuple[GaussianRational, ...]
-
-    def __post_init__(self):
-        if len(self.rho) < 2:
-            raise ChargeError("stability vector needs entries rho_0..rho_n with n >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.rho) - 1
-
-    def __getitem__(self, d: int) -> GaussianRational:
-        return self.rho[d]
-
-    def scale(self, r) -> "StabilityVector":
-        return StabilityVector(tuple(x.scale(r) for x in self.rho))
-
-
-@dataclass(frozen=True)
-class StabilityVectorReport:
-    ok: bool
-    first_violation: Optional[int] = None
-    reason: str = ""
-
-
-def validate_stability_vector(vec: StabilityVector) -> StabilityVectorReport:
-    """Exact validity check with the first violated index.
+    """Weights rho_0..rho_n of a polynomial central charge, checked
+    exactly when built.
 
     Conditions: every rho_d nonzero; the leading weight satisfies
     Im(rho_n) > 0, or sits on the boundary with Im(rho_n) = 0,
@@ -67,32 +48,31 @@ def validate_stability_vector(vec: StabilityVector) -> StabilityVectorReport:
     still pushes charges of positive-rank objects into the upper
     half-plane); and Im(rho_d / rho_{d+1}) > 0 for 0 <= d <= n-1.
     """
-    n = vec.n
-    for d, x in enumerate(vec.rho):
-        if x.is_zero():
-            return StabilityVectorReport(False, d, f"rho_{d} = 0")
-    top = vec[n]
-    if top.im <= 0:
-        boundary_ok = (
-            top.im == 0 and top.re > 0 and (vec[n - 1] / top).im > 0
-        )
-        if not boundary_ok:
-            return StabilityVectorReport(
-                False, n,
-                f"Im rho_n = {top.im} fails the upper half-plane normalisation")
-    for d in range(n):
-        ratio = vec[d] / vec[d + 1]
-        if ratio.im <= 0:
-            return StabilityVectorReport(
-                False, d, f"Im(rho_{d}/rho_{d+1}) = {ratio.im} is not positive")
-    return StabilityVectorReport(True)
 
+    rho: Tuple[GaussianRational, ...]
 
-def require_valid_stability_vector(vec: StabilityVector) -> None:
-    report = validate_stability_vector(vec)
-    if not report.ok:
-        raise ChargeError(
-            f"invalid stability vector at index {report.first_violation}: {report.reason}")
+    def __post_init__(self):
+        if len(self.rho) < 2:
+            raise ChargeError("stability vector needs entries rho_0..rho_n with n >= 1")
+        for d, x in enumerate(self.rho):
+            if x.is_zero():
+                raise _invalid(d, f"rho_{d} = 0")
+        n = self.n
+        top = self.rho[n]
+        boundary = top.im == 0 and top.re > 0 and (self.rho[n - 1] / top).im > 0
+        if not (top.im > 0 or boundary):
+            raise _invalid(n, f"Im rho_n = {top.im} fails the upper half-plane normalisation")
+        for d in range(n):
+            ratio = self.rho[d] / self.rho[d + 1]
+            if ratio.im <= 0:
+                raise _invalid(d, f"Im(rho_{d}/rho_{d+1}) = {ratio.im} is not positive")
+
+    @property
+    def n(self) -> int:
+        return len(self.rho) - 1
+
+    def __getitem__(self, d: int) -> GaussianRational:
+        return self.rho[d]
 
 
 def dhym_stability_vector(n: int) -> StabilityVector:
@@ -103,18 +83,12 @@ def dhym_stability_vector(n: int) -> StabilityVector:
     a global rotation shifts every phase by the same constant and leaves
     all comparisons invariant. For n = 1, 2 the vector is returned as is.
     """
-    cycle = [GaussianRational.of(1), GaussianRational(Fraction(0), Fraction(-1)),
-             GaussianRational.of(-1), GaussianRational(Fraction(0), Fraction(1))]
-    out: List[GaussianRational] = []
-    fact = Fraction(1)
+    minus_i = GaussianRational(Fraction(0), Fraction(-1))
+    rotation = {0: minus_i, 3: GaussianRational.of(-1)}.get(n % 4, GaussianRational.of(1))
+    out, power = [], -rotation          # rotation * -(-i)^d, from d = 0
     for d in range(n + 1):
-        if d > 0:
-            fact *= d
-        out.append((-cycle[d % 4]).scale(Fraction(1) / fact))
-    rotation = {0: GaussianRational(Fraction(0), Fraction(-1)),
-                3: GaussianRational.of(-1)}.get(n % 4)
-    if rotation is not None:
-        out = [rotation * x for x in out]
+        out.append(power.scale(Fraction(1, math.factorial(d))))
+        power = power * minus_i
     return StabilityVector(tuple(out))
 
 
@@ -151,63 +125,6 @@ class ChernCharacter:
         return ChernCharacter(self.cls + other.cls)
 
 
-# -- the charge polynomial ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CentralChargePolynomial:
-    """Z(k) = sum coefficients[d] * k^d with Gaussian rational coefficients."""
-
-    coefficients: Tuple[GaussianRational, ...]
-
-    def __getitem__(self, d: int) -> GaussianRational:
-        if d < 0 or d >= len(self.coefficients):
-            return GaussianRational()
-        return self.coefficients[d]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def degree(self) -> int:
-        for d in range(len(self.coefficients) - 1, -1, -1):
-            if not self.coefficients[d].is_zero():
-                return d
-        return -1
-
-    def leading(self) -> GaussianRational:
-        d = self.degree()
-        return self.coefficients[d] if d >= 0 else GaussianRational()
-
-    def _padded(self, length: int) -> Tuple[GaussianRational, ...]:
-        pad = length - len(self.coefficients)
-        return self.coefficients + tuple(GaussianRational() for _ in range(pad))
-
-    def __add__(self, other: "CentralChargePolynomial") -> "CentralChargePolynomial":
-        m = max(len(self), len(other))
-        return CentralChargePolynomial(tuple(
-            a + b for a, b in zip(self._padded(m), other._padded(m))))
-
-    def __sub__(self, other: "CentralChargePolynomial") -> "CentralChargePolynomial":
-        m = max(len(self), len(other))
-        return CentralChargePolynomial(tuple(
-            a - b for a, b in zip(self._padded(m), other._padded(m))))
-
-    def scale(self, r) -> "CentralChargePolynomial":
-        return CentralChargePolynomial(tuple(c.scale(r) for c in self.coefficients))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralChargePolynomial):
-            return NotImplemented
-        m = max(len(self), len(other))
-        return self._padded(m) == other._padded(m)
-
-    def __hash__(self):
-        return hash(self._padded(len(self)))
-
-    def __str__(self) -> str:
-        return ", ".join(f"k^{d}: {self.coefficients[d]}"
-                         for d in range(len(self.coefficients) - 1, -1, -1))
-
-
 def charge_family(
     ring: NumericalRing,
     omega: GradedClass,
@@ -220,15 +137,14 @@ def charge_family(
     table[d][j] is the k^d t^j coefficient of
     Z(k, t) = sum_d rho_d * integrate(omega^d * ch * U(t)) * k^d.
     U(0) = u_0 must be unipotent and every u_j with j >= 1 must have
-    zero degree-0 part, so U(t) is unipotent for all t. Requires a
-    valid stability vector, deg(omega) = 2 and integrate(omega^n) > 0.
+    zero degree-0 part, so U(t) is unipotent for all t. Requires
+    deg(omega) = 2 and integrate(omega^n) > 0 (rho is valid once built).
     For positive rank the leading coefficient at t = 0 lands in the
     closed upper half-plane off the negative real axis.
     """
     n = ring.complex_dimension
     if rho.n != n:
         raise ChargeError(f"stability vector has n = {rho.n}, ring has n = {n}")
-    require_valid_stability_vector(rho)
     if omega.is_zero() or omega.degrees() != [2]:
         raise ChargeError("polarisation must be a nonzero degree-2 class")
     if (not u_coeffs or u_coeffs[0].degree0() != 1
@@ -259,11 +175,11 @@ def central_charge(
     rho: StabilityVector,
     U: UnipotentOperator,
     ch: ChernCharacter,
-) -> CentralChargePolynomial:
-    """Exact charge polynomial of ch for the assignment (omega, rho, U):
-    the t = 0 column of charge_family for the constant pencil U."""
-    table = charge_family(ring, omega, rho, [U.cls], ch)
-    return CentralChargePolynomial(tuple(row[0] for row in table))
+) -> Tuple[GaussianRational, ...]:
+    """Exact charge coefficients z_0..z_n of ch for the assignment
+    (omega, rho, U), ascending in k: the t = 0 column of charge_family
+    for the constant pencil U."""
+    return tuple(row[0] for row in charge_family(ring, omega, rho, [U.cls], ch))
 
 
 # -- presets ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Iterable, List, Optional, Sequence
 
@@ -193,12 +194,17 @@ def cmd_solve_surface(args) -> int:
 
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 
+    # the large-volume rows need no solve: a k out of float range fails first
+    lv_rows = large_volume_check(data, params["k_values"]) if params["k_values"] else []
+    for i, row in enumerate(lv_rows):
+        if math.isnan(row.measured_sup):
+            raise ConfigError(f"surface.k_values[{i}]",
+                              f"the large-volume row at k = {row.k!r} leaves float range")
     sol = solve_critical_equation(data, tol=params["tol"], max_newton=params["max_newton"])
     if not sol.residual_sup <= params["tol"]:
         raise NumericalFailureError(
             f"final residual {sol.residual_sup:.3e} exceeds tol {params['tol']:.3e}"
         )
-    lv_rows = large_volume_check(data, params["k_values"]) if params["k_values"] else []
     if params["dump"]:
         try:
             write_field_dump(params["dump"], data.geom.size,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -21,6 +22,7 @@ from .gaussian import GaussianRational
 from .numring import GradedClass, NumericalRing, class_from_dict, preset_ring, ring_from_dict
 from .errors import SurfaceError
 from .charge import (
+    ChargeError,
     ChernCharacter,
     StabilityVector,
     UnipotentOperator,
@@ -210,11 +212,11 @@ def _build_charge(
             "charge.rho",
             f"expected a list of {ring.complex_dimension + 1} complex rationals",
         )
-    rho = StabilityVector(
-        tuple(
-            parse_gaussian(v, f"charge.rho[{i}]") for i, v in enumerate(entries)
-        )
-    )
+    weights = tuple(parse_gaussian(v, f"charge.rho[{i}]") for i, v in enumerate(entries))
+    try:
+        rho = StabilityVector(weights)
+    except ChargeError as exc:
+        raise ConfigError("charge.rho", str(exc)) from None
     if "unipotent" in sec:
         ucls = parse_class(ring, sec["unipotent"], "charge.unipotent")
     else:
@@ -324,10 +326,17 @@ def parse_hermitian(sec, path: str) -> Tuple[float, complex, float]:
     extra = set(sec) - {"a11", "a12", "a22"}
     if extra:
         raise ConfigError(path, f"unexpected keys {sorted(extra)}")
-    a11 = float(parse_fraction(sec.get("a11", 0), path + ".a11"))
-    a22 = float(parse_fraction(sec.get("a22", 0), path + ".a22"))
-    g = parse_gaussian(sec.get("a12", 0), path + ".a12")
-    return a11, complex(g.re) + 1j * float(g.im), a22
+    a11 = _parse_complex(parse_fraction, sec.get("a11", 0), path + ".a11").real
+    a22 = _parse_complex(parse_fraction, sec.get("a22", 0), path + ".a22").real
+    return a11, _parse_complex(parse_gaussian, sec.get("a12", 0), path + ".a12"), a22
+
+
+def _parse_complex(parse, value, path: str) -> complex:
+    """The exact number parse(value, path) as the nearest complex float."""
+    try:
+        return complex(GaussianRational.of(parse(value, path)))
+    except OverflowError:
+        raise ConfigError(path, "too large for a float") from None
 
 
 def parse_mode_sum(geom, terms, path: str):
@@ -409,10 +418,8 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None,
         entries = sec["rho"]
         if not isinstance(entries, list) or len(entries) != 3:
             raise ConfigError(path + ".rho", "expected three complex rationals")
-        parsed = [
-            parse_gaussian(v, f"{path}.rho[{i}]") for i, v in enumerate(entries)
-        ]
-        rho = tuple(complex(g.re) + 1j * float(g.im) for g in parsed)
+        rho = tuple(_parse_complex(parse_gaussian, v, f"{path}.rho[{i}]")
+                    for i, v in enumerate(entries))
     else:
         raise ConfigError(path, "need either preset 'dhym' or an explicit rho")
 
@@ -446,8 +453,13 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None,
         "k_values": _parse_k_values(sec.get("k_values", []), path + ".k_values"),
         "dump": sec.get("dump"),
     }
-    if params["dump"] is not None and not isinstance(params["dump"], str):
+    dump = params["dump"]
+    if dump is not None and not isinstance(dump, str):
         raise ConfigError(path + ".dump", "dump must be a file path string")
+    # checked here so that a bad path fails before the solve, not after it
+    if dump and (os.path.isdir(dump) or not os.path.isdir(os.path.dirname(dump) or ".")):
+        raise ConfigError(path + ".dump",
+                          f"cannot write {dump!r}: not a file in an existing directory")
     if tol_override is not None:
         params["tol"] = _parse_tol(tol_override, "--tol")
     return data, params

@@ -119,7 +119,7 @@ def assemble_tau_system(
                 for spec in graph.quotients]
     present = [v.order for v in verdicts if v.order is not None]
     q = min(present) if present else None
-    scale = z_e.leading().abs2()
+    scale = z_e[-1].abs2()
     b = tuple(v.leading / scale if q is not None and v.order == q else Fraction(0)
               for v in verdicts)
     _certify(sum(b, Fraction(0)) == 0, "discrepancy loads must balance")

@@ -30,7 +30,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import realroots
 from .charge import (
-    CentralChargePolynomial,
     ChernCharacter,
     StabilityVector,
     UnipotentOperator,
@@ -90,9 +89,9 @@ class SubobjectCandidate:
             )
 
 
-def _assert_comparable(z: CentralChargePolynomial, label: str) -> None:
-    lead = z.leading()
-    if lead.is_zero():
+def _assert_comparable(z: Sequence[GaussianRational], label: str) -> None:
+    lead = next((c for c in reversed(z) if not c.is_zero()), None)
+    if lead is None:
         raise StabilityError(f"{label} is identically zero; phase undefined")
     if lead.im < 0 or (lead.im == 0 and lead.re < 0):
         raise StabilityError(
@@ -121,11 +120,11 @@ def _comparison_family(
 
 
 def comparison_polynomial(
-    z_f: CentralChargePolynomial, z_e: CentralChargePolynomial
+    z_f: Sequence[GaussianRational], z_e: Sequence[GaussianRational]
 ) -> List[Fraction]:
-    """Coefficients of P(k) = Im(Z_F(k) conj(Z_E(k))), ascending in k."""
-    table = _comparison_family([[c] for c in z_f.coefficients],
-                               [[c] for c in z_e.coefficients])
+    """Coefficients of P(k) = Im(Z_F(k) conj(Z_E(k))), ascending in k,
+    for charges given by their coefficients ascending in k."""
+    table = _comparison_family([[c] for c in z_f], [[c] for c in z_e])
     return [row[0] for row in table]
 
 
@@ -151,7 +150,7 @@ def _verdict_from_signs(sign_of: Callable[[int], int], top: int, n: int) -> Phas
 
 
 def phase_compare(
-    z_f: CentralChargePolynomial, z_e: CentralChargePolynomial
+    z_f: Sequence[GaussianRational], z_e: Sequence[GaussianRational]
 ) -> PhaseVerdict:
     """Exact asymptotic phase comparison of Z_F against Z_E."""
     _assert_comparable(z_e, "Z_E")

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +529,14 @@ F_CH = {"1": "2", "h^2": "-2"}
      r"stability.candidates\[0\].name: expected a non-empty string"),
     (["stability"], dhym_raw("stability", candidates=[{"name": 5, "ch": F_CH}]),
      r"stability.candidates\[0\].name: expected a non-empty string"),
+    (["solve-surface"], torus_raw(metric={"a11": "1e400", "a22": "1"}),
+     "surface.metric.a11: too large for a float"),
+    (["solve-surface"], torus_raw(alpha0={"a11": "2", "a22": "9" * 400}),
+     "surface.alpha0.a22: too large for a float"),
+    (["solve-surface"], torus_raw(metric={"a11": "1", "a12": {"im": "-1e400"}, "a22": "1"}),
+     "surface.metric.a12: too large for a float"),
+    (["solve-surface"], torus_raw(preset=None, rho=["-1", {"im": "1e400"}, "1/2"]),
+     r"surface.rho\[1\]: too large for a float"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "aliased-mode", "float-mode",
         "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
@@ -536,7 +545,8 @@ F_CH = {"1": "2", "h^2": "-2"}
         "tau-cap-zero", "tau-cap-negative", "tau-name-int", "tau-name-list",
         "walls-range-reversed", "walls-range-empty", "flag-N",
         "charge-object-list", "stability-object-list", "candidate-name-list",
-        "candidate-name-int"])
+        "candidate-name-int", "metric-a11-huge", "alpha0-a22-400-digits",
+        "metric-a12-huge-imaginary", "surface-rho-huge"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64
@@ -555,11 +565,54 @@ def test_unreadable_config_exits_64(tmp_path, capsys, binary):
     assert err.startswith(f"config error: {path}: ")
 
 
-def test_unwritable_dump_exits_64(tmp_path, capsys):
+def forbid_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the configuration was checked")
+
+    monkeypatch.setattr(surface, "solve_critical_equation", no_solve)
+
+
+def test_unwritable_dump_exits_64(tmp_path, capsys, monkeypatch):
+    forbid_solve(monkeypatch)
     raw = torus_raw(dump=str(tmp_path / "missing" / "fields.zfd"))
     rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
     assert rc == 64 and out == ""
     assert err.startswith("config error: surface.dump: cannot write")
+
+
+def test_dump_path_that_is_a_directory_exits_64(tmp_path, capsys, monkeypatch):
+    forbid_solve(monkeypatch)
+    raw = torus_raw(dump=str(tmp_path))
+    rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 64 and out == ""
+    assert err.startswith("config error: surface.dump: cannot write")
+
+
+@pytest.mark.parametrize("k", [1e200, 1e100, -1e100, 1e-300])
+def test_k_out_of_float_range_exits_64(tmp_path, capsys, monkeypatch, k):
+    # a large-volume row out of float range is a config error, found
+    # before the solve and without a numpy warning
+    forbid_solve(monkeypatch)
+    raw = torus_raw(k_values=[10, k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
+    assert rc == 64 and out == ""
+    assert err == (f"config error: surface.k_values[1]: the large-volume row at "
+                   f"k = {k!r} leaves float range\n")
+
+
+@pytest.mark.parametrize("command", ["charge", "stability", "walls", "tau"])
+def test_invalid_explicit_rho_names_its_path(tmp_path, capsys, command):
+    # rho_2 = -1/2 leaves the upper half-plane; walls brings its own
+    # preset and still rejects the configuration at load
+    raw = json.load(open(DHYM_CFG))
+    raw["charge"] = {"rho": ["-1", {"im": "1"}, "-1/2"], "object": "E"}
+    raw["walls"]["preset"] = "dhym"
+    raw["tau"] = {"object": "E", "quotients": ["F", {"name": "Q", "ch": {"1": "1"}}]}
+    rc, out, err = run(capsys, command, "--config", write_cfg(tmp_path, raw))
+    assert rc == 64 and out == ""
+    assert err.startswith("config error: charge.rho: invalid stability vector at index 2: ")
 
 
 def test_aliased_mode_checked_after_the_grid_override(tmp_path, capsys):

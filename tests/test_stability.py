@@ -5,12 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zcrit.charge import (
-    CentralChargePolynomial,
-    ChernCharacter,
-    central_charge,
-    charge_preset,
-)
+from zcrit.charge import ChernCharacter, central_charge, charge_preset
 from zcrit.gaussian import GaussianRational
 from zcrit import stability
 from zcrit.numring import class_from_dict, preset_ring, ring_from_dict
@@ -107,7 +102,7 @@ def test_seesaw_between_subobject_and_quotient():
         ch_f = p2_character(ring, rng.randint(1, 3), rng.randint(-3, 3),
                             F(rng.randint(-8, 8), rng.randint(1, 5)))
         z_f = central_charge(ring, h, rho, U, ch_f)
-        z_q = z_e - z_f                   # additivity on 0 -> F -> E -> Q -> 0
+        z_q = tuple(e - f for e, f in zip(z_e, z_f))   # additivity on 0 -> F -> E -> Q -> 0
         a, b = phase_compare(z_f, z_e), phase_compare(z_q, z_e)
         assert b.relation is flip[a.relation]
         assert a.order == b.order
@@ -118,7 +113,8 @@ def test_verdict_invariant_under_positive_rescaling():
     z_e = central_charge(ring, h, rho, U, p2_character(ring, 3, 0, -2))
     z_f = central_charge(ring, h, rho, U, p2_character(ring, 2, 0, -2))
     base = phase_compare(z_f, z_e)
-    scaled = phase_compare(z_f.scale(F(7, 5)), z_e.scale(F(3)))
+    scaled = phase_compare(tuple(c.scale(F(7, 5)) for c in z_f),
+                           tuple(c.scale(F(3)) for c in z_e))
     assert scaled.relation is base.relation and scaled.order == base.order
 
 
@@ -150,9 +146,9 @@ def test_candidate_rank_constraints():
 
 
 def test_phase_compare_rejects_abnormal_leading():
-    ok = CentralChargePolynomial((g(0), g(0, 1)))
-    lower = CentralChargePolynomial((g(0), g(0, -1)))
-    zero = CentralChargePolynomial((g(0),))
+    ok = (g(0), g(0, 1))
+    lower = (g(0), g(0, -1))
+    zero = (g(0),)
     with pytest.raises(StabilityError):
         phase_compare(lower, ok)
     with pytest.raises(StabilityError):
