@@ -207,8 +207,7 @@ def cmd_solve_surface(args) -> int:
         )
     if params["dump"]:
         try:
-            write_field_dump(params["dump"], data.geom.size,
-                             {"u": sol.u, "z_residual": sol.z_residual_field})
+            write_field_dump(params["dump"], {"u": sol.u, "z_residual": sol.z_residual_field})
         except OSError as exc:
             raise ConfigError("surface.dump",
                               f"cannot write {params['dump']!r}: {exc.strerror or exc}") from None

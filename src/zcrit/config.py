@@ -115,7 +115,6 @@ class RunConfig:
     omega: GradedClass
     rho: StabilityVector
     unipotent: UnipotentOperator
-    bfield: GradedClass
     charge_preset_name: Optional[str]
     sheaves: Dict[str, ChernCharacter]
     raw: dict = field(repr=False)
@@ -188,7 +187,7 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
 
 def _build_charge(
     raw: dict, ring: NumericalRing
-) -> Tuple[StabilityVector, UnipotentOperator, GradedClass, Optional[str]]:
+) -> Tuple[StabilityVector, UnipotentOperator, Optional[str]]:
     sec = raw.get("charge")
     if not isinstance(sec, dict):
         raise ConfigError("charge", "section missing or not an object")
@@ -203,7 +202,7 @@ def _build_charge(
             rho, U = charge_preset(name, ring, bfield)
         except Exception as exc:
             raise ConfigError("charge.preset", str(exc)) from None
-        return rho, U, bfield, name
+        return rho, U, name
     if "rho" not in sec:
         raise ConfigError("charge", "need either a preset or an explicit rho list")
     entries = sec["rho"]
@@ -225,7 +224,7 @@ def _build_charge(
         U = UnipotentOperator(ucls)
     except Exception as exc:
         raise ConfigError("charge.unipotent", str(exc)) from None
-    return rho, U, bfield, None
+    return rho, U, None
 
 
 def _build_sheaves(raw: dict, ring: NumericalRing) -> Dict[str, ChernCharacter]:
@@ -267,9 +266,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be an object")
     ring, omega = _build_ring(raw)
-    rho, U, bfield, preset_name = _build_charge(raw, ring)
+    rho, U, preset_name = _build_charge(raw, ring)
     sheaves = _build_sheaves(raw, ring)
-    return RunConfig(ring, omega, rho, U, bfield, preset_name, sheaves, raw)
+    return RunConfig(ring, omega, rho, U, preset_name, sheaves, raw)
 
 
 def candidates_from_section(
@@ -381,8 +380,9 @@ def _parse_k_values(value, path: str) -> List[float]:
     out = []
     for i, v in enumerate(value):
         k = parse_float(v, f"{path}[{i}]")
-        if not (math.isfinite(k) and k != 0):
-            raise ConfigError(f"{path}[{i}]", f"k must be a finite nonzero number, got {v!r}")
+        if not (math.isfinite(k) and abs(k) >= 1):
+            raise ConfigError(f"{path}[{i}]", "k must be a finite number with |k| >= 1 "
+                              f"(large volume means large k), got {v!r}")
         out.append(k)
     return out
 

@@ -15,10 +15,10 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a 'p/q' string."""
+    """Parse an exact rational from an int (not a bool), a Fraction or a 'p/q' string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -34,13 +34,9 @@ class GaussianRational:
 
     @staticmethod
     def of(value) -> "GaussianRational":
-        """Coerce ints, Fractions, 'p/q' strings, or {'re':..,'im':..} dicts."""
+        """Coerce a GaussianRational, or an int, a Fraction or a 'p/q' string."""
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, dict):
-            return GaussianRational(
-                as_fraction(value.get("re", 0)), as_fraction(value.get("im", 0))
-            )
         return GaussianRational(as_fraction(value))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":

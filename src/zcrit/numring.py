@@ -318,6 +318,15 @@ def preset_ring(preset: str, **params) -> NumericalRing:
 
 # -- JSON descriptions ------------------------------------------------------
 
+def _as_int(value, what: str) -> int:
+    """An int or an integer string; a float or a bool is rejected, not truncated."""
+    if isinstance(value, str):
+        value = int(value.strip())
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RingError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ring_from_dict(data: Dict) -> NumericalRing:
     """Build a ring from its JSON description.
 
@@ -326,7 +335,8 @@ def ring_from_dict(data: Dict) -> NumericalRing:
     integration ({gen: 'p/q'}), optional todd ({gen: 'p/q'}).
     """
     try:
-        basis = [BasisElement(g["name"], int(g["degree"])) for g in data["generators"]]
+        basis = [BasisElement(g["name"], _as_int(g["degree"], f"generators[{i}].degree"))
+                 for i, g in enumerate(data["generators"])]
         products = {}
         for entry in data.get("products", []):
             i, j, comb = entry
@@ -337,7 +347,7 @@ def ring_from_dict(data: Dict) -> NumericalRing:
             todd = {k: as_fraction(v) for k, v in todd.items()}
         return NumericalRing(
             str(data.get("name", "ring")),
-            int(data["complex_dimension"]),
+            _as_int(data["complex_dimension"], "complex_dimension"),
             basis, products, integration, todd,
         )
     except KeyError as exc:

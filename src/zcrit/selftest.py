@@ -17,7 +17,6 @@ import io
 import json
 import os
 import random
-import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -454,10 +453,8 @@ CRITERIA: List[Tuple[int, str, Callable[[random.Random], Tuple[bool, str]]]] = [
 ]
 
 
-def run_selftest(seed: int = 0, only: Optional[int] = None,
-                 stream=None) -> List[CriterionResult]:
+def run_selftest(seed: int = 0, only: Optional[int] = None) -> List[CriterionResult]:
     """Run the acceptance criteria, print one line each, return results."""
-    out = stream if stream is not None else sys.stdout
     results: List[CriterionResult] = []
     for number, title, fn in CRITERIA:
         if only is not None and number != only:
@@ -471,5 +468,5 @@ def run_selftest(seed: int = 0, only: Optional[int] = None,
         elapsed = time.perf_counter() - t0
         results.append(CriterionResult(number, title, passed, detail, elapsed))
         tag = "PASS" if passed else "FAIL"
-        print(f"{tag} {number:>2} {title:<28} {detail}", file=out)
+        print(f"{tag} {number:>2} {title:<28} {detail}")
     return results

@@ -248,7 +248,8 @@ class WallCell:
 
 @dataclass(frozen=True)
 class Wall:
-    """Boundary point where some comparison coefficient vanishes."""
+    """A root in the scan range of some candidate's comparison coefficient;
+    every verdict change lies on one, but most walls change no verdict."""
 
     exact: Optional[Fraction]
     lo: Fraction

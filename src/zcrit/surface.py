@@ -82,7 +82,7 @@ wherever they meet a field. beta, gamma and every density built from
 constant forms alone are scalars too. These are full N^4 grids
 whatever the inputs: ddc, mode_field, potential_from_form's input and
 potential, the solver's right side f, MongeAmpereSolution.u and
-residual, ZResidualReport.field and field dumps.
+residual, ZResidualReport.field and the arrays of the .npz field dump.
 
 The Newton-Krylov vectors are half spectra: the iterate psi, the
 Newton step delta, the line search's trial psi and the
@@ -124,7 +124,6 @@ its start.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -919,56 +918,13 @@ def large_volume_check(
 
 
 # ---------------------------------------------------------------------------
-# binary field dump
+# field dump
 # ---------------------------------------------------------------------------
 
 
-FIELD_DUMP_MAGIC = b"ZCRT"
-FIELD_DUMP_VERSION = 1
-
-
-def write_field_dump(path: str, size: int, fields: Dict[str, np.ndarray]) -> None:
-    """Write named grid fields: magic, version, grid size, count, then
-    per field a length-prefixed name, a real/complex flag, and the
-    row-major little-endian float64 payload (imaginary plane appended
-    for complex fields). Field order is name-sorted for determinism."""
+def write_field_dump(path: str, fields: Dict[str, np.ndarray]) -> None:
+    """Write named grid fields as an uncompressed .npz archive, one array
+    per name, that numpy.load reads. The file is written at path exactly:
+    numpy appends .npz only to a file name, not to an open file."""
     with open(path, "wb") as fh:
-        fh.write(FIELD_DUMP_MAGIC)
-        fh.write(struct.pack("<III", FIELD_DUMP_VERSION, size, len(fields)))
-        for name in sorted(fields):
-            arr = np.asarray(fields[name])
-            if arr.shape != (size,) * 4:
-                raise SurfaceError(f"field {name!r} has shape {arr.shape}")
-            blob = name.encode("utf-8")
-            is_complex = np.iscomplexobj(arr)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<B", 1 if is_complex else 0))
-            if is_complex:
-                fh.write(arr.real.astype("<f8").tobytes(order="C"))
-                fh.write(arr.imag.astype("<f8").tobytes(order="C"))
-            else:
-                fh.write(arr.astype("<f8").tobytes(order="C"))
-
-
-def read_field_dump(path: str) -> Tuple[int, Dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FIELD_DUMP_MAGIC:
-            raise SurfaceError("not a field dump: bad magic")
-        version, size, count = struct.unpack("<III", fh.read(12))
-        if version != FIELD_DUMP_VERSION:
-            raise SurfaceError(f"unsupported dump version {version}")
-        n4 = size ** 4
-        fields: Dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (kind,) = struct.unpack("<B", fh.read(1))
-            re = np.frombuffer(fh.read(8 * n4), dtype="<f8").reshape((size,) * 4)
-            if kind:
-                im = np.frombuffer(fh.read(8 * n4), dtype="<f8").reshape((size,) * 4)
-                fields[name] = re + 1j * im
-            else:
-                fields[name] = re.copy()
-        return size, fields
+        np.savez(fh, **fields)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zcrit.charge import charge_preset
 from zcrit.config import (
     ConfigError,
     candidates_from_section,
@@ -20,6 +21,7 @@ from zcrit.config import (
     surface_from_section,
 )
 from zcrit.gaussian import GaussianRational
+from zcrit.numring import class_from_dict
 
 F = Fraction
 
@@ -94,7 +96,8 @@ def test_shipped_configs_load(shipped=("p2_extension_dhym", "p2_extension_todd",
         cfg = load_config(f"configs/{name}.json")
         assert cfg.ring.complex_dimension == 2
         assert cfg.charge_preset_name in ("dhym", "todd")
-        assert cfg.bfield.coefficient("h") == F(1, 3)
+        bfield = class_from_dict(cfg.ring, {"h": F(1, 3)})
+        assert cfg.unipotent == charge_preset(cfg.charge_preset_name, cfg.ring, bfield)[1]
         assert sorted(cfg.sheaves) >= ["E", "F"]
     # the torus config carries only a surface section
     raw = load_raw("configs/torus_dhym.json")
