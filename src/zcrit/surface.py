@@ -107,19 +107,29 @@ Memory is counted in grids of N^4 float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
 numpy's rfftn and irfftn in the same order, bit for bit, but the
 complex passes work in place (numpy >= 2.0): _rfft allocates one half
-spectrum, and _irfft overwrites the spectrum it is given, so every
-caller hands it a fresh product. _apply_operator sums its four inverse
-transforms into one grid and never forms ddc(delta). The twist field,
-beta and gamma live only in assemble_equation, and m_base is never
-built: a0 is held as scalars and phi_U as its half spectrum. A solve
-holds f (one grid), m (scalars at the start, four grids after a Newton
-step), the spectra of psi and phi_U, 8 det m and its residual against
-f plus the compatibility constant, which is subtracted in place, so no
-shifted copy of f is made; in a Newton step also the spectra of delta,
-of the conjugate-gradient vectors and of the trial psi, and the trial
-m. At N=16 the tracemalloc peak of solve_critical_equation is about 19
-grids for a multi-step Newton solve and 14 for a solve that ends at
-its start.
+spectrum, and _irfft overwrites the spectrum it is given, a product
+buffer its caller reuses, and writes the grid where its caller says,
+the strided real or imaginary part of a complex grid included. ddc
+builds its four grids from one such buffer, and _apply_operator sums
+its four inverse transforms into one grid through one scratch grid,
+never forming ddc(delta). Pointwise formulas that would take several
+temporary grids run one slab (first grid index) at a time, with the
+same numpy operations in the same order, so they are bit for bit the
+whole-grid formulas: f = wedge(beta, beta)/4 - gamma, written over the
+a11 grid of the twist, so beta and gamma never exist as grids, and the
+preconditioner's symbol. m_base is never built: a0 is held as scalars
+and phi_U as its half spectrum. square_density takes one output and one
+scratch grid, and sup norms are max(max x, -min x), with no |x| copy.
+A solve holds f, the spectra of psi and phi_U, m (scalars at the start,
+four grids after a Newton step) and its residual against f plus the
+compatibility constant, which is subtracted in place, so no shifted
+copy of f is made. A Newton step adds the spectra of delta and of the
+conjugate-gradient vectors; its line search drops m and the residual
+and holds the trial psi, the trial m and its residual instead. The
+tracemalloc peak of solve_critical_equation is about 16.7 grids for a
+multi-step Newton solve at N=16, in the conjugate-gradient operator,
+and 6.7 at N=16 and 6.2 at N=32 for a solve that ends at its start, in
+the assembly; ddc takes 6.1 beside its input.
 """
 
 from __future__ import annotations
@@ -145,11 +155,14 @@ def _rfft(u: np.ndarray) -> np.ndarray:
     return spec
 
 
-def _irfft(geom: "TorusGeometry", spec: np.ndarray) -> np.ndarray:
-    """Real grid field of a half spectrum, as irfftn; overwrites spec."""
+def _irfft(
+    geom: "TorusGeometry", spec: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Real grid field of a half spectrum, as irfftn; overwrites spec, and
+    is written to out (a grid, which may be strided) when given."""
     for axis in (0, 1, 2):
         np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, n=geom.size, axis=3)
+    return np.fft.irfft(spec, n=geom.size, axis=3, out=out)
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,13 @@ class FormField:
         )
 
     def det(self) -> np.ndarray:
-        return self.a11 * self.a22 - (self.a12.real ** 2 + self.a12.imag ** 2)
+        """a11 a22 - (Re a12^2 + Im a12^2), from one output grid and one
+        scratch grid."""
+        norm = self.a12.real ** 2
+        norm += self.a12.imag ** 2
+        out = self.a11 * self.a22
+        out -= norm
+        return out
 
     def min_eigenvalue(self) -> float:
         """Smallest pointwise eigenvalue over the grid."""
@@ -277,8 +296,8 @@ def _spectral_hessian(
     h11 = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf)
     h22 = _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf)
     h12 = np.empty(geom.shape, dtype=complex)
-    np.multiply(_hessian_part(geom, geom.cross_re, spec, buf), c, out=h12.real)
-    np.multiply(_hessian_part(geom, geom.cross_im, spec, buf), c, out=h12.imag)
+    for symbol, part in ((geom.cross_re, h12.real), (geom.cross_im, h12.imag)):
+        _hessian_part(geom, symbol, spec, buf, c, out=part)
     if base is not None:
         h11 += base.a11
         h12 += base.a12
@@ -286,13 +305,16 @@ def _spectral_hessian(
     return FormField(h11, h12, h22)
 
 
-def _hessian_part(geom: TorusGeometry, symbol, spec, buf, coef=None, scale=None) -> np.ndarray:
+def _hessian_part(
+    geom: TorusGeometry, symbol, spec, buf, coef=None, scale=None, out=None
+) -> np.ndarray:
     """irfft(scale * symbol * spec), times coef when given, with the
-    product built in buf and spec left as it was."""
+    product built in buf, spec left as it was and the grid written to
+    out when given."""
     np.multiply(symbol, spec, out=buf)
     if scale is not None:
         buf *= scale
-    part = _irfft(geom, buf)
+    part = _irfft(geom, buf, out)
     if coef is not None:
         part *= coef
     return part
@@ -305,8 +327,10 @@ def wedge_density(a: FormField, b: FormField) -> np.ndarray:
 
 
 def square_density(a: FormField) -> np.ndarray:
-    """Density of a ^ a, equal to 8 det(a)."""
-    return 8 * a.det()
+    """Density of a ^ a, equal to 8 det(a), scaled in det's output grid."""
+    out = a.det()
+    out *= 8
+    return out
 
 
 def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, float]:
@@ -494,7 +518,16 @@ class EquationAssembly:
 def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     """a0 = alpha0 + u1_const - (im1 / (2 sin phi)) g, the constant part of
     alpha0 + beta/2, and f = wedge(beta, beta)/4 - gamma of the module
-    docstring; the twist field, beta and gamma are freed on return."""
+    docstring.
+
+    f is evaluated one slab (first grid index) at a time from the four
+    components of the twist U1 and written over its a11 grid (a new grid
+    for a constant twist with a u2 density), so beta, gamma and the
+    wedges exist only slab by slab. Each slab runs the pointwise numpy
+    operations of the whole-grid formula in the same order, complex
+    products included, so f is bit for bit that formula's. With a
+    constant twist and no u2 density, f is a scalar.
+    """
     u1, potential_hat = data._u1_and_potential_hat()
     phi = data.phase()
     s = float(np.sin(phi))
@@ -506,17 +539,29 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     im1 = float((np.exp(-1j * phi) * r1).imag)
     im2 = float((np.exp(-1j * phi) * r2).imag)
     g = data.omega()
-    beta = u1.scale(2.0) + g.scale(-im1 / s)
-    gamma = (
-        im2 * square_density(g)
-        + im1 * wedge_density(g, u1)
-        - 2 * s * data.u2_density()
-    ) / (-s)
+    beta_g = g.scale(-im1 / s)
+    gamma_g = im2 * square_density(g)
+    u2 = data.u2_density()
+
+    def rhs(twist: FormField, density) -> np.ndarray:
+        beta = twist.scale(2.0) + beta_g
+        gamma = (gamma_g + im1 * wedge_density(g, twist) - 2 * s * density) / (-s)
+        return wedge_density(beta, beta) / 4 - gamma
+
+    parts = (u1.a11, u1.a12, u1.a22, u2)
+    if not any(np.ndim(c) for c in parts):
+        f = rhs(u1, u2)
+    else:
+        # a slab of f is written only after rhs has read the same slab
+        # of u1.a11, so a twist grid can hold f
+        f = u1.a11 if np.ndim(u1.a11) else np.empty(data.geom.shape)
+        for i in range(data.geom.size):
+            a11, a12, a22, u2_i = (c[i] if np.ndim(c) else c for c in parts)
+            f[i] = rhs(FormField(a11, a12, a22), u2_i)
     c11, c12, c22 = data.u1_const
     a0 = data.alpha_harmonic() + (FormField.constant(c11, c12, c22)
                                   + g.scale(-im1 / (2 * s)))
-    return EquationAssembly(phi, s, a0, potential_hat,
-                            wedge_density(beta, beta) / 4 - gamma)
+    return EquationAssembly(phi, s, a0, potential_hat, f)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +593,11 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
     c = 8 * np.pi ** 2              # each part is then -8 times one of h
     buf = np.empty_like(spec)
     out = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf, m.a22)
-    out += _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf, m.a11)
+    part = np.empty(geom.shape)
+    out += _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf, m.a11, out=part)
     # the cross terms carry -2
-    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real, -2 * c)
-    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag, -2 * c)
+    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real, -2 * c, part)
+    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag, -2 * c, part)
     return out
 
 
@@ -565,17 +611,25 @@ def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
     m11 = mbar[0, 0].real
     m22 = mbar[1, 1].real
     m12 = mbar[0, 1]
-    # even and odd parts of s = conj(mu1) mu2, recovered from P and Q
-    s_even = geom.cross_re.real + 1j * geom.cross_im.real
-    s_odd = -geom.cross_im.imag + 1j * geom.cross_re.imag
-    diag = m11 * np.abs(geom.mu2) ** 2 + m22 * np.abs(geom.mu1) ** 2
+    mu1_sq, mu2_sq = np.abs(geom.mu1) ** 2, np.abs(geom.mu2[0]) ** 2
 
-    def sigma(s: np.ndarray) -> np.ndarray:
+    def sigma(s: np.ndarray, diag: np.ndarray, first: bool) -> np.ndarray:
         sym = 8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real)
-        sym[0, 0, 0, 0] = 1.0
+        if first:
+            sym[0, 0, 0] = 1.0      # the mean mode
         return sym
 
-    return 2 / (1 / sigma(s_even + s_odd) + 1 / sigma(s_even - s_odd))
+    # one slab (first index) at a time, so that no complex half spectrum
+    # is built
+    out = np.empty(geom.cross_re.shape)
+    for i, (p, q) in enumerate(zip(geom.cross_re, geom.cross_im)):
+        # even and odd parts of s = conj(mu1) mu2, recovered from P and Q
+        s_even = p.real + 1j * q.real
+        s_odd = -q.imag + 1j * p.imag
+        diag = m11 * mu2_sq + m22 * mu1_sq[i]
+        out[i] = 2 / (1 / sigma(s_even + s_odd, diag, i == 0)
+                      + 1 / sigma(s_even - s_odd, diag, i == 0))
+    return out
 
 
 def _pcg(
@@ -649,6 +703,12 @@ def _pcg(
 # ---------------------------------------------------------------------------
 
 
+def _sup(x) -> float:
+    """max |x| of a real grid or scalar, bit for bit np.max(np.abs(x))
+    without the |x| copy; abs only clears the sign of a zero sup."""
+    return float(abs(max(x.max(), -x.min())))
+
+
 @dataclass
 class MongeAmpereSolution:
     u: np.ndarray
@@ -719,20 +779,19 @@ def solve_monge_ampere(
         )
 
     # the iterate is kept as the half spectrum psi_hat of psi, with
-    # m = a0 + ddc(psi) and sq = 8 det(m), neither recomputed; the start
-    # m = a0 and its sq are scalars, and u = psi - phi_U is transformed
-    # back once, at the end
+    # m = a0 + ddc(psi) and its residual res, neither recomputed; the
+    # start m = a0 is scalars, and u = psi - phi_U is transformed back
+    # once, at the end
     psi_hat = np.zeros_like(geom.cross_re)
     m = a0
-    sq = square_density(m)
     symbol = _precondition_symbol(geom, mbar)
     total_cg = 0
 
     # the solve is 8 det = f + shift; the compatibility constant is
     # subtracted in place, so f + shift is never built
-    res = sq - f
+    res = square_density(m) - f
     res -= shift
-    res_sup = float(np.max(np.abs(res)))
+    res_sup = _sup(res)
     path = [res_sup]
     while res_sup > tol:
         if len(path) > max_newton:     # len(path) - 1 steps taken
@@ -741,6 +800,7 @@ def solve_monge_ampere(
         # as -L, solved to a tolerance that follows the residual
         eta = max(CG_TOL_FLOOR, min(0.1, 0.1 * res_sup / scale))
         delta_hat, cg_it = _pcg(geom, m, res, symbol, eta, CG_MAX)
+        del m, res      # the line search builds its own
         total_cg += cg_it
         step = 1.0
         while True:
@@ -751,9 +811,10 @@ def solve_monge_ampere(
             # a Hermitian 2x2 matrix is positive definite where its
             # a11 and its determinant are
             if float(np.min(trial_m.a11)) > 0 and float(np.min(trial_sq)) > 0:
-                trial_res = trial_sq - f
+                trial_res = trial_sq    # taken in place
+                trial_res -= f
                 trial_res -= shift
-                trial_sup = float(np.max(np.abs(trial_res)))
+                trial_sup = _sup(trial_res)
                 if trial_sup < res_sup:
                     break
             step /= 2
@@ -770,7 +831,7 @@ def solve_monge_ampere(
                     "not be maintained"
                 )
         psi_hat, m = trial_hat, trial_m
-        sq, res, res_sup = trial_sq, trial_res, trial_sup
+        res, res_sup = trial_res, trial_sup
         # delta is not held through the next _pcg call, and the
         # accepted grids keep one name each
         del delta_hat, trial_hat, trial_m, trial_sq, trial_res
@@ -780,7 +841,7 @@ def solve_monge_ampere(
     # res + shift, and u = psi - phi_U is transformed back once
     res += shift
     margin = m.min_eigenvalue()
-    del m, sq       # not held through the transform back
+    del m           # not held through the transform back
     if potential_hat is not None:
         psi_hat -= potential_hat
     psi_hat[0, 0, 0, 0] = 0.0
@@ -788,7 +849,7 @@ def solve_monge_ampere(
     return MongeAmpereSolution(
         u=u,
         residual=res,
-        residual_sup=float(np.max(np.abs(res))),
+        residual_sup=_sup(res),
         shift=shift,
         newton_iterations=len(path) - 1,
         cg_iterations=total_cg,
@@ -809,7 +870,7 @@ class SurfaceSolution(MongeAmpereSolution):
 
     def __post_init__(self):
         z = self.z_residual_field
-        self.z_residual_sup = float(np.max(np.abs(z)))
+        self.z_residual_sup = _sup(z)
         self.z_residual_mean = float(np.mean(z))
 
     @property
@@ -852,7 +913,7 @@ def z_residual(data: SurfaceChargeData, alpha: FormField) -> ZResidualReport:
     """
     zt = data.zt_density(alpha)
     res = np.broadcast_to((np.exp(-1j * data.phase()) * zt).imag, data.geom.shape)
-    return ZResidualReport(res, float(np.max(np.abs(res))), float(np.mean(res)))
+    return ZResidualReport(res, _sup(res), float(np.mean(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +962,7 @@ def large_volume_check(
     mean = variation.mean_matrix()
     vari = variation - FormField.constant(mean[0, 0].real, mean[0, 1], mean[1, 1].real)
     predicted = c * square_density(g) * wedge_density(g, vari)
-    pred_sup = float(np.max(np.abs(predicted)))
+    pred_sup = _sup(predicted)
 
     rows = []
     for k in k_values:
@@ -911,9 +972,9 @@ def large_volume_check(
         except (OverflowError, FloatingPointError):
             rows.append(LargeVolumeRow(float(k), np.nan, pred_sup, np.nan))
             continue
-        diff = float(np.max(np.abs(measured - predicted)))
+        diff = _sup(measured - predicted)
         rel = diff / pred_sup if pred_sup > 0 else diff
-        rows.append(LargeVolumeRow(float(k), float(np.max(np.abs(measured))), pred_sup, rel))
+        rows.append(LargeVolumeRow(float(k), _sup(measured), pred_sup, rel))
     return rows
 
 

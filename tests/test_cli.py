@@ -1,17 +1,21 @@
 """Command-line behavior driven in process: golden delimited output,
 JSON variants, and the exit-code contract."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcrit import cli, extension, surface
 from zcrit.exactlp import LinearProgramError
@@ -717,3 +721,72 @@ def test_selftest_single_criterion(capsys):
     assert rc == 0
     assert out.startswith("PASS")
     assert "graded square root" in out
+
+
+def tenths(lo, hi):
+    return st.integers(lo, hi).map(lambda p: f"{p}/10")
+
+
+def hermitian(diag, off):
+    return st.fixed_dictionaries({"a11": diag, "a22": diag,
+                                  "a12": st.fixed_dictionaries({"re": off, "im": off})})
+
+
+# diagonal entries of at least 1/2 and off-diagonal ones of at most
+# 3/10 in each part make a positive matrix; the wide range is often
+# indefinite
+POSITIVE = hermitian(tenths(5, 30), tenths(-3, 3))
+ANY_HERMITIAN = hermitian(tenths(-20, 30), tenths(-10, 10))
+
+
+def mode_terms(max_size, amplitude):
+    term = st.fixed_dictionaries({"mode": st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                                  "amplitude": st.floats(-amplitude, amplitude),
+                                  "phase": st.sampled_from(["cos", "sin"])})
+    return st.lists(term, max_size=max_size)
+
+
+@st.composite
+def surface_sections(draw):
+    """N=8 surface sections: positive or indefinite metric and alpha0, an
+    optional twist constant, 0-3 twist modes, 0-2 u2 modes, the dhym
+    preset or an explicit rho, and optional k_values and max_newton."""
+    sec = {"N": 8,
+           "metric": draw(st.one_of(POSITIVE, ANY_HERMITIAN)),
+           "alpha0": draw(st.one_of(POSITIVE, ANY_HERMITIAN))}
+    if draw(st.booleans()):
+        sec["preset"] = "dhym"
+    else:
+        sec["rho"] = draw(st.lists(st.fixed_dictionaries({"re": tenths(-20, 20),
+                                                          "im": tenths(-20, 20)}),
+                                   min_size=3, max_size=3))
+    if draw(st.booleans()):
+        sec["u1_const"] = draw(hermitian(tenths(-5, 5), tenths(-5, 5)))
+    for key, size, amplitude in (("u1_potential", 3, 0.3), ("u2", 2, 2.0)):
+        terms = draw(mode_terms(size, amplitude))
+        if terms:
+            sec[key] = terms
+    if draw(st.booleans()):
+        sec["k_values"] = draw(st.lists(st.floats(-1e3, 1e3), max_size=2))
+    if draw(st.booleans()):
+        sec["max_newton"] = draw(st.integers(0, 8))
+    return sec
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_sections())
+def test_fuzzed_surface_configs_exit_with_a_documented_code(sec):
+    # every drawn section solves (0) or is refused as a config error (64),
+    # a numerical failure (65) or an obstruction (66), without a numpy
+    # warning on the way
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"surface": sec}, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(["solve-surface", "--config", path])
+    assert rc in (0, 64, 65, 66), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

@@ -292,27 +292,47 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12
 
 
-@pytest.mark.parametrize("case, bound", [("newton", 20), ("single", 15), ("harmonic", 15)])
-def test_solve_peak_memory_in_grids(case, bound):
+# tracemalloc peaks in grids, rounded up: a multi-step Newton solve peaks
+# in the conjugate-gradient operator (16.7 at N=16), a solve that ends at
+# its start in the assembly (6.7 at N=16, 6.2 at N=32), and ddc with
+# its input at 7.1
+PEAK_GRIDS = {"newton": 17, "single": 7, "harmonic": 7, "ddc": 8}
+
+
+@pytest.mark.parametrize("case, n", [("newton", 16), ("single", 16), ("harmonic", 16),
+                                     ("single", 32), ("ddc", 32)])
+def test_solve_peak_memory_in_grids(case, n):
     # numpy reports its array buffers to tracemalloc, so the peak in grids
     # of N^4 float64 is the same on every machine; the data and its twist
-    # potential exist before the solve and are not counted
-    data = flat_data()
-    x = data.geom.coordinates()
-    a1, a2 = {"newton": (0.1, 0.05), "single": (0.1, 0.0), "harmonic": (0.3, 0.0)}[case]
-    pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
+    # potential exist before the solve and are not counted, the input of
+    # ddc is
+    data = flat_data(n)
+    geom = data.geom
+    if case == "ddc":
+        def run():
+            return ddc(geom, np.random.default_rng(32).standard_normal(geom.shape))
+    else:
+        x = geom.coordinates()
+        a1, a2 = {"newton": (0.1, 0.05), "single": (0.1, 0.0), "harmonic": (0.3, 0.0)}[case]
+        pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
+
+        def run():
+            return solve_critical_equation(pert, tol=1e-11, stages=1)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        sol = solve_critical_equation(pert, tol=1e-11, stages=1)
+        out = run()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert sol.residual_sup <= 1e-11
-    assert sol.used_harmonic_start
-    assert sol.newton_iterations == {"newton": 4, "single": 0, "harmonic": 0}[case]
-    assert peak / (8 * data.geom.size ** 4) <= bound
+    if case == "ddc":
+        assert out.a12.shape == geom.shape
+    else:
+        assert out.residual_sup <= 1e-11
+        assert out.used_harmonic_start
+        assert out.newton_iterations == {"newton": 4, "single": 0, "harmonic": 0}[case]
+    assert peak / (8 * geom.size ** 4) <= PEAK_GRIDS[case]
