@@ -9,11 +9,17 @@ degree-n polynomial
 
 computed exactly over Gaussian rationals. A charge is the tuple of its
 coefficients (z_0, ..., z_n), ascending in k. Along a twist pencil
-U(t) = sum_j u_j t^j the same coefficients become polynomials in t:
-charge_family returns that table in (k, t), and central_charge is its
-t = 0 column. k and t stay formal here; no numeric evaluation happens
-in this module. A StabilityVector checks the weight conditions when it
-is built, so every charge assignment in use is valid.
+U(t) = sum_j u_j t^j the same coefficients become polynomials in t.
+
+Z is linear in ch: the k^d t^j coefficient is rho_d times the pairing
+of ch with the covector integrate(omega^d * u_j * e_k) over the basis
+e_k. charge_map builds these covectors once per assignment, from one
+ring product omega^d * u_j and the ring's Poincare pairing, and returns
+the map ch -> table in (k, t); applying it costs a dot product per
+coefficient and no ring product. central_charge is the t = 0 column of
+a map used once. k and t stay formal here; no numeric evaluation
+happens in this module. A StabilityVector checks the weight conditions
+when it is built, so every charge assignment in use is valid.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .gaussian import GaussianRational
-from .numring import GradedClass, NumericalRing, integrate, power_series_apply
+from .numring import (GradedClass, NumericalRing, RingMismatchError, integrate,
+                      power_series_apply)
 
 
 class ChargeError(ValueError):
@@ -125,22 +132,23 @@ class ChernCharacter:
         return ChernCharacter(self.cls + other.cls)
 
 
-def charge_family(
+def charge_map(
     ring: NumericalRing,
     omega: GradedClass,
     rho: StabilityVector,
     u_coeffs: Sequence[GradedClass],
-    ch: ChernCharacter,
-) -> List[List[GaussianRational]]:
-    """Exact charge table of ch along a twist pencil U(t) = sum_j u_j t^j.
+) -> Callable[[ChernCharacter], List[List[GaussianRational]]]:
+    """The charge along a twist pencil U(t) = sum_j u_j t^j, as a map
+    from Chern characters to exact charge tables.
 
-    table[d][j] is the k^d t^j coefficient of
+    The map sends ch to table[d][j], the k^d t^j coefficient of
     Z(k, t) = sum_d rho_d * integrate(omega^d * ch * U(t)) * k^d.
     U(0) = u_0 must be unipotent and every u_j with j >= 1 must have
     zero degree-0 part, so U(t) is unipotent for all t. Requires
     deg(omega) = 2 and integrate(omega^n) > 0 (rho is valid once built).
-    For positive rank the leading coefficient at t = 0 lands in the
-    closed upper half-plane off the negative real axis.
+    For positive rank the map checks that the leading coefficient at
+    t = 0 lands in the closed upper half-plane off the negative real
+    axis.
     """
     n = ring.complex_dimension
     if rho.n != n:
@@ -157,16 +165,40 @@ def charge_family(
     vol = integrate(omega_powers[n])
     if vol <= 0:
         raise ChargeError(f"integrate(omega^n) = {vol} must be positive")
-    bases = [ch.cls * u for u in u_coeffs]
-    table = [[rho[d].scale(integrate(omega_powers[d] * base)) for base in bases]
-             for d in range(n + 1)]
-    if ch.rank > 0:
-        lead = table[n][0]
-        if not (lead.im > 0 or (lead.im == 0 and lead.re > 0)):
-            raise ChargeError(
-                f"leading coefficient {lead} left the upper half-plane; "
-                "charge data inconsistent")
-    return table
+    # integrate(omega^d * u_j * e_k) scaled by the real and imaginary
+    # parts of rho_d, nonzero entries only
+    covectors = []
+    for d, power in enumerate(omega_powers):
+        row = []
+        for u in u_coeffs:
+            kappa: Dict[str, Fraction] = {}
+            for i, a in (power * u).coeffs.items():
+                for k, c in ring.pairing[i].items():
+                    kappa[k] = kappa.get(k, 0) + a * c
+            row.append(tuple({k: part * v for k, v in kappa.items() if part and v}
+                             for part in (rho[d].re, rho[d].im)))
+        covectors.append(row)
+
+    def charge(ch: ChernCharacter) -> List[List[GaussianRational]]:
+        if ch.cls.ring.name != ring.name:
+            raise RingMismatchError(
+                f"mismatched ring identifiers {ch.cls.ring.name!r} and {ring.name!r}")
+        support = ch.cls.coeffs.items()
+
+        def pair(covector: Dict[str, Fraction]) -> Fraction:
+            return sum((v * covector[k] for k, v in support if k in covector), Fraction(0))
+
+        table = [[GaussianRational(pair(re), pair(im)) for re, im in row]
+                 for row in covectors]
+        if ch.rank > 0:
+            lead = table[n][0]
+            if not (lead.im > 0 or (lead.im == 0 and lead.re > 0)):
+                raise ChargeError(
+                    f"leading coefficient {lead} left the upper half-plane; "
+                    "charge data inconsistent")
+        return table
+
+    return charge
 
 
 def central_charge(
@@ -177,9 +209,9 @@ def central_charge(
     ch: ChernCharacter,
 ) -> Tuple[GaussianRational, ...]:
     """Exact charge coefficients z_0..z_n of ch for the assignment
-    (omega, rho, U), ascending in k: the t = 0 column of charge_family
-    for the constant pencil U."""
-    return tuple(row[0] for row in charge_family(ring, omega, rho, [U.cls], ch))
+    (omega, rho, U), ascending in k: the t = 0 column of charge_map
+    for the constant pencil U, used once."""
+    return tuple(row[0] for row in charge_map(ring, omega, rho, [U.cls])(ch))
 
 
 # -- presets ------------------------------------------------------------------

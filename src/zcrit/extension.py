@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .charge import ChernCharacter, StabilityVector, UnipotentOperator, central_charge
+from .charge import ChernCharacter, StabilityVector, UnipotentOperator, charge_map
+# unused here; kept because the benchmark's traced run wraps it on this module
+from .charge import central_charge  # noqa: F401
 from .exactlp import simplex_solve, solve_linear_system
 from .numring import GradedClass, NumericalRing
 from .stability import phase_compare
@@ -114,8 +116,9 @@ def assemble_tau_system(
     for spec in graph.quotients:
         if spec.ch.rank < 1:
             raise ExtensionError(f"quotient {spec.name!r} must have positive rank")
-    z_e = central_charge(ring, omega, rho, U, ch_e)
-    verdicts = [phase_compare(central_charge(ring, omega, rho, U, spec.ch), z_e)
+    charge = charge_map(ring, omega, rho, [U.cls])
+    z_e = [row[0] for row in charge(ch_e)]
+    verdicts = [phase_compare([row[0] for row in charge(spec.ch)], z_e)
                 for spec in graph.quotients]
     present = [v.order for v in verdicts if v.order is not None]
     q = min(present) if present else None

@@ -91,6 +91,18 @@ class NumericalRing:
         self.todd: Optional[GradedClass] = None
         if todd is not None:
             self.todd = GradedClass(self, {k: as_fraction(v) for k, v in todd.items()})
+        # Poincare pairing: pairing[i][k] = integrate(e_i * e_k), nonzero entries only
+        self.pairing: Dict[str, Dict[str, Fraction]] = {}
+        for bi in self.basis:
+            row = {}
+            for bk in self.basis:
+                if bi.degree + bk.degree == top:
+                    v = sum((c * self.integration.get(l, 0)
+                             for l, c in self._pair_product(bi.name, bk.name).items()),
+                            Fraction(0))
+                    if v:
+                        row[bk.name] = v
+            self.pairing[bi.name] = row
 
     def _key(self, i: str, j: str) -> Tuple[str, str]:
         return (i, j) if i <= j else (j, i)

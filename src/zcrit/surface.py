@@ -473,13 +473,15 @@ class SurfaceChargeData:
     def _zt(self, alpha: FormField, k: float, u1: FormField, u2) -> np.ndarray:
         """zt_density with the u2 density given."""
         _, r1, r2 = self.normalised_rho()
+        sq_g, w_g, real_part = self._zt_terms(alpha, u1, u2)
+        return r2 * k ** 2 * sq_g + r1 * k * w_g + real_part
+
+    def _zt_terms(self, alpha: FormField, u1: FormField, u2) -> Tuple[np.ndarray, ...]:
+        """The k-independent densities of _zt: the coefficients of r2 k^2
+        and r1 k, and the real part."""
         g = self.omega()
         real_part = square_density(alpha) + 2 * wedge_density(alpha, u1) + 2 * u2
-        return (
-            r2 * k ** 2 * square_density(g)
-            + r1 * k * wedge_density(g, alpha + u1)
-            + real_part
-        )
+        return square_density(g), wedge_density(g, alpha + u1), real_part
 
     def total_charge(self, k: float = 1.0) -> complex:
         """Grid mean of zt_density(alpha_harmonic(), k), a class quantity.
@@ -784,7 +786,7 @@ def solve_monge_ampere(
     # once, at the end
     psi_hat = np.zeros_like(geom.cross_re)
     m = a0
-    symbol = _precondition_symbol(geom, mbar)
+    symbol = None       # built by the first Newton step; a harmonic start may need none
     total_cg = 0
 
     # the solve is 8 det = f + shift; the compatibility constant is
@@ -799,6 +801,8 @@ def solve_monge_ampere(
         # inexact Newton step L delta = -res, with the solver acting
         # as -L, solved to a tolerance that follows the residual
         eta = max(CG_TOL_FLOOR, min(0.1, 0.1 * res_sup / scale))
+        if symbol is None:
+            symbol = _precondition_symbol(geom, mbar)
         delta_hat, cg_it = _pcg(geom, m, res, symbol, eta, CG_MAX)
         del m, res      # the line search builds its own
         total_cg += cg_it
@@ -945,17 +949,19 @@ def large_volume_check(
     nan for the measured sup and the relative error.
     """
     alpha = data.alpha_harmonic()
-    u1, u2 = data.u1_field(), data.u2_density()
+    u1 = data.u1_field()
+    _, r1, r2 = data.normalised_rho()
+    # _zt at any k from densities built once, in _zt's operation order
+    sq_g, w_g, real_part = data._zt_terms(alpha, u1, data.u2_density())
 
     def pairing(kk: float) -> np.ndarray:
-        zt = data._zt(alpha, kk, u1, u2)
+        zt = r2 * kk ** 2 * sq_g + r1 * kk * w_g + real_part
         zk = complex(np.mean(zt))
         return (np.conj(zk) * zt).imag
 
     def odd(kk: float) -> np.ndarray:
         return (pairing(kk) - pairing(-kk)) / 2
 
-    _, r1, r2 = data.normalised_rho()
     c = float((np.conj(r2) * r1).imag)
     g = data.omega()
     variation = alpha + u1

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zcrit.charge import ChernCharacter, central_charge, charge_preset
 from zcrit.gaussian import GaussianRational
@@ -334,3 +334,50 @@ def test_p3_scans_with_a_base_twist(inputs):
     # the pencil U(h b) exp(-t h) on P3, checked cell by cell and at
     # every rational wall against stability_verdict
     scan_and_check(*inputs)
+
+
+# -- lazy phase comparison against the full comparison polynomial --------------
+
+def verdict_off_polynomial(z_f, z_e):
+    """Reference verdict read off every coefficient of P."""
+    p = comparison_polynomial(z_f, z_e)
+    n = max(len(z_f), len(z_e)) - 1
+    for m in range(len(p) - 1, -1, -1):
+        if p[m]:
+            return PhaseVerdict(Relation.GREATER if p[m] > 0 else Relation.LESS, 2 * n - m, p[m])
+    return PhaseVerdict(Relation.EQUAL, None, None)
+
+
+gaussians = st.builds(lambda a, b: g(a, b), st.integers(-3, 3), st.integers(-3, 3))
+
+
+def normalised(z):
+    """z, or -z, so that the leading nonzero coefficient is comparable."""
+    lead = next((c for c in reversed(z) if not c.is_zero()), None)
+    assume(lead is not None)
+    return [-c for c in z] if lead.im < 0 or (lead.im == 0 and lead.re < 0) else z
+
+
+@st.composite
+def charge_pairs(draw):
+    z_e = normalised(draw(st.lists(gaussians, min_size=1, max_size=5)))
+    shape = draw(st.sampled_from(["free", "tie", "perturbed"]))
+    if shape == "free":
+        return normalised(draw(st.lists(gaussians, min_size=1, max_size=5))), z_e
+    # a positive multiple of z_e, padded with zero coefficients on top,
+    # ties exactly; changing one coefficient moves the leading one down
+    c = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    z_f = [x.scale(c) for x in z_e] + [g(0)] * draw(st.integers(0, 2))
+    if shape == "perturbed":
+        i = draw(st.integers(0, len(z_e) - 1))
+        z_f[i] = z_f[i] + draw(gaussians)
+        z_f = normalised(z_f)
+    return z_f, z_e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(charge_pairs())
+def test_lazy_phase_compare_matches_the_full_polynomial(pair):
+    z_f, z_e = pair
+    assert phase_compare(z_f, z_e) == verdict_off_polynomial(z_f, z_e)
+    assert phase_compare(z_e, z_f) == verdict_off_polynomial(z_e, z_f)
