@@ -24,6 +24,7 @@ when it is built, so every charge assignment in use is valid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,8 +83,10 @@ class StabilityVector:
         return self.rho[d]
 
 
+@functools.lru_cache(maxsize=None)
 def dhym_stability_vector(n: int) -> StabilityVector:
-    """rho_d = -(-i)^d / d! for d = 0..n.
+    """rho_d = -(-i)^d / d! for d = 0..n, built once per n (the vector
+    is frozen, so every caller may share it).
 
     In dimensions n = 0, 3 mod 4 the raw leading weight leaves the upper
     half-plane, so the whole vector is rotated by a quarter or half turn;

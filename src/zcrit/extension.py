@@ -142,10 +142,19 @@ class TauSolution:
     certificate: Dict
 
 
+def _edge_sums(graph: FiltrationGraph, w: Sequence[Fraction]) -> list:
+    """A w, read off the edge list: edge l = (u, v) adds w_l at u and
+    -w_l at v."""
+    out = [0] * len(graph.quotients)
+    for (u, v), t in zip(graph.edges, w):
+        out[u] += t
+        out[v] -= t
+    return out
+
+
 def _check_primal(system: TauSystem, tau: Sequence[Fraction]) -> None:
-    for i, row in enumerate(system.A):
-        lhs = sum((row[l] * tau[l] for l in range(len(tau))), Fraction(0))
-        _certify(lhs == -system.b[i], "weight vector must balance the loads")
+    _certify(_edge_sums(system.graph, tau) == [-b for b in system.b],
+             "weight vector must balance the loads")
 
 
 def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSolution:
@@ -157,7 +166,8 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
     A^T y >= 0, (A 1)^T y = 1, -b.y = delta*). A graph containing no
     directed cycle always gives a bounded program; if the margin is
     unbounded anyway, it is re-solved under min-weight <= cap and
-    reported with the cap noted.
+    reported with the cap noted. The certificates are checked on the
+    edge list: (A^T y)_l = y_u - y_v for edge l = (u, v).
     """
     m = len(system.b)
     L = len(system.graph.edges)
@@ -168,16 +178,16 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
     if status == "inconsistent":
         y = cert
         _certify(
-            all(sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) == 0 for l in range(L)),
+            all(y[u] == y[v] for u, v in system.graph.edges),
             "inconsistency functional must annihilate the balance matrix",
         )
         _certify(
-            sum((y[i] * system.b[i] for i in range(m)), Fraction(0)) != 0,
+            sum((yi * bi for yi, bi in zip(y, system.b)), Fraction(0)) != 0,
             "inconsistency functional must not vanish on the loads",
         )
         return TauSolution(False, None, None, {"kind": "inconsistent", "y": tuple(y)})
 
-    a_ones = [sum(row, Fraction(0)) for row in A]
+    a_ones = [Fraction(s) for s in _edge_sums(system.graph, [1] * L)]
     M = [A[i] + [a_ones[i], -a_ones[i]] for i in range(m)]
     c = [Fraction(0)] * L + [Fraction(1), Fraction(-1)]
     res = simplex_solve(M, neg_b, c)
@@ -195,7 +205,7 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
 
     margin = res.value
     delta = res.x[L] - res.x[L + 1]
-    tau = tuple(res.x[l] + delta for l in range(L))
+    tau = tuple([res.x[l] + delta for l in range(L)])
     _check_primal(system, tau)
     if margin > 0:
         cert = {"kind": "primal", "tau": tau, "margin": margin}
@@ -204,16 +214,11 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
         return TauSolution(True, margin, tau, cert)
 
     y = res.dual[:m]
+    edge_y = [y[u] - y[v] for u, v in system.graph.edges]
+    _certify(all(t >= 0 for t in edge_y), "dual vector must satisfy A^T y >= 0")
+    _certify(sum(edge_y, Fraction(0)) == 1, "dual vector must satisfy (A 1)^T y = 1")
     _certify(
-        all(sum((y[i] * A[i][l] for i in range(m)), Fraction(0)) >= 0 for l in range(L)),
-        "dual vector must satisfy A^T y >= 0",
-    )
-    _certify(
-        sum((y[i] * a_ones[i] for i in range(m)), Fraction(0)) == 1,
-        "dual vector must satisfy (A 1)^T y = 1",
-    )
-    _certify(
-        sum((y[i] * neg_b[i] for i in range(m)), Fraction(0)) == margin,
+        sum((yi * bi for yi, bi in zip(y, neg_b)), Fraction(0)) == margin,
         "dual objective must equal the margin",
     )
     return TauSolution(False, margin, tau, {"kind": "dual", "y": tuple(y), "margin": margin})

@@ -46,8 +46,17 @@ def test_default_vector_values_low_dimensions():
         g(1), g(0, -1), g(F(-1, 2)), g(0, F(1, 6)))
     assert dhym_stability_vector(4).rho == (
         g(0, 1), g(1), g(0, F(-1, 2)), g(F(-1, 6)), g(0, F(1, 24)))
+    five = (g(-1), g(0, 1), g(F(1, 2)), g(0, F(-1, 6)), g(F(-1, 24)), g(0, F(1, 120)))
+    assert dhym_stability_vector(5).rho == five
+    assert dhym_stability_vector(6).rho == five + (g(F(1, 720)),)
+
+
+def test_default_vector_is_built_once_per_dimension():
     for n in range(1, 7):
-        dhym_stability_vector(n)      # built, so valid
+        assert dhym_stability_vector(n) is dhym_stability_vector(n)
+    ring = preset_ring("projective_space", n=3)
+    rho, _ = charge_preset("dhym", ring, ring.zero())
+    assert rho is dhym_stability_vector(3)
 
 
 def test_vector_validation_failures():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,6 +283,21 @@ def test_tau_without_edges(tmp_path, capsys):
     assert json.loads(out) == {
         "order": 3, "profile": {"Q": "-8/27", "F": "8/27"}, "feasible": False,
         "margin": None, "tau": None, "certificate": "inconsistent"}
+
+
+@pytest.mark.parametrize("config, tail", [
+    ("configs/tau_dual.json", [["feasible", "false"], ["margin", "-8/27"],
+                               ["tau", "0", "1->0", "-8/27"], ["certificate", "dual"]]),
+    ("configs/tau_inconsistent.json", [["feasible", "false"], ["margin", "-"],
+                                       ["certificate", "inconsistent"]]),
+])
+def test_shipped_tau_outcomes(capsys, config, tail):
+    # the two infeasible outcomes of the README, each exiting 2
+    rc, out, _ = run(capsys, "tau", "--config", config)
+    assert rc == 2
+    rows = rows_of(out)
+    assert rows[:3] == [["order", "3"], ["profile", "Q", "-8/27"], ["profile", "F", "8/27"]]
+    assert rows[3:] == tail
 
 
 def test_tau_margin_is_capped_on_a_cycle(tmp_path, capsys):
@@ -789,4 +805,79 @@ def test_fuzzed_surface_configs_exit_with_a_documented_code(sec):
             warnings.simplefilter("always")
             rc = cli.main(["solve-surface", "--config", path])
     assert rc in (0, 64, 65, 66), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
+P2_CHARACTERS = st.fixed_dictionaries({
+    "1": st.integers(1, 3).map(str),
+    "h": st.sampled_from(["0", "1", "-1", "1/2", "-3/2"]),
+    "h^2": st.sampled_from(["0", "-1", "1/2", "-2", "5/6"]),
+})
+# at most one fault per config, none in about half of them
+TAU_FAULTS = ["none"] * 9 + ["repeated name", "rank 0", "rank -1", "wrong total", "loop",
+                             "vertex -1", "vertex m", "cap 0", "cap -1", "cap -2/3",
+                             "cap abc", "cap 1.5"]
+
+
+@st.composite
+def tau_configs(draw):
+    """tau runs on P2 with 1-4 quotients, named by sheaf or inline, E
+    their sum, and edges that may repeat, form cycles or be empty; one
+    drawn fault may repeat a name, give a quotient rank 0 or -1, add a
+    unit of rank to E, add a loop or an edge leaving the vertex range,
+    or set the cap to 0, a negative number, a non-number or a float."""
+    fault = draw(st.sampled_from(TAU_FAULTS))
+    count = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("ABCDFG"), min_size=count, max_size=count, unique=True))
+    chars = [draw(P2_CHARACTERS) for _ in range(count)]
+    if fault == "repeated name" and count > 1:
+        names[-1] = names[0]
+    if fault.startswith("rank"):
+        chars[-1]["1"] = fault.split()[1]
+    sheaves, quotients = {}, []
+    for name, ch in zip(names, chars):
+        if draw(st.booleans()):
+            quotients.append({"name": name, "ch": ch})
+        else:
+            sheaves.setdefault(name, {"ch": ch})
+            quotients.append(name)
+    used = [sheaves[q]["ch"] if isinstance(q, str) else q["ch"] for q in quotients]
+    total = {key: sum(Fraction(ch[key]) for ch in used) for key in ("1", "h", "h^2")}
+    if fault == "wrong total":
+        total["1"] += 1
+    sheaves["E"] = {"ch": {key: str(v) for key, v in total.items()}}
+    vertex = st.integers(0, count - 1)
+    edges = draw(st.lists(st.lists(vertex, min_size=2, max_size=2).filter(lambda e: e[0] != e[1]),
+                          max_size=6)) if count > 1 else []
+    bad_edge = {"loop": [0, 0], "vertex -1": [-1, 0], "vertex m": [0, count]}.get(fault)
+    if bad_edge is not None:
+        edges.insert(draw(st.integers(0, len(edges))), bad_edge)
+    tau = {"object": "E", "quotients": quotients, "edges": edges}
+    if fault.startswith("cap"):
+        tau["cap"] = {"cap 0": 0, "cap -1": -1, "cap -2/3": "-2/3", "cap abc": "abc",
+                      "cap 1.5": 1.5}[fault]
+    else:
+        cap = draw(st.sampled_from([None, 1, "3/2", "1/7"]))
+        if cap is not None:
+            tau["cap"] = cap
+    bfield = {"h": draw(st.sampled_from(["0", "1/3", "-2"]))}
+    return {"manifold": {"preset": "projective_space", "dimension": 2},
+            "charge": {"preset": "dhym", "bfield": bfield}, "sheaves": sheaves, "tau": tau}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tau_configs())
+def test_fuzzed_tau_configs_exit_with_a_documented_code(raw):
+    # every drawn config is decided (0 feasible, 2 infeasible) or refused
+    # as a config error (64): never a crash (1) or a failed certificate (70)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(["tau", "--config", path])
+    assert rc in (0, 2, 64), err.getvalue()
     assert not caught, [str(w.message) for w in caught]

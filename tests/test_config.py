@@ -91,7 +91,8 @@ def test_load_raw_reports_syntax_position(tmp_path):
         load_raw(str(arr))
 
 
-def test_shipped_configs_load(shipped=("p2_extension_dhym", "p2_extension_todd", "tau_chain")):
+def test_shipped_configs_load(shipped=("p2_extension_dhym", "p2_extension_todd", "tau_chain",
+                                        "tau_dual", "tau_inconsistent")):
     for name in shipped:
         cfg = load_config(f"configs/{name}.json")
         assert cfg.ring.complex_dimension == 2

@@ -359,6 +359,16 @@ def test_bad_dual_certificate_raises(monkeypatch, changes, claim):
         solve_tau_positive(pinned_reverse_system())
 
 
+@pytest.mark.parametrize("x", [
+    [F(5), F(0), F(0)],            # tau = 5 on the one edge
+    [F(0), F(8, 27), F(0)],        # the right margin carried by no edge weight
+])
+def test_unbalanced_weight_vector_raises(monkeypatch, x):
+    faked_simplex(monkeypatch, x=x)
+    with pytest.raises(ExtensionError, match="weight vector must balance the loads"):
+        solve_tau_positive(pinned_reverse_system())
+
+
 def test_capped_margin_off_the_cap_raises(monkeypatch):
     ring, h, rho, U = p2()
     half = p2_character(ring, 1, 0, -1)
