@@ -88,10 +88,11 @@ def _emit(fmt: str, doc: dict, rows: Iterable[Sequence]) -> None:
 
 def cmd_charge(args) -> int:
     cfg = load_config(args.config)
-    sheaf = args.sheaf or cfg.raw.get("charge", {}).get("object")
-    if not sheaf:
+    flag = args.sheaf is not None
+    sheaf = args.sheaf if flag else cfg.raw.get("charge", {}).get("object")
+    if sheaf is None:
         raise ConfigError("charge.object", "no sheaf named; use --sheaf or charge.object")
-    ch = cfg.sheaf(sheaf, "--sheaf" if args.sheaf else "charge.object")
+    ch = cfg.sheaf(sheaf, "--sheaf" if flag else "charge.object")
     z = central_charge(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch)
     terms = [(f"k^{d}", z[d]) for d in range(len(z) - 1, -1, -1)]
     doc = {"sheaf": sheaf, "coefficients": {k: c.to_json() for k, c in terms}}
@@ -190,7 +191,7 @@ def cmd_solve_surface(args) -> int:
     sec = cfg_raw.get("surface")
     if sec is None:
         raise ConfigError("surface", "section missing from the configuration")
-    data, params = surface_from_section(sec, n_override=args.N, tol_override=args.tol)
+    data, params = surface_from_section(sec, n_override=args.N)
 
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 
@@ -200,7 +201,7 @@ def cmd_solve_surface(args) -> int:
         if math.isnan(row.measured_sup):
             raise ConfigError(f"surface.k_values[{i}]",
                               f"the large-volume row at k = {row.k!r} leaves float range")
-    sol = solve_critical_equation(data, tol=params["tol"], max_newton=params["max_newton"])
+    sol = solve_critical_equation(data, tol=params["tol"])
     if not sol.residual_sup <= params["tol"]:
         raise NumericalFailureError(
             f"final residual {sol.residual_sup:.3e} exceeds tol {params['tol']:.3e}"
@@ -223,20 +224,18 @@ def cmd_solve_surface(args) -> int:
         "newton_iterations": sol.newton_iterations,
         "cg_iterations": sol.cg_iterations,
         "harmonic_start": sol.used_harmonic_start,
+        "residual_path": sol.residual_path,
     }
-    stage = {"s": 1.0, "newton": sol.newton_iterations, "residual": sol.residual_path[-1]}
     large_volume = [
         {"k": row.k, "measured_sup": row.measured_sup, "predicted_sup": row.predicted_sup,
          "relative_error": row.relative_error}
         for row in lv_rows
     ]
     dump = {"dump": params["dump"]}
-    rows = _head(head) + [["stage", *stage.values()]]
-    rows += [["largevolume", *row.values()] for row in large_volume]
+    rows = _head(head) + [["largevolume", *row.values()] for row in large_volume]
     if params["dump"]:
         rows += _head(dump)
-    doc = {**head, "stages": [stage], "stage_residuals": [sol.residual_path],
-           "large_volume": large_volume, **dump}
+    doc = {**head, "large_volume": large_volume, **dump}
     _emit(args.format, doc, rows)
     return EXIT_OK
 
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-surface", help="solve the critical equation on the torus")
     add_common(p)
     p.add_argument("--N", type=int, default=None, help="grid size override")
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance override")
     p.set_defaults(handler=cmd_solve_surface)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

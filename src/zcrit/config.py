@@ -367,13 +367,6 @@ def parse_mode_sum(geom, terms, path: str):
     return out
 
 
-def _parse_tol(value, path: str) -> float:
-    tol = parse_float(value, path)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(path, f"tolerance must be a positive finite number, got {value!r}")
-    return tol
-
-
 def _parse_k_values(value, path: str) -> List[float]:
     if not isinstance(value, list):
         raise ConfigError(path, f"expected a list of numbers, got {value!r}")
@@ -387,15 +380,18 @@ def _parse_k_values(value, path: str) -> List[float]:
     return out
 
 
-def surface_from_section(sec: dict, n_override: Optional[int] = None,
-                         tol_override: Optional[float] = None):
+def surface_from_section(sec: dict, n_override: Optional[int] = None):
     """Build the torus charge data and solver parameters from the surface
-    section; n_override and tol_override stand for the --N and --tol flags."""
+    section; n_override stands for the --N flag."""
     from .surface import DHYM_RHO, SurfaceChargeData, TorusGeometry
 
     path = "surface"
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
+    extra = set(sec) - {"N", "metric", "alpha0", "preset", "rho", "u1_const",
+                        "u1_potential", "u2", "tol", "k_values", "dump"}
+    if extra:
+        raise ConfigError(path, f"unexpected keys {sorted(extra)}")
     if n_override is not None:
         size, n_path = n_override, "--N"
     else:
@@ -438,28 +434,16 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None,
     except SurfaceError as exc:
         raise ConfigError(path, str(exc)) from None
 
-    # stages is still read so that a config asking for a homotopy fails
-    # rather than silently running a single solve
-    if parse_int(sec.get("stages", 1), path + ".stages") != 1:
-        raise ConfigError(
-            path + ".stages", "only 1 is accepted: the solver runs one Newton solve"
-        )
-    params = {
-        "tol": _parse_tol(sec.get("tol", 1e-8), path + ".tol"),
-        # 0 is a valid budget: a solve that needs any Newton step then fails
-        "max_newton": parse_int(
-            sec.get("max_newton", 50), path + ".max_newton", minimum=0
-        ),
-        "k_values": _parse_k_values(sec.get("k_values", []), path + ".k_values"),
-        "dump": sec.get("dump"),
-    }
-    dump = params["dump"]
-    if dump is not None and not isinstance(dump, str):
-        raise ConfigError(path + ".dump", "dump must be a file path string")
+    tol = parse_float(sec.get("tol", 1e-8), path + ".tol")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(path + ".tol",
+                          f"tolerance must be a positive finite number, got {sec['tol']!r}")
+    k_values = _parse_k_values(sec.get("k_values", []), path + ".k_values")
+    dump = sec.get("dump")
+    if dump is not None and not (isinstance(dump, str) and dump):
+        raise ConfigError(path + ".dump", "dump must be a non-empty file path string")
     # checked here so that a bad path fails before the solve, not after it
     if dump and (os.path.isdir(dump) or not os.path.isdir(os.path.dirname(dump) or ".")):
         raise ConfigError(path + ".dump",
                           f"cannot write {dump!r}: not a file in an existing directory")
-    if tol_override is not None:
-        params["tol"] = _parse_tol(tol_override, "--tol")
-    return data, params
+    return data, {"tol": tol, "k_values": k_values, "dump": dump}

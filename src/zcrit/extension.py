@@ -22,7 +22,10 @@ discrepancy order q = 2n - deg P and equals p_{2n-q} / |z_{E,n}|^2.
 The linear program runs over rationals, and every outcome ships a
 certificate that can be checked independently (a solving weight
 vector, an optimal dual vector, or an inconsistency functional for the
-balance equations).
+balance equations). One simplex run decides all three: tau is free in
+the program, so it is infeasible exactly when the balance equations
+are inconsistent, and the phase-1 functional is then the inconsistency
+certificate.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, StabilityVector, UnipotentOperator, charge_map
-# unused here; kept because the benchmark's traced run wraps it on this module
+# unused here; kept because the benchmark's traced run wraps them on this module
 from .charge import central_charge  # noqa: F401
-from .exactlp import simplex_solve, solve_linear_system
+from .exactlp import solve_linear_system  # noqa: F401
+from .exactlp import simplex_solve
 from .numring import GradedClass, NumericalRing
 from .stability import phase_compare
 
@@ -160,23 +164,28 @@ def _check_primal(system: TauSystem, tau: Sequence[Fraction]) -> None:
 def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSolution:
     """Decide strict positivity of the weight system, with certificate.
 
-    Outcomes: balance equations inconsistent (functional y with
-    y.A = 0, y.b != 0); solvable with optimal margin delta* > 0
-    (solving weights attached); or delta* <= 0 (optimal dual y with
-    A^T y >= 0, (A 1)^T y = 1, -b.y = delta*). A graph containing no
-    directed cycle always gives a bounded program; if the margin is
+    The program runs on tau = x + delta 1 with x >= 0 and delta free,
+    split as delta = d+ - d-. Outcomes: balance equations inconsistent
+    (functional y with y.A = 0, y.b != 0); solvable with optimal margin
+    delta* > 0 (solving weights attached); or delta* <= 0 (optimal dual
+    y with A^T y >= 0, (A 1)^T y = 1, -b.y = delta*). A graph containing
+    no directed cycle always gives a bounded program; if the margin is
     unbounded anyway, it is re-solved under min-weight <= cap and
     reported with the cap noted. The certificates are checked on the
     edge list: (A^T y)_l = y_u - y_v for edge l = (u, v).
     """
     m = len(system.b)
     L = len(system.graph.edges)
-    A = [list(row) for row in system.A]
     neg_b = [-x for x in system.b]
-
-    status, cert = solve_linear_system(A, neg_b)
-    if status == "inconsistent":
-        y = cert
+    a_ones = [Fraction(s) for s in _edge_sums(system.graph, [1] * L)]
+    M = [[*row, a, -a] for row, a in zip(system.A, a_ones)]
+    c = [Fraction(0)] * L + [Fraction(1), Fraction(-1)]
+    res = simplex_solve(M, neg_b, c)
+    if res.status == "infeasible":
+        # tau is free, so the program is infeasible exactly when A tau = -b
+        # is: the phase-1 functional has y.M >= 0 on the columns A, A 1 and
+        # -A 1, which forces y.A = 0, and y.(-b) < 0
+        y = res.phase1_dual
         _certify(
             all(y[u] == y[v] for u, v in system.graph.edges),
             "inconsistency functional must annihilate the balance matrix",
@@ -187,10 +196,6 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
         )
         return TauSolution(False, None, None, {"kind": "inconsistent", "y": tuple(y)})
 
-    a_ones = [Fraction(s) for s in _edge_sums(system.graph, [1] * L)]
-    M = [A[i] + [a_ones[i], -a_ones[i]] for i in range(m)]
-    c = [Fraction(0)] * L + [Fraction(1), Fraction(-1)]
-    res = simplex_solve(M, neg_b, c)
     capped = False
     if res.status == "unbounded":
         capped = True

@@ -725,10 +725,11 @@ class MongeAmpereSolution:
 
 
 # relative CG tolerance floor, the CG iteration budget of one Newton
-# step, the shortest line-search step, and the multiple of eps * scale
-# below which a residual is at roundoff
+# step and the Newton step budget of one solve, the shortest line-search
+# step, and the multiple of eps * scale below which a residual is at roundoff
 CG_TOL_FLOOR = 1e-10
 CG_MAX = 600
+NEWTON_MAX = 50
 STEP_FLOOR = 2.0 ** -24
 ROUNDOFF_FLOOR = 16
 
@@ -739,7 +740,6 @@ def solve_monge_ampere(
     potential_hat: Optional[np.ndarray],
     f: np.ndarray,
     tol: float = 1e-8,
-    max_newton: int = 50,
 ) -> MongeAmpereSolution:
     """Damped Newton iteration for 8 det(a0 + ddc(phi_U + u)) = f.
 
@@ -754,8 +754,9 @@ def solve_monge_ampere(
 
     Raises ClassObstructionError when a0 is not positive definite (the
     class test) or the density f fails positivity, and
-    NumericalFailureError when the iteration stalls at a positive class,
-    naming the roundoff floor when the residual has reached it.
+    NumericalFailureError when the iteration stalls at a positive class
+    or needs more than NEWTON_MAX steps, naming the roundoff floor when
+    the residual has reached it.
     """
     f = np.broadcast_to(f, geom.shape)
     mbar = a0.mean_matrix()
@@ -796,7 +797,7 @@ def solve_monge_ampere(
     res_sup = _sup(res)
     path = [res_sup]
     while res_sup > tol:
-        if len(path) > max_newton:     # len(path) - 1 steps taken
+        if len(path) > NEWTON_MAX:     # len(path) - 1 steps taken
             raise NumericalFailureError(f"Newton stalled with residual {res_sup:.3e}")
         # inexact Newton step L delta = -res, with the solver acting
         # as -L, solved to a tolerance that follows the residual
@@ -884,11 +885,11 @@ class SurfaceSolution(MongeAmpereSolution):
 
 
 def solve_critical_equation(
-    data: SurfaceChargeData, tol: float = 1e-8, stages: int = 1, **kwargs
+    data: SurfaceChargeData, tol: float = 1e-8, stages: int = 1
 ) -> SurfaceSolution:
-    """Assemble the equation from charge data, solve it, and report the
-    residual of the original phase equation, -sin(phi) times the
-    solver's, alongside the solver's."""
+    """Assemble the equation from charge data, solve it to sup residual
+    tol, and report the residual of the original phase equation,
+    -sin(phi) times the solver's, alongside the solver's."""
     # stages is accepted only as 1, because the bench harness
     # (perfbench/workloads.py) still passes stages=1; it goes once that
     # call stops passing it
@@ -897,7 +898,7 @@ def solve_critical_equation(
             f"stages={stages!r}: only 1 is accepted, the solver runs one Newton solve"
         )
     asm = assemble_equation(data)
-    ma = solve_monge_ampere(data.geom, asm.a0, asm.potential_hat, asm.f, tol=tol, **kwargs)
+    ma = solve_monge_ampere(data.geom, asm.a0, asm.potential_hat, asm.f, tol=tol)
     return SurfaceSolution(**vars(ma), phi=asm.phi)
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zcrit import cli, extension, surface
+from zcrit.charge import dhym_stability_vector
 from zcrit.exactlp import LinearProgramError
 
 DHYM_CFG = "configs/p2_extension_dhym.json"
@@ -328,8 +329,9 @@ def cell(value):
 @pytest.mark.parametrize("config", sorted(os.listdir("configs")))
 @pytest.mark.parametrize("command", ["charge", "stability", "walls", "tau", "solve-surface"])
 def test_tsv_head_rows_match_json(capsys, command, config):
-    # a TSV head row is named after a scalar JSON field and carries its
-    # value; the walls range is the one list, spread over its cells
+    # a TSV head row is named after a JSON field and carries its value,
+    # a list spread over its cells; the tau profile and weights are
+    # per-quotient and per-edge records instead
     path = os.path.join("configs", config)
     rc, out, err = run(capsys, command, "--config", path)
     rc_json, out_json, err_json = run(capsys, command, "--config", path, "--format", "json")
@@ -337,11 +339,12 @@ def test_tsv_head_rows_match_json(capsys, command, config):
     if rc not in (0, 2, 3):
         return
     doc = json.loads(out_json)
-    head = {k: [cell(v)] for k, v in doc.items() if not isinstance(v, (dict, list))}
-    if "range" in doc:
-        head["range"] = [cell(v) for v in doc["range"]]
+    head = {k: [cell(x) for x in v] if isinstance(v, list) else [cell(v)]
+            for k, v in doc.items() if k not in ("profile", "tau")}
     rows = [row for row in rows_of(out) if row[0] in head]
     assert rows or command == "charge"
+    # the list-valued head fields are among the rows compared
+    assert {"range", "residual_path"} & set(doc) <= {row[0] for row in rows}
     for row in rows:
         assert row[1:] == head[row[0]]
 
@@ -349,15 +352,16 @@ def test_tsv_head_rows_match_json(capsys, command, config):
 def test_solve_surface_tsv(capsys):
     rc, out, _ = run(capsys, "solve-surface", "--config", TORUS_CFG)
     assert rc == 0
-    rows = {r[0]: r[1:] for r in rows_of(out) if r[0] not in ("stage", "largevolume")}
+    rows = {r[0]: r[1:] for r in rows_of(out) if r[0] != "largevolume"}
     assert rows["N"] == ["16"]
     assert float(rows["phi"][0]) == pytest.approx(-math.pi / 4, rel=1e-12)
     assert float(rows["residual_sup"][0]) < 1e-11
     assert float(rows["positivity_margin"][0]) > 0.9
     # the twist has a potential, so the solve starts at u = -potential
     assert rows["harmonic_start"] == ["true"]
-    stages = [r for r in rows_of(out) if r[0] == "stage"]
-    assert len(stages) == 1 and float(stages[0][1]) == 1.0
+    # exact at the start: the residual path is the start residual alone
+    assert rows["newton_iterations"] == ["0"]
+    assert len(rows["residual_path"]) == 1 and float(rows["residual_path"][0]) < 1e-11
     lv = [r for r in rows_of(out) if r[0] == "largevolume"]
     assert [float(r[1]) for r in lv] == [10.0, 100.0]
     for r in lv:
@@ -369,9 +373,9 @@ def test_solve_surface_overrides_and_dump(tmp_path, capsys):
     dump = tmp_path / "fields.zfd"
     raw["surface"]["dump"] = str(dump)
     raw["surface"]["k_values"] = []
+    raw["surface"]["tol"] = 1e-9
     cfg = write_cfg(tmp_path, raw)
-    rc, out, _ = run(capsys, "solve-surface", "--config", cfg,
-                     "--N", "8", "--tol", "1e-9")
+    rc, out, _ = run(capsys, "solve-surface", "--config", cfg, "--N", "8")
     assert rc == 0
     rows = {r[0]: r[1:] for r in rows_of(out)}
     assert rows["N"] == ["8"]
@@ -402,7 +406,7 @@ def test_solve_surface_json(capsys):
     assert doc["N"] == 16
     assert doc["phi"] == pytest.approx(-math.pi / 4, rel=1e-12)
     assert doc["residual_sup"] < 1e-11
-    assert len(doc["stages"]) == 1
+    assert len(doc["residual_path"]) == doc["newton_iterations"] + 1 == 1
     assert [row["k"] for row in doc["large_volume"]] == [10.0, 100.0]
     assert doc["dump"] is None
 
@@ -412,31 +416,19 @@ def test_solve_surface_json_reports_the_residual_path(capsys):
                        "--format", "json")
     assert rc == 0, err
     doc = json.loads(out)
-    (path,) = doc["stage_residuals"]
-    (stage,) = doc["stages"]
-    assert len(path) == doc["newton_iterations"] + 1 == stage["newton"] + 1
+    path = doc["residual_path"]
+    assert len(path) == doc["newton_iterations"] + 1 >= 2
     assert path == sorted(path, reverse=True) and path[0] > 1.0
-    assert path[-1] == stage["residual"] <= 1e-11
-    # the TSV rows stay those of the documented format
+    assert path[-1] <= 1e-11
+    # the TSV rows stay those of the documented format, the path last
     rc, out, _ = run(capsys, "solve-surface", "--config", TWO_MODE_CFG)
     assert rc == 0
-    assert [r[0] for r in rows_of(out)] == [
+    rows = rows_of(out)
+    assert [r[0] for r in rows] == [
         "N", "phi", "residual_sup", "z_residual_sup", "z_residual_mean", "shift",
         "positivity_margin", "newton_iterations", "cg_iterations",
-        "harmonic_start", "stage"]
-
-
-def test_stages_key_is_optional(tmp_path, capsys):
-    # without the key the solve is the one Newton solve that stages: 1 asks for
-    raw = json.load(open(TWO_MODE_CFG))
-    raw["surface"].pop("stages", None)
-    rc, out, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
-    assert rc == 0, err
-    raw["surface"]["stages"] = 1
-    rc_one, out_one, _ = run(capsys, "solve-surface", "--config",
-                             write_cfg(tmp_path, raw, "one.json"))
-    assert rc_one == 0
-    assert out_one == out
+        "harmonic_start", "residual_path"]
+    assert rows[-1][1:] == [repr(r) for r in path]
 
 
 def test_obstruction_exit(tmp_path, capsys):
@@ -448,7 +440,9 @@ def test_obstruction_exit(tmp_path, capsys):
     assert "no solution" in err
 
 
-def test_numerical_failure_exit(tmp_path, capsys):
+def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
+    # a Newton budget of 0: the solve needs a step, so it fails
+    monkeypatch.setattr(surface, "NEWTON_MAX", 0)
     raw = {"surface": {"N": 8, "preset": "dhym",
                        "metric": {"a11": "1", "a22": "1"},
                        "alpha0": {"a11": "2", "a22": "3"},
@@ -456,8 +450,7 @@ def test_numerical_failure_exit(tmp_path, capsys):
                            {"mode": [1, 0, 0, 0], "amplitude": 0.1,
                             "phase": "cos"},
                            {"mode": [0, 0, 1, 0], "amplitude": 0.08,
-                            "phase": "cos"}],
-                       "max_newton": 0}}
+                            "phase": "cos"}]}}
     rc, _, err = run(capsys, "solve-surface", "--config", write_cfg(tmp_path, raw))
     assert rc == 65
     assert "numerical failure" in err
@@ -481,7 +474,7 @@ def torus_raw(**changes):
                        "alpha0": {"a11": "2", "a22": "3"},
                        "u1_potential": [
                            {"mode": [1, 0, 0, 0], "amplitude": 0.1, "phase": "cos"}],
-                       "tol": 1e-10, "stages": 1}}
+                       "tol": 1e-10}}
     raw["surface"].update(changes)
     return raw
 
@@ -518,9 +511,13 @@ def ring_raw(**changes):
       "charge": {"preset": "dhym"}, "sheaves": {"E": {"ch": {"1": "1"}}}},
      "manifold.dimension"),
     (["solve-surface"], torus_raw(N="abc"), "surface.N"),
-    (["solve-surface"], torus_raw(stages=0), "surface.stages"),
-    (["solve-surface"], torus_raw(stages=2), "surface.stages"),
-    (["solve-surface"], torus_raw(max_newton=-1), "surface.max_newton"),
+    (["solve-surface"], torus_raw(stages=1), r"surface: unexpected keys \['stages'\]"),
+    (["solve-surface"], torus_raw(stages=2, Tol=1), r"surface: unexpected keys \['Tol', 'stages'\]"),
+    (["solve-surface"], torus_raw(max_newton=50), r"surface: unexpected keys \['max_newton'\]"),
+    # an empty path names no file: it is refused, not read as "no dump"
+    (["solve-surface"], torus_raw(dump=""), "surface.dump: dump must be a non-empty file path"),
+    # an empty --sheaf names no sheaf: it does not fall back to charge.object
+    (["charge", "--sheaf", ""], dhym_raw("charge"), "--sheaf: expected a non-empty string"),
     (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 0, 0, 0]}, {"mode": [5, 0, 0, 0]}]),
      r"surface.u1_potential\[1\].mode"),
     (["solve-surface"], torus_raw(u1_potential=[{"mode": [0, 1.5, 0, 0]}]),
@@ -536,10 +533,10 @@ def ring_raw(**changes):
     (["solve-surface"], torus_raw(tol=-1), "surface.tol"),
     (["solve-surface"], torus_raw(tol="nan"), "surface.tol"),
     (["solve-surface"], torus_raw(tol=math.inf), "surface.tol"),
-    (["solve-surface", "--tol", "-1"], torus_raw(), "--tol"),
-    (["solve-surface", "--tol", "0"], torus_raw(), "--tol"),
-    (["solve-surface", "--tol", "nan"], torus_raw(), "--tol"),
-    (["solve-surface", "--tol", "inf"], torus_raw(), "--tol"),
+    (["solve-surface", "--tol", "-1"], torus_raw(), "unrecognized arguments: --tol -1"),
+    (["solve-surface", "--tol", "0"], torus_raw(), "unrecognized arguments: --tol 0"),
+    (["solve-surface", "--tol", "nan"], torus_raw(), "unrecognized arguments: --tol nan"),
+    (["solve-surface", "--tol", "inf"], torus_raw(), "unrecognized arguments: --tol inf"),
     (["solve-surface"], torus_raw(k_values="10"), r"surface.k_values: "),
     (["solve-surface"], torus_raw(k_values=[0]), r"surface.k_values\[0\]"),
     (["solve-surface"], torus_raw(k_values=[10, "nan"]), r"surface.k_values\[1\]"),
@@ -579,8 +576,8 @@ def ring_raw(**changes):
      "manifold.ring: complex_dimension must be an integer, got 2.5"),
     (["charge", "--sheaf", "E"], ring_raw(integration={"h^2": True}),
      "manifold.ring: not an exact rational: True"),
-], ids=["dimension", "N", "stages", "stages-two", "max_newton", "aliased-mode", "float-mode",
-        "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
+], ids=["dimension", "N", "stages", "stages-two", "max_newton", "dump-empty", "sheaf-flag-empty",
+        "aliased-mode", "float-mode", "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
@@ -594,7 +591,8 @@ def ring_raw(**changes):
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64
-    assert "config error" in err
+    # argparse refuses an unknown flag as a usage error before any config is read
+    assert ("usage: " if "--tol" in command else "config error: ") in err
     assert re.search(path, err)
 
 
@@ -766,7 +764,7 @@ def mode_terms(max_size, amplitude):
 def surface_sections(draw):
     """N=8 surface sections: positive or indefinite metric and alpha0, an
     optional twist constant, 0-3 twist modes, 0-2 u2 modes, the dhym
-    preset or an explicit rho, and optional k_values and max_newton."""
+    preset or an explicit rho, and optional k_values."""
     sec = {"N": 8,
            "metric": draw(st.one_of(POSITIVE, ANY_HERMITIAN)),
            "alpha0": draw(st.one_of(POSITIVE, ANY_HERMITIAN))}
@@ -784,8 +782,6 @@ def surface_sections(draw):
             sec[key] = terms
     if draw(st.booleans()):
         sec["k_values"] = draw(st.lists(st.floats(-1e3, 1e3), max_size=2))
-    if draw(st.booleans()):
-        sec["max_newton"] = draw(st.integers(0, 8))
     return sec
 
 
@@ -880,4 +876,114 @@ def test_fuzzed_tau_configs_exit_with_a_documented_code(raw):
             warnings.simplefilter("always")
             rc = cli.main(["tau", "--config", path])
     assert rc in (0, 2, 64), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
+DELETE = object()
+RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", "5/6", "-2"])
+# one fault is a value set at a path; SEC stands for the section of the
+# drawn subcommand
+EXACT_FAULTS = [
+    (("manifold", "dimension"), 0), (("manifold", "dimension"), "two"),
+    (("manifold", "dimension"), 2.5), (("manifold", "preset"), "sphere"),
+    (("charge", "preset"), "zeta"), (("charge", "rho"), ["-1", {"im": "1"}]),
+    (("charge", "rho"), ["-1", {"im": "1"}, "-1/2", "1"]), (("charge", "bfield"), {"k": "1"}),
+    (("charge", "bfield"), {"h": "1/0"}), (("charge", "bfield"), {"h": 1.5}),
+    (("charge", "object"), ""), (("charge", "object"), ["E"]), (("charge", "object"), "Z"),
+    (("sheaves", "E"), []), (("sheaves", "E", "ch"), {"q": "1"}),
+    (("sheaves", "E", "ch", "1"), "x"), (("sheaves", "E", "ch", "1"), "0"),
+    (("sheaves", "F", "ch", "1"), "-1"),
+    (("SEC",), []), (("SEC", "object"), DELETE), (("SEC", "object"), ""), (("SEC", "object"), "Z"),
+    (("SEC", "candidates"), []), (("SEC", "candidates"), "F"),
+    (("SEC", "candidates", 0, "name"), DELETE), (("SEC", "candidates", 0, "kind"), "sideways"),
+    (("SEC", "candidates", 0, "ch"), {"1": "1", "h": "x"}),
+    (("SEC", "range"), ["1", "-1"]), (("SEC", "range"), ["0"]), (("SEC", "range"), ["a", "1"]),
+    (("SEC", "range"), [0.5, 1]), (("SEC", "direction"), DELETE), (("SEC", "direction"), {"h": "0"}),
+    (("SEC", "direction"), "h"), (("SEC", "base"), {"h": "x"}), (("SEC", "preset"), "zeta"),
+    (("--sheaf",), ""), (("--sheaf",), "Z"),
+]
+
+
+@st.composite
+def exact_configs(draw):
+    """charge, stability or walls runs on P2 or P3: E and F with drawn
+    characters, the dhym or todd preset with a B-field or an explicit
+    rho, F as a subbundle or quotient candidate, by name or inline, a
+    drawn B-field direction and base and a scan range in [-3, 3]. About
+    half the configs carry one fault from EXACT_FAULTS. Returns argv
+    and the config."""
+    command = draw(st.sampled_from(["charge", "stability", "walls"]))
+    n = draw(st.sampled_from([2, 3]))
+    basis = ["1", "h", "h^2", "h^3"][:n + 1]
+    presets = st.sampled_from(["dhym", "todd"] if n == 2 else ["dhym"])  # P3 has no Todd class
+
+    def character(rank):
+        ch = {b: draw(RATIONALS) for b in basis[1:] if draw(st.booleans())}
+        ch["1"] = str(rank)
+        return ch
+
+    e_rank = draw(st.integers(2, 4))
+    e_ch, f_ch = character(e_rank), character(draw(st.integers(1, e_rank - 1)))
+    if draw(st.integers(0, 3)):
+        charge = {"preset": draw(presets), "bfield": {"h": draw(RATIONALS)}}
+    else:
+        # the dhym vector scaled entrywise by positive rationals stays valid
+        scales = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(n + 1)]
+        charge = {"rho": [{"re": str(s * r.re), "im": str(s * r.im)}
+                          for s, r in zip(scales, dhym_stability_vector(n).rho)]}
+        if draw(st.booleans()):
+            charge["unipotent"] = {"1": "1", "h": draw(RATIONALS)}
+    charge["object"] = draw(st.sampled_from(["E", "F"]))
+    candidate = {"name": "F", "kind": draw(st.sampled_from(["subbundle", "quotient"]))}
+    if draw(st.booleans()):
+        candidate["ch"] = character(draw(st.integers(1, e_rank - 1)))
+    lo = Fraction(draw(st.integers(-6, 5)), 2)
+    hi = lo + Fraction(draw(st.integers(1, 6)), 2)
+    sec = {"object": "E", "candidates": [candidate],
+           "direction": {"h": draw(RATIONALS.filter(lambda v: v != "0"))},
+           "range": [str(lo), str(hi)]}
+    if draw(st.booleans()):
+        sec["base"] = {"h": draw(RATIONALS)}
+    if "preset" not in charge or draw(st.booleans()):
+        sec["preset"] = draw(presets)
+    raw = {"manifold": {"preset": "projective_space", "dimension": n}, "charge": charge,
+           "sheaves": {"E": {"ch": e_ch}, "F": {"ch": f_ch}}}
+    argv = [command]
+    if command != "charge":
+        raw[command] = sec
+    elif draw(st.booleans()):
+        argv += ["--sheaf", draw(st.sampled_from(["E", "F"]))]
+    if draw(st.booleans()):
+        keys, value = draw(st.sampled_from(EXACT_FAULTS))
+        if keys[0] == "--sheaf":
+            argv = [command, "--sheaf", value]
+        else:
+            keys = tuple(command if k == "SEC" else k for k in keys)
+            node = raw
+            for k in keys[:-1]:
+                node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+            if value is DELETE:
+                node.pop(keys[-1], None)
+            else:
+                node[keys[-1]] = value
+    return argv, raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exact_configs())
+def test_fuzzed_exact_configs_exit_with_a_documented_code(drawn):
+    # every drawn run gives a verdict (0 stable, 2 unstable, 3
+    # semistable) or is refused as a config error (64): never an
+    # internal error (70), and no warning on the way
+    argv, raw = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main([*argv, "--config", path])
+    assert rc in (0, 2, 3, 64), (argv, raw, err.getvalue())
     assert not caught, [str(w.message) for w in caught]

@@ -260,7 +260,6 @@ def surface_section():
             {"mode": [0, 1, 2, 0], "amplitude": 0.05, "phase": "sin"},
         ],
         "tol": 1e-9,
-        "stages": 1,
         "k_values": ["10", 100],
     }
 
@@ -275,11 +274,7 @@ def test_surface_section_builds_charge_data():
     expected = data.geom.mode_field([1, 0, 0, 0], 0.1, "cos") + \
         data.geom.mode_field([0, 1, 2, 0], 0.05, "sin")
     assert np.allclose(data.u1_potential, expected)
-    assert params["tol"] == 1e-9
-    # stages is accepted as 1 and is not a solver parameter
-    assert "stages" not in params
-    assert params["k_values"] == [10.0, 100.0]
-    assert params["dump"] is None
+    assert params == {"tol": 1e-9, "k_values": [10.0, 100.0], "dump": None}
     # negative k is a valid sample point; only 0 and non-finite k are rejected
     assert surface_from_section(dict(sec, k_values=[-10]))[1]["k_values"] == [-10.0]
 
@@ -325,16 +320,17 @@ def test_surface_section_errors():
     with pytest.raises(ConfigError, match="cos or sin"):
         surface_from_section(sec)
 
-    # the solver runs no homotopy, so a config asking for one fails
-    sec = surface_section()
-    sec["stages"] = 4
-    with pytest.raises(ConfigError, match="surface.stages"):
-        surface_from_section(sec)
+    # a key outside the documented set fails, the removed homotopy and
+    # Newton budget keys included, rather than being ignored
+    for key in ("stages", "max_newton", "Tol"):
+        sec = dict(surface_section(), **{key: 1})
+        with pytest.raises(ConfigError, match=rf"^surface: unexpected keys \['{key}'\]$"):
+            surface_from_section(sec)
 
-    sec = surface_section()
-    sec["dump"] = 7
-    with pytest.raises(ConfigError, match="file path string"):
-        surface_from_section(sec)
+    for dump in (7, ""):
+        sec = dict(surface_section(), dump=dump)
+        with pytest.raises(ConfigError, match="surface.dump: dump must be a non-empty file path"):
+            surface_from_section(sec)
 
     # a non-positive metric is rejected with the section path
     sec = surface_section()

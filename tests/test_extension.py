@@ -6,8 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zcrit import extension
+from test_exactlp import ref_linear_system, ref_simplex
+from zcrit import exactlp, extension
 from zcrit.charge import ChernCharacter, central_charge, charge_preset
 from zcrit.exactlp import solve_linear_system
 from zcrit.extension import (
@@ -315,6 +317,85 @@ def test_random_trees_match_direct_elimination():
             assert list(sol.tau) == tau
 
 
+def ref_solve_tau_positive(system, cap):
+    """The tau program decided the old way, on the Fraction tableau:
+    Gauss-Jordan first for consistency, then the simplex on the
+    consistent system. Returns (feasible, margin, tau, certificate
+    kind) and the simplex pivots."""
+    A = [list(row) for row in system.A]
+    neg_b = [-x for x in system.b]
+    pivots = []
+    if ref_linear_system(A, neg_b)[0] == "inconsistent":
+        return (False, None, None, "inconsistent"), pivots
+    L = len(system.graph.edges)
+    ones = [sum(row, F(0)) for row in A]
+    M = [A[i] + [ones[i], -ones[i]] for i in range(len(A))]
+    c = [F(0)] * L + [F(1), F(-1)]
+    res = ref_simplex(M, neg_b, c, pivots)
+    if res.status == "unbounded":
+        M = [row + [F(0)] for row in M] + [[F(0)] * L + [F(1), F(-1), F(1)]]
+        res = ref_simplex(M, neg_b + [cap], c + [F(0)], pivots)
+    delta = res.x[L] - res.x[L + 1]
+    tau = tuple(res.x[l] + delta for l in range(L))
+    return (res.value > 0, res.value, tau, "primal" if res.value > 0 else "dual"), pivots
+
+
+@st.composite
+def weight_systems(draw):
+    """Balance equations of a random comparison graph on 1-6 quotients:
+    edges that may repeat, form cycles or leave the graph disconnected,
+    and loads summing to zero, balanced on every connected component
+    (a consistent system) or not (inconsistent once some component is
+    unbalanced)."""
+    m = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=7)) if m > 1 else []
+    b = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                      min_size=m, max_size=m))
+    b[-1] -= sum(b, F(0))
+    if draw(st.booleans()):
+        root = list(range(m))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in edges:
+            root[find(u)] = find(v)
+        for r in {find(v) for v in range(m)}:
+            b[r] -= sum((b[v] for v in range(m) if find(v) == r), F(0))
+    cap = draw(st.sampled_from([F(1), F(5, 2), F(1, 7)]))
+    return synthetic_system(preset_ring("projective_space", n=2), b, edges), cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weight_systems())
+def test_tau_matches_the_elimination_then_simplex_reference(drawn):
+    system, cap = drawn
+    expected, ref_pivots = ref_solve_tau_positive(system, cap)
+    calls = []
+    real = exactlp._pivot
+
+    def counted(*args):
+        calls.append(args[2:])
+        real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_pivot", counted)
+        sol = solve_tau_positive(system, cap=cap)
+    kind = sol.certificate["kind"]
+    assert (sol.feasible, sol.margin, sol.tau, kind) == expected
+    if kind == "inconsistent":
+        # y.A = 0 read on the edge list, and y.b != 0
+        y = sol.certificate["y"]
+        assert all(y[u] == y[v] for u, v in system.graph.edges)
+        assert sum((yi * bi for yi, bi in zip(y, system.b)), F(0)) != 0
+    else:
+        # a consistent system is decided by the same simplex pivots
+        assert calls == ref_pivots
+
+
 def pinned_reverse_system():
     ring, h, rho, U = p2()
     ch_e, ch_f, ch_q = pinned_sequence(ring)
@@ -332,20 +413,20 @@ def test_unbalanced_loads_raise(monkeypatch):
         assemble_tau_system(ring, h, rho, U, ch_e, graph)
 
 
+def faked_simplex(monkeypatch, **changes):
+    real = extension.simplex_solve
+    monkeypatch.setattr(extension, "simplex_solve",
+                        lambda *args: dataclasses.replace(real(*args), **changes))
+
+
 @pytest.mark.parametrize("y, claim", [
     ((F(1), F(0)), "annihilate the balance matrix"),
     ((F(0), F(0)), "must not vanish on the loads"),
 ])
 def test_bad_inconsistency_functional_raises(monkeypatch, y, claim):
-    monkeypatch.setattr(extension, "solve_linear_system", lambda A, rhs: ("inconsistent", y))
+    faked_simplex(monkeypatch, status="infeasible", phase1_dual=list(y))
     with pytest.raises(ExtensionError, match=claim):
         solve_tau_positive(pinned_reverse_system())
-
-
-def faked_simplex(monkeypatch, **changes):
-    real = extension.simplex_solve
-    monkeypatch.setattr(extension, "simplex_solve",
-                        lambda *args: dataclasses.replace(real(*args), **changes))
 
 
 @pytest.mark.parametrize("changes, claim", [
