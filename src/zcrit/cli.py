@@ -100,12 +100,22 @@ def cmd_charge(args) -> int:
     return EXIT_OK
 
 
+def _ambient(cfg, sec: dict, name: str, what: str):
+    """The character of the object that section name compares its
+    candidates against; it must have positive rank."""
+    path = name + ".object"
+    if "object" not in sec:
+        raise ConfigError(path, f"name of the {what} is required")
+    ch = cfg.sheaf(sec["object"], path)
+    if ch.rank < 1:
+        raise ConfigError(path, "ambient object must have positive rank")
+    return ch
+
+
 def cmd_stability(args) -> int:
     cfg = load_config(args.config)
     sec = cfg.section("stability")
-    if "object" not in sec:
-        raise ConfigError("stability.object", "name of the object to test is required")
-    ch_e = cfg.sheaf(sec["object"], "stability.object")
+    ch_e = _ambient(cfg, sec, "stability", "object to test")
     cands = candidates_from_section(cfg, sec.get("candidates"), "stability.candidates")
     report = stability_verdict(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, cands)
     head = {"status": report.status, "witness": report.witness, "order": report.order}
@@ -122,9 +132,7 @@ def cmd_stability(args) -> int:
 def cmd_walls(args) -> int:
     cfg = load_config(args.config)
     sec = cfg.section("walls")
-    if "object" not in sec:
-        raise ConfigError("walls.object", "name of the object to scan is required")
-    ch_e = cfg.sheaf(sec["object"], "walls.object")
+    ch_e = _ambient(cfg, sec, "walls", "object to scan")
     cands = candidates_from_section(cfg, sec.get("candidates"), "walls.candidates")
     rng = sec.get("range")
     if not isinstance(rng, list) or len(rng) != 2:
@@ -136,6 +144,8 @@ def cmd_walls(args) -> int:
     if "direction" not in sec:
         raise ConfigError("walls.direction", "B-field direction class is required")
     b_dir = parse_class(cfg.ring, sec["direction"], "walls.direction")
+    if b_dir.is_zero():
+        raise ConfigError("walls.direction", "twist direction must be nonzero")
     b_base = parse_class(cfg.ring, sec["base"], "walls.base") if "base" in sec else None
     preset = sec.get("preset", cfg.charge_preset_name)
     if preset is None:

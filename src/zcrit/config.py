@@ -40,6 +40,14 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _check_keys(obj, keys, path: str) -> None:
+    """Refuse, naming path, every key of the object obj outside keys, so
+    that a misspelt key is an error rather than ignored."""
+    extra = set(obj) - set(keys) if isinstance(obj, dict) else ()
+    if extra:
+        raise ConfigError(path, f"unexpected keys {sorted(extra)}")
+
+
 def parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ConfigError(path, "rationals must be strings or integers, not floats")
@@ -73,9 +81,7 @@ def parse_int(value, path: str, minimum: Optional[int] = None) -> int:
 
 def parse_gaussian(value, path: str) -> GaussianRational:
     if isinstance(value, dict):
-        extra = set(value) - {"re", "im"}
-        if extra:
-            raise ConfigError(path, f"unexpected keys {sorted(extra)}")
+        _check_keys(value, ("re", "im"), path)
         re = parse_fraction(value.get("re", 0), path + ".re")
         im = parse_fraction(value.get("im", 0), path + ".im")
         return GaussianRational(re, im)
@@ -131,7 +137,15 @@ class RunConfig:
             raise ConfigError(name, "section missing from the configuration")
         if not isinstance(sec, dict):
             raise ConfigError(name, "section must be an object")
+        _check_keys(sec, _TASK_KEYS[name], name)
         return sec
+
+
+_TASK_KEYS = {
+    "stability": ("object", "candidates"),
+    "walls": ("object", "candidates", "direction", "range", "base", "preset"),
+    "tau": ("object", "quotients", "edges", "cap"),
+}
 
 
 def _check_name(name, path: str) -> None:
@@ -139,11 +153,13 @@ def _check_name(name, path: str) -> None:
         raise ConfigError(path, "expected a non-empty string")
 
 
-def _named_character(cfg: RunConfig, body, path: str, what: str) -> Tuple[str, ChernCharacter]:
+def _named_character(cfg: RunConfig, body, path: str, what: str,
+                     keys: Tuple[str, ...]) -> Tuple[str, ChernCharacter]:
     """Name of a candidate or quotient entry, and its character: the
     inline 'ch' when given, else the named sheaf's."""
     if not isinstance(body, dict) or "name" not in body:
         raise ConfigError(path, f"each {what} needs a name")
+    _check_keys(body, keys, path)
     name = body["name"]
     _check_name(name, path + ".name")
     if "ch" in body:
@@ -155,9 +171,16 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
     man = raw.get("manifold")
     if not isinstance(man, dict):
         raise ConfigError("manifold", "section missing or not an object")
+    _check_keys(man, ("preset", "dimension", "volume", "ring", "omega"), "manifold")
     if "ring" in man:
+        table = man["ring"]
+        _check_keys(table, ("name", "complex_dimension", "generators", "products",
+                           "integration", "todd"), "manifold.ring")
+        gens = table.get("generators") if isinstance(table, dict) else None
+        for i, gen in enumerate(gens if isinstance(gens, list) else []):
+            _check_keys(gen, ("name", "degree"), f"manifold.ring.generators[{i}]")
         try:
-            ring = ring_from_dict(man["ring"])
+            ring = ring_from_dict(table)
         except Exception as exc:
             raise ConfigError("manifold.ring", str(exc)) from None
     elif man.get("preset") == "projective_space":
@@ -191,6 +214,7 @@ def _build_charge(
     sec = raw.get("charge")
     if not isinstance(sec, dict):
         raise ConfigError("charge", "section missing or not an object")
+    _check_keys(sec, ("preset", "bfield", "rho", "unipotent", "object"), "charge")
     bfield = (
         parse_class(ring, sec["bfield"], "charge.bfield")
         if "bfield" in sec
@@ -236,6 +260,7 @@ def _build_sheaves(raw: dict, ring: NumericalRing) -> Dict[str, ChernCharacter]:
         path = f"sheaves.{name}"
         if not isinstance(body, dict) or "ch" not in body:
             raise ConfigError(path, "each sheaf needs a 'ch' object")
+        _check_keys(body, ("ch",), path)
         out[name] = ChernCharacter(parse_class(ring, body["ch"], path + ".ch"))
     return out
 
@@ -279,7 +304,7 @@ def candidates_from_section(
     out = []
     for i, body in enumerate(entries):
         p = f"{path}[{i}]"
-        name, ch = _named_character(cfg, body, p, "candidate")
+        name, ch = _named_character(cfg, body, p, "candidate", ("name", "ch", "kind"))
         kind = body.get("kind", "subbundle")
         if kind not in ("subbundle", "quotient"):
             raise ConfigError(p + ".kind", f"unknown kind {kind!r}")
@@ -297,7 +322,8 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
         if isinstance(body, str):
             quotients.append(QuotientSpec(body, cfg.sheaf(body, p)))
         else:
-            quotients.append(QuotientSpec(*_named_character(cfg, body, p, "quotient")))
+            quotients.append(QuotientSpec(*_named_character(cfg, body, p, "quotient",
+                                                            ("name", "ch"))))
     edges_raw = sec.get("edges", [])
     if not isinstance(edges_raw, list):
         raise ConfigError(path + ".edges", "expected a list of [from, to] pairs")
@@ -322,9 +348,7 @@ def parse_hermitian(sec, path: str) -> Tuple[float, complex, float]:
     """Constant Hermitian matrix {"a11": "p/q", "a12": gaussian, "a22": "p/q"}."""
     if not isinstance(sec, dict):
         raise ConfigError(path, "expected an object with a11, a12, a22")
-    extra = set(sec) - {"a11", "a12", "a22"}
-    if extra:
-        raise ConfigError(path, f"unexpected keys {sorted(extra)}")
+    _check_keys(sec, ("a11", "a12", "a22"), path)
     a11 = _parse_complex(parse_fraction, sec.get("a11", 0), path + ".a11").real
     a22 = _parse_complex(parse_fraction, sec.get("a22", 0), path + ".a22").real
     return a11, _parse_complex(parse_gaussian, sec.get("a12", 0), path + ".a12"), a22
@@ -349,6 +373,7 @@ def parse_mode_sum(geom, terms, path: str):
         p = f"{path}[{i}]"
         if not isinstance(term, dict) or "mode" not in term:
             raise ConfigError(p, "each term needs a mode [m1, m2, m3, m4]")
+        _check_keys(term, ("mode", "amplitude", "phase"), p)
         mode = term["mode"]
         if not isinstance(mode, list) or len(mode) != 4:
             raise ConfigError(p + ".mode", "mode must be four integers")
@@ -388,10 +413,8 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None):
     path = "surface"
     if not isinstance(sec, dict):
         raise ConfigError(path, "section must be an object")
-    extra = set(sec) - {"N", "metric", "alpha0", "preset", "rho", "u1_const",
-                        "u1_potential", "u2", "tol", "k_values", "dump"}
-    if extra:
-        raise ConfigError(path, f"unexpected keys {sorted(extra)}")
+    _check_keys(sec, ("N", "metric", "alpha0", "preset", "rho", "u1_const",
+                     "u1_potential", "u2", "tol", "k_values", "dump"), path)
     if n_override is not None:
         size, n_path = n_override, "--N"
     else:

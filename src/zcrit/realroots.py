@@ -1,16 +1,19 @@
 """Exact real roots of rational-coefficient polynomials in one variable.
 
-Polynomials are lists of fractions.Fraction in ascending powers. Every
-decision made here (how many roots, whether a root is rational, the
-sign of another polynomial at a root, whether two roots are equal, in
-which order they lie) is taken in exact integer or rational arithmetic;
-no float is involved.
+roots_in_range and sign_at take one polynomial type: a primitive
+integer polynomial, a list of ints in ascending powers with no trailing
+zeros and coefficient gcd 1; [] is the zero polynomial. primitive() is
+the one conversion into that form: a positive multiple of the rational
+polynomial it is given, so with the same signs and roots. Every
+decision made here (how many roots, whether a root is rational,
+the sign of another polynomial at a root, whether two roots are equal,
+in which order they lie) is taken in exact integer or rational
+arithmetic; no float is involved.
 
 Isolation (Sturm bisection, cf. Collins and Akritas 1976):
 
-- The input is scaled to a primitive integer polynomial and reduced to
-  its squarefree part p / gcd(p, p'), with Euclid's algorithm run on
-  primitive integer remainders.
+- The input is reduced to its squarefree part p / gcd(p, p'), with
+  Euclid's algorithm run on primitive integer remainders.
 - The Sturm chain p, p', -rem(p, p'), ... counts the distinct roots in
   (a, b] as V(a) - V(b), where V(x) is the number of sign changes along
   the chain at x (zeros skipped). The sign of a chain member at
@@ -46,33 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10**10)
 
 IntPoly = Sequence[int]
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Exact value at a rational x: Horner's scheme on the integer
-    polynomial with cleared denominators, one normalisation at the end."""
-    if not coeffs:
-        return Fraction(0)
-    x = Fraction(x)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    return Fraction(_hom(ints, x), den * x.denominator ** (len(ints) - 1))
-
-
-def poly_is_zero(coeffs: Sequence[Fraction]) -> bool:
-    return all(c == 0 for c in coeffs)
-
-
-def poly_degree(coeffs: Sequence[Fraction]) -> int:
-    for d in range(len(coeffs) - 1, -1, -1):
-        if coeffs[d] != 0:
-            return d
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +61,16 @@ def poly_degree(coeffs: Sequence[Fraction]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(p: IntPoly) -> List[int]:
-    """p divided by the positive gcd of its coefficients."""
-    g = math.gcd(*p) if p else 0
-    return [c // g for c in p] if g > 1 else list(p)
-
-
-def _integer_poly(coeffs: Sequence[Fraction]) -> List[int]:
+def primitive(coeffs: Sequence[Union[int, Fraction]]) -> List[int]:
     """The primitive integer polynomial that is a positive multiple of
-    coeffs; [] for the zero polynomial."""
-    top = coeffs[: poly_degree(coeffs) + 1]
-    den = math.lcm(*(c.denominator for c in top))
-    return _primitive([c.numerator * (den // c.denominator) for c in top])
+    the rational polynomial coeffs: denominators cleared, trailing zeros
+    trimmed, content divided out; [] for the zero polynomial."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = [c.numerator * (den // c.denominator) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _hom(p: IntPoly, x: Fraction) -> int:
@@ -130,7 +109,7 @@ def _rem(a: IntPoly, b: IntPoly) -> List[int]:
             r[i + shift] -= f * c
         while r and r[-1] == 0:
             r.pop()
-    return _primitive(r)
+    return primitive(r)
 
 
 def _gcd(a: IntPoly, b: IntPoly) -> List[int]:
@@ -138,7 +117,7 @@ def _gcd(a: IntPoly, b: IntPoly) -> List[int]:
     a, b = list(a), list(b)
     while b:
         a, b = b, _rem(a, b)
-    return _primitive(a)
+    return primitive(a)
 
 
 def _quotient(a: IntPoly, b: IntPoly) -> List[int]:
@@ -159,11 +138,11 @@ def _quotient(a: IntPoly, b: IntPoly) -> List[int]:
 
 def _squarefree(p: IntPoly) -> List[int]:
     g = _gcd(p, _derivative(p))
-    return list(p) if len(g) == 1 else _primitive(_quotient(p, g))
+    return list(p) if len(g) == 1 else primitive(_quotient(p, g))
 
 
 def _sturm_chain(p: IntPoly) -> List[List[int]]:
-    chain = [list(p), _primitive(_derivative(p))]
+    chain = [list(p), primitive(_derivative(p))]
     while len(chain[-1]) > 1:
         r = _rem(chain[-2], chain[-1])
         if not r:
@@ -251,15 +230,16 @@ class RootPoint:
         return f"[{self.lo}, {self.hi}]"
 
 
-def roots_in_range(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> List[RootPoint]:
-    """All distinct real roots of the polynomial in [lo, hi], sorted.
+def roots_in_range(p: IntPoly, lo: Fraction, hi: Fraction) -> List[RootPoint]:
+    """All distinct real roots of the primitive integer polynomial p in
+    [lo, hi], sorted.
 
-    The zero polynomial is rejected (every point would be a root).
+    The zero polynomial [] is rejected (every point would be a root).
     """
-    if poly_is_zero(coeffs):
+    if not p:
         raise ValueError("zero polynomial has no isolated roots")
     lo, hi = Fraction(lo), Fraction(hi)
-    p = _squarefree(_integer_poly(coeffs))
+    p = _squarefree(p)
     if len(p) == 1 or lo > hi:
         return []
     if len(p) == 2:
@@ -299,12 +279,11 @@ def _certified_sign(q: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return 0
 
 
-def sign_at(coeffs: Sequence[Fraction], point: RootPoint) -> int:
-    """Exact sign of the polynomial at the isolated point (-1, 0, +1)."""
+def sign_at(q: IntPoly, point: RootPoint) -> int:
+    """Exact sign (-1, 0, +1) of the primitive integer polynomial q at
+    the isolated point."""
     if point.exact is not None:
-        v = poly_eval(coeffs, point.exact)
-        return (v > 0) - (v < 0)
-    q = _integer_poly(coeffs)
+        return _sign(q, point.exact)
     if not q:
         return 0
     gcd_checked = False

@@ -16,15 +16,18 @@ nonzero one; the verdict never needs the rest.
 
 Wall scanning works along an affine pencil B(t) = B0 + t*B1 of real
 twist classes. charge_map gives each charge as a table in (k, t), so
-every coefficient of P becomes a polynomial in t with rational
-coefficients and wall locations are algebraic numbers that we
-isolate exactly; each open cell between walls gets its verdict from one
-exact rational sample, and the verdict at a wall point is decided by
-exact sign evaluation at the isolated root.
+every coefficient p_m of P becomes a polynomial in t, built once in
+integer arithmetic as the primitive integer polynomial that is a
+positive multiple of p_m(t), with its signs and roots. Wall locations
+are those roots, algebraic numbers that we isolate exactly; each open
+cell between walls gets its verdict from one exact rational sample,
+and the verdict at a wall point is decided by exact sign evaluation at
+the isolated root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,23 +99,16 @@ def _assert_comparable(z: Sequence[GaussianRational], label: str) -> None:
         )
 
 
-def _comparison_family(
-    fam_f: Sequence[Sequence[GaussianRational]],
-    fam_e: Sequence[Sequence[GaussianRational]],
-) -> List[List[Fraction]]:
-    """P = Im(Z_F conj(Z_E)) for charge tables in (k, t), as charge_map
-    gives them: out[m][j] is the k^m t^j coefficient."""
-    width = len(fam_f[0]) + len(fam_e[0]) - 1
-    out = [[Fraction(0)] * width for _ in range(len(fam_f) + len(fam_e) - 1)]
-    for d, row_f in enumerate(fam_f):
-        for e, row_e in enumerate(fam_e):
-            target = out[d + e]
-            for a, f in enumerate(row_f):
-                if f.is_zero():
-                    continue
-                for b, g in enumerate(row_e):
-                    target[a + b] += f.im * g.re - f.re * g.im
-    return out
+def _coefficient(
+    z_f: Sequence[GaussianRational], z_e: Sequence[GaussianRational], m: int
+) -> Fraction:
+    """p_m, the k^m coefficient of P = Im(Z_F conj(Z_E)), for charges
+    given by their coefficients ascending in k."""
+    total = Fraction(0)
+    for d in range(max(0, m - len(z_e) + 1), min(m, len(z_f) - 1) + 1):
+        f, e = z_f[d], z_e[m - d]
+        total += f.im * e.re - f.re * e.im
+    return total
 
 
 def comparison_polynomial(
@@ -120,8 +116,34 @@ def comparison_polynomial(
 ) -> List[Fraction]:
     """Coefficients of P(k) = Im(Z_F(k) conj(Z_E(k))), ascending in k,
     for charges given by their coefficients ascending in k."""
-    table = _comparison_family([[c] for c in z_f], [[c] for c in z_e])
-    return [row[0] for row in table]
+    return [_coefficient(z_f, z_e, m) for m in range(len(z_f) + len(z_e) - 1)]
+
+
+def _comparison_family(
+    fam_f: Sequence[Sequence[GaussianRational]],
+    fam_e: Sequence[Sequence[GaussianRational]],
+) -> List[List[int]]:
+    """P = Im(Z_F conj(Z_E)) for charge tables in (k, t), as charge_map
+    gives them: out[m] is the primitive integer polynomial in t that is
+    a positive multiple of p_m(t), the k^m coefficient. Each table is
+    scaled once by the lcm of its denominators, so every product is an
+    integer one."""
+
+    def scaled(fam):
+        den = math.lcm(*(x.denominator for row in fam for z in row for x in (z.re, z.im)))
+        return [[(int(z.re * den), int(z.im * den)) for z in row] for row in fam]
+
+    ints_f, ints_e = scaled(fam_f), scaled(fam_e)
+    width = len(fam_f[0]) + len(fam_e[0]) - 1
+    out = [[0] * width for _ in range(len(fam_f) + len(fam_e) - 1)]
+    for d, row_f in enumerate(ints_f):
+        for e, row_e in enumerate(ints_e):
+            target = out[d + e]
+            for a, (f_re, f_im) in enumerate(row_f):
+                if f_re or f_im:
+                    for b, (e_re, e_im) in enumerate(row_e):
+                        target[a + b] += f_im * e_re - f_re * e_im
+    return [realroots.primitive(p) for p in out]
 
 
 def _verdict_from_values(
@@ -148,21 +170,13 @@ def _verdict_from_signs(sign_of: Callable[[int], int], top: int, n: int) -> Phas
 def phase_compare(
     z_f: Sequence[GaussianRational], z_e: Sequence[GaussianRational]
 ) -> PhaseVerdict:
-    """Exact asymptotic phase comparison of Z_F against Z_E; value_of(m)
-    forms p_m only once every higher coefficient has vanished."""
+    """Exact asymptotic phase comparison of Z_F against Z_E; p_m is
+    formed only once every higher coefficient has vanished."""
     _assert_comparable(z_e, "Z_E")
     _assert_comparable(z_f, "Z_F")
     n = max(len(z_f), len(z_e)) - 1
-    last_e = len(z_e) - 1
-
-    def value_of(m: int) -> Fraction:
-        total = Fraction(0)
-        for d in range(max(0, m - last_e), min(m, len(z_f) - 1) + 1):
-            f, e = z_f[d], z_e[m - d]
-            total += f.im * e.re - f.re * e.im
-        return total
-
-    return _verdict_from_values(value_of, len(z_f) + last_e - 1, n)
+    return _verdict_from_values(
+        lambda m: _coefficient(z_f, z_e, m), len(z_f) + len(z_e) - 2, n)
 
 
 @dataclass(frozen=True)
@@ -311,13 +325,13 @@ def wall_scan(
         u_coeffs.append((u_coeffs[-1] * step).scale(Fraction(1, j)))
     charge = charge_map(ring, omega, rho, u_coeffs)
     fam_e = charge(ch_e)
-    per_candidate: List[Tuple[SubobjectCandidate, List[List[Fraction]]]] = []
+    per_candidate: List[Tuple[SubobjectCandidate, List[List[int]]]] = []
     points: List[realroots.RootPoint] = []
     for cand in candidates:
         pm = _comparison_family(charge(cand.ch), fam_e)
         per_candidate.append((cand, pm))
         for poly in pm:
-            if not realroots.poly_is_zero(poly):
+            if poly:
                 points.extend(realroots.roots_in_range(poly, t_min, t_max))
     points = realroots.dedup_roots(points)
 

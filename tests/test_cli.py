@@ -576,6 +576,12 @@ def ring_raw(**changes):
      "manifold.ring: complex_dimension must be an integer, got 2.5"),
     (["charge", "--sheaf", "E"], ring_raw(integration={"h^2": True}),
      "manifold.ring: not an exact rational: True"),
+    (["walls"], dhym_raw("walls", direction={"h": "0"}),
+     "walls.direction: twist direction must be nonzero"),
+    (["stability"], dhym_raw("sheaves", E={"ch": {"h^2": "-2"}}),
+     "stability.object: ambient object must have positive rank"),
+    (["walls"], dhym_raw("sheaves", E={"ch": {"h^2": "-2"}}),
+     "walls.object: ambient object must have positive rank"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "dump-empty", "sheaf-flag-empty",
         "aliased-mode", "float-mode", "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
@@ -587,13 +593,46 @@ def ring_raw(**changes):
         "charge-object-list", "stability-object-list", "candidate-name-list",
         "candidate-name-int", "metric-a11-huge", "alpha0-a22-400-digits",
         "metric-a12-huge-imaginary", "surface-rho-huge",
-        "ring-degree-float", "ring-dimension-float", "ring-weight-bool"])
+        "ring-degree-float", "ring-dimension-float", "ring-weight-bool",
+        "walls-direction-zero", "stability-object-rank-0", "walls-object-rank-0"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64
     # argparse refuses an unknown flag as a usage error before any config is read
     assert ("usage: " if "--tol" in command else "config error: ") in err
     assert re.search(path, err)
+
+
+TAU_INLINE = tau_raw(quotients=[{"name": "Q", "ch": {"1": "1"}}, "F"])
+
+
+@pytest.mark.parametrize("command, raw, where, key", [
+    (["stability"], dhym_raw("manifold"), ["manifold"], "omgea"),
+    (["stability"], dhym_raw("charge"), ["charge"], "bfeild"),
+    (["stability"], dhym_raw("sheaves"), ["sheaves", "E"], "hc"),
+    (["stability"], dhym_raw("stability"), ["stability"], "candidate"),
+    (["stability"], dhym_raw("stability"), ["stability", "candidates", 0], "knid"),
+    (["walls"], dhym_raw("walls"), ["walls"], "bsae"),
+    (["tau"], TAU_INLINE, ["tau"], "egdes"),
+    (["tau"], TAU_INLINE, ["tau", "quotients", 0], "cha"),
+    (["solve-surface"], torus_raw(), ["surface", "u1_potential", 0], "amplitdue"),
+    (["charge", "--sheaf", "E"], ring_raw(), ["manifold", "ring"], "intergation"),
+    (["charge", "--sheaf", "E"], ring_raw(), ["manifold", "ring", "generators", 1], "degere"),
+], ids=["manifold", "charge", "sheaf", "stability", "candidate", "walls", "tau", "quotient",
+        "mode-term", "ring-table", "ring-generator"])
+def test_misspelt_key_exits_64(tmp_path, capsys, command, raw, where, key):
+    # a key outside the documented set is refused with its JSON path,
+    # never ignored
+    raw = json.loads(json.dumps(raw))
+    obj, path = raw, where[0]
+    for step in where:
+        obj = obj[step]
+    for step in where[1:]:
+        path += f"[{step}]" if isinstance(step, int) else f".{step}"
+    obj[key] = "1"
+    rc, out, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
+    assert (rc, out) == (64, "")
+    assert err == f"config error: {path}: unexpected keys ['{key}']\n"
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["directory", "not-utf8"])

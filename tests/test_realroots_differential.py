@@ -2,7 +2,8 @@
 
 sympy is a test-only oracle here: its exact root counts, rational
 roots and algebraic numbers are compared with roots_in_range, sign_at
-and dedup_roots.
+and dedup_roots. The polynomials are drawn with rational coefficients
+and handed to realroots as their primitive integer multiples.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from zcrit.realroots import (
     DEFAULT_ENCLOSURE_WIDTH,
     dedup_roots,
-    poly_eval,
+    primitive,
     roots_in_range,
     sign_at,
 )
@@ -64,16 +65,20 @@ def rational(x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
+def value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
+
+
 def check_isolation(p, lo, hi):
     sq = to_sympy(p).sqf_part()
-    points = roots_in_range(p, lo, hi)
+    points = roots_in_range(primitive(p), lo, hi)
     assert len(points) == sq.count_roots(rational(lo), rational(hi))
     rational_roots = {F(int(r.p), int(r.q)) for r in sympy.roots(sq, filter="Q")}
     assert [x.exact for x in points if x.exact is not None] == sorted(
         r for r in rational_roots if lo <= r <= hi)
     for x in points:
         if x.exact is not None:
-            assert x.lo == x.hi == x.exact and poly_eval(p, x.exact) == 0
+            assert x.lo == x.hi == x.exact and value(p, x.exact) == 0
             continue
         # one root of p, and it is irrational: no rational root in between
         assert lo <= x.lo < x.hi <= hi
@@ -105,9 +110,9 @@ def test_sign_at_matches_60_digit_evaluation(p, q, share):
     points = check_isolation(p, F(-4), F(4))
     for point in points:
         query = mul(q, p) if share else q
-        s = sign_at(query, point)
+        s = sign_at(primitive(query), point)
         if point.exact is not None:
-            v = poly_eval(query, point.exact)
+            v = value(query, point.exact)
             assert s == (v > 0) - (v < 0)
             continue
         r = algebraic_value(p, point)
@@ -125,7 +130,8 @@ def test_sign_at_matches_60_digit_evaluation(p, q, share):
 def test_dedup_merges_roots_shared_across_polynomials(a, b, c, rng):
     lo, hi = rng
     p1, p2 = mul(a, b), mul(a, c)
-    merged = dedup_roots(roots_in_range(p1, lo, hi) + roots_in_range(p2, lo, hi))
+    merged = dedup_roots(roots_in_range(primitive(p1), lo, hi)
+                         + roots_in_range(primitive(p2), lo, hi))
     union = to_sympy(mul(p1, p2)).sqf_part()
     assert len(merged) == union.count_roots(rational(lo), rational(hi))
     for x, y in zip(merged, merged[1:]):

@@ -5,11 +5,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zcrit.charge import ChernCharacter, central_charge, charge_preset
+from zcrit.charge import ChernCharacter, central_charge, charge_map, charge_preset
 from zcrit.gaussian import GaussianRational
 from zcrit import stability
 from zcrit.numring import class_from_dict, preset_ring, ring_from_dict
-from zcrit.realroots import poly_eval
+from zcrit.realroots import primitive, roots_in_range
 from zcrit.stability import (
     PhaseVerdict,
     Relation,
@@ -26,6 +26,10 @@ F = Fraction
 
 def g(re, im=0):
     return GaussianRational(F(re), F(im))
+
+
+def value(p, x):
+    return sum(c * x ** i for i, c in enumerate(p))
 
 
 def p2_setup(b):
@@ -213,11 +217,11 @@ def test_wall_scan_isolates_irrational_walls():
     # the outer walls are the roots of 4t^2 + 4t - 1, certified by a
     # sign change over each enclosure; at the wall the subleading
     # coefficient takes over, deepening the discrepancy order to 5
-    minpoly = [F(-1), F(4), F(4)]
+    minpoly = [-1, 4, 4]
     for wall, flank in ((lo_wall, ("stable", "unstable")),
                         (hi_wall, ("unstable", "stable"))):
         assert wall.exact is None
-        assert poly_eval(minpoly, wall.lo) * poly_eval(minpoly, wall.hi) < 0
+        assert value(minpoly, wall.lo) * value(minpoly, wall.hi) < 0
         assert (wall.status_left, wall.status_right) == flank
         assert wall.report.order == 5
         assert "[" in wall.location_str()
@@ -272,8 +276,8 @@ def test_wall_scan_on_the_rescaled_pair():
     scan = scan_and_check(ring, "dhym", ch_e, [SubobjectCandidate("F", ch_f)])
     (wall,) = scan.walls
     assert wall.exact is None and wall.hi - wall.lo <= F(1, 10 ** 10)
-    p = [F(-20), F(-28), F(11)]
-    assert poly_eval(p, wall.lo) * poly_eval(p, wall.hi) < 0
+    p = [-20, -28, 11]
+    assert value(p, wall.lo) * value(p, wall.hi) < 0
 
 
 def all_signs_verdict(sign_of, top, n):
@@ -334,6 +338,56 @@ def test_p3_scans_with_a_base_twist(inputs):
     # the pencil U(h b) exp(-t h) on P3, checked cell by cell and at
     # every rational wall against stability_verdict
     scan_and_check(*inputs)
+
+
+# -- integer comparison coefficients against the rational ones -----------------
+
+def fraction_family(fam_f, fam_e):
+    """Reference: the comparison family in Fraction arithmetic, out[m][j]
+    the k^m t^j coefficient of Im(Z_F conj Z_E)."""
+    width = len(fam_f[0]) + len(fam_e[0]) - 1
+    out = [[F(0)] * width for _ in range(len(fam_f) + len(fam_e) - 1)]
+    for d, row_f in enumerate(fam_f):
+        for e, row_e in enumerate(fam_e):
+            for a, f in enumerate(row_f):
+                for b, x in enumerate(row_e):
+                    out[d + e][a + b] += f.im * x.re - f.re * x.im
+    return out
+
+
+def pencil_charge(ring, preset, base):
+    """The charge map of wall_scan's pencil U(base) exp(-t h)."""
+    h = ring.gen("h")
+    rho, u_base = charge_preset(preset, ring, ring.zero() if base is None else base)
+    u = [u_base.cls]
+    for j in range(1, ring.complex_dimension + 1):
+        u.append((u[-1] * -h).scale(F(1, j)))
+    return charge_map(ring, h, rho, u)
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scan_inputs(), st.lists(st.fractions(-4, 4, max_denominator=12), min_size=3, max_size=6))
+def test_integer_comparison_family_matches_the_fraction_one(inputs, ts):
+    ring, preset, ch_e, cands, base = inputs
+    charge = pencil_charge(ring, preset, base)
+    fam_e = charge(ch_e)
+    for cand in cands:
+        fam_f = charge(cand.ch)
+        ints = stability._comparison_family(fam_f, fam_e)
+        ref = fraction_family(fam_f, fam_e)
+        assert len(ints) == len(ref)
+        for p, r in zip(ints, ref):
+            assert all(type(c) is int for c in p) and p == primitive(p)
+            assert (p == []) == (not any(r))
+            for t in ts:
+                assert sign(value(p, t)) == sign(value(r, t))
+            if p:
+                assert [(x.exact, x.lo, x.hi) for x in roots_in_range(p, F(-3), F(3))] == \
+                    [(x.exact, x.lo, x.hi) for x in roots_in_range(primitive(r), F(-3), F(3))]
 
 
 # -- lazy phase comparison against the full comparison polynomial --------------
