@@ -100,23 +100,32 @@ def cmd_charge(args) -> int:
     return EXIT_OK
 
 
-def _ambient(cfg, sec: dict, name: str, what: str):
+def _ambient(cfg, sec: dict, name: str):
     """The character of the object that section name compares its
-    candidates against; it must have positive rank."""
+    candidates or quotients against; it must have positive rank."""
     path = name + ".object"
-    if "object" not in sec:
-        raise ConfigError(path, f"name of the {what} is required")
     ch = cfg.sheaf(sec["object"], path)
     if ch.rank < 1:
         raise ConfigError(path, "ambient object must have positive rank")
     return ch
 
 
+def _candidates(cfg, sec: dict, name: str, ch_e):
+    """The candidates of section name, each of rank between 1 and
+    rank(E) - 1."""
+    cands = candidates_from_section(cfg, sec.get("candidates"), name + ".candidates")
+    for i, cand in enumerate(cands):
+        if not 1 <= cand.ch.rank < ch_e.rank:
+            raise ConfigError(f"{name}.candidates[{i}]", f"candidate {cand.name!r} must have "
+                              f"rank between 1 and {ch_e.rank - 1}, got {cand.ch.rank}")
+    return cands
+
+
 def cmd_stability(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("stability")
-    ch_e = _ambient(cfg, sec, "stability", "object to test")
-    cands = candidates_from_section(cfg, sec.get("candidates"), "stability.candidates")
+    sec = cfg.section("stability", ("object", "candidates"), required=("object",))
+    ch_e = _ambient(cfg, sec, "stability")
+    cands = _candidates(cfg, sec, "stability", ch_e)
     report = stability_verdict(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, cands)
     head = {"status": report.status, "witness": report.witness, "order": report.order}
     details = [
@@ -131,9 +140,10 @@ def cmd_stability(args) -> int:
 
 def cmd_walls(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("walls")
-    ch_e = _ambient(cfg, sec, "walls", "object to scan")
-    cands = candidates_from_section(cfg, sec.get("candidates"), "walls.candidates")
+    sec = cfg.section("walls", ("object", "candidates", "direction", "range", "base", "preset"),
+                      required=("object", "direction"))
+    ch_e = _ambient(cfg, sec, "walls")
+    cands = _candidates(cfg, sec, "walls", ch_e)
     rng = sec.get("range")
     if not isinstance(rng, list) or len(rng) != 2:
         raise ConfigError("walls.range", "expected [t_min, t_max]")
@@ -141,8 +151,6 @@ def cmd_walls(args) -> int:
     t_max = parse_fraction(rng[1], "walls.range[1]")
     if not t_min < t_max:
         raise ConfigError("walls.range", "expected t_min < t_max")
-    if "direction" not in sec:
-        raise ConfigError("walls.direction", "B-field direction class is required")
     b_dir = parse_class(cfg.ring, sec["direction"], "walls.direction")
     if b_dir.is_zero():
         raise ConfigError("walls.direction", "twist direction must be nonzero")
@@ -173,10 +181,8 @@ def cmd_walls(args) -> int:
 
 def cmd_tau(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("tau")
-    if "object" not in sec:
-        raise ConfigError("tau.object", "name of the filtered object is required")
-    ch_e = cfg.sheaf(sec["object"], "tau.object")
+    sec = cfg.section("tau", ("object", "quotients", "edges", "cap"), required=("object",))
+    ch_e = _ambient(cfg, sec, "tau")
     graph = graph_from_section(cfg, sec, "tau")
     system = assemble_tau_system(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, graph)
     cap = parse_fraction(sec.get("cap", 1), "tau.cap")
@@ -197,11 +203,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_solve_surface(args) -> int:
-    cfg_raw = load_raw(args.config)
-    sec = cfg_raw.get("surface")
-    if sec is None:
-        raise ConfigError("surface", "section missing from the configuration")
-    data, params = surface_from_section(sec, n_override=args.N)
+    data, params = surface_from_section(load_raw(args.config).get("surface"), n_override=args.N)
 
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 

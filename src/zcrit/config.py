@@ -1,12 +1,21 @@
 """JSON run configuration shared by every subcommand.
 
-One structured file describes the manifold (a preset or an explicit
-ring table), the charge data (a preset with a B-field, or an explicit
+This module is the only reader of the configuration format. One
+structured file describes the manifold (a preset or an explicit ring
+table), the charge data (a preset with a B-field, or an explicit
 weight vector and twist), the named sheaves with their character
 vectors, and per-task parameter blocks. All rationals are written as
 strings "p/q" and parsed exactly; complex rationals are objects
 {"re": "p/q", "im": "p/q"}. Floats are accepted only for purely
 numerical knobs such as solver tolerances.
+
+Every JSON object goes through one rule, _object, next to the code that
+reads its values: it must be an object, its keys must lie in the set
+listed there, and a missing required key is reported at path.key. Every
+error is a ConfigError that names the JSON path of the field at fault.
+Only the library's input errors (RingError, ChargeError, ExtensionError,
+SurfaceError) are turned into ConfigErrors, with the path added, so a
+defect elsewhere in the library stays an internal error.
 """
 
 from __future__ import annotations
@@ -16,10 +25,17 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gaussian import GaussianRational
-from .numring import GradedClass, NumericalRing, class_from_dict, preset_ring, ring_from_dict
+from .numring import (
+    BasisElement,
+    GradedClass,
+    NumericalRing,
+    RingError,
+    class_from_dict,
+    preset_ring,
+)
 from .errors import SurfaceError
 from .charge import (
     ChargeError,
@@ -29,7 +45,7 @@ from .charge import (
     charge_preset,
 )
 from .stability import SubobjectCandidate
-from .extension import FiltrationGraph, QuotientSpec
+from .extension import ExtensionError, FiltrationGraph, QuotientSpec
 
 
 class ConfigError(ValueError):
@@ -40,24 +56,33 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _check_keys(obj, keys, path: str) -> None:
-    """Refuse, naming path, every key of the object obj outside keys, so
-    that a misspelt key is an error rather than ignored."""
-    extra = set(obj) - set(keys) if isinstance(obj, dict) else ()
+def _object(value, path: str, keys: Iterable[str], required: Tuple[str, ...] = ()) -> dict:
+    """The JSON object value at path, refused unless it is an object
+    whose keys all lie in keys (so that a misspelt key is an error
+    rather than ignored) and that has every key of required."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "missing or not an object")
+    extra = set(value) - set(keys)
     if extra:
         raise ConfigError(path, f"unexpected keys {sorted(extra)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}.{key}", "required key missing")
+    return value
 
 
 def parse_fraction(value, path: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ConfigError(path, "rationals must be strings or integers, not floats")
+    if isinstance(value, (bool, float)):
+        kind = "booleans" if isinstance(value, bool) else "floats"
+        raise ConfigError(path, f"rationals must be strings or integers, not {kind}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(path, f"invalid rational {value!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(path, f"invalid rational {value!r}; expected an integer "
+                              "or p/q with q nonzero") from None
     raise ConfigError(path, f"cannot read a rational from {type(value).__name__}")
 
 
@@ -81,7 +106,7 @@ def parse_int(value, path: str, minimum: Optional[int] = None) -> int:
 
 def parse_gaussian(value, path: str) -> GaussianRational:
     if isinstance(value, dict):
-        _check_keys(value, ("re", "im"), path)
+        _object(value, path, ("re", "im"))
         re = parse_fraction(value.get("re", 0), path + ".re")
         im = parse_fraction(value.get("im", 0), path + ".im")
         return GaussianRational(re, im)
@@ -101,18 +126,20 @@ def parse_float(value, path: str) -> float:
     raise ConfigError(path, f"cannot read a number from {type(value).__name__}")
 
 
+def _coefficients(value, path: str, names: List[str]) -> Dict[str, Fraction]:
+    """An object mapping basis names to exact rationals."""
+    return {k: parse_fraction(v, f"{path}.{k}") for k, v in _object(value, path, names).items()}
+
+
 def parse_class(ring: NumericalRing, data, path: str) -> GradedClass:
-    if not isinstance(data, dict):
-        raise ConfigError(path, "expected an object mapping basis names to rationals")
-    coeffs = {}
-    for name, value in data.items():
-        if name not in ring.basis_names():
-            raise ConfigError(
-                path + "." + name,
-                f"unknown basis element; ring has {sorted(ring.basis_names())}",
-            )
-        coeffs[name] = parse_fraction(value, path + "." + name)
-    return class_from_dict(ring, coeffs)
+    return class_from_dict(ring, _coefficients(data, path, ring.basis_names()))
+
+
+def _character(ring: NumericalRing, data, path: str) -> ChernCharacter:
+    try:
+        return ChernCharacter(parse_class(ring, data, path))
+    except ChargeError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 @dataclass
@@ -131,21 +158,9 @@ class RunConfig:
             raise ConfigError(path, f"unknown sheaf {name!r}; have {sorted(self.sheaves)}")
         return self.sheaves[name]
 
-    def section(self, name: str) -> dict:
-        sec = self.raw.get(name)
-        if sec is None:
-            raise ConfigError(name, "section missing from the configuration")
-        if not isinstance(sec, dict):
-            raise ConfigError(name, "section must be an object")
-        _check_keys(sec, _TASK_KEYS[name], name)
-        return sec
-
-
-_TASK_KEYS = {
-    "stability": ("object", "candidates"),
-    "walls": ("object", "candidates", "direction", "range", "base", "preset"),
-    "tau": ("object", "quotients", "edges", "cap"),
-}
+    def section(self, name: str, keys: Tuple[str, ...], required: Tuple[str, ...] = ()) -> dict:
+        """The task section name under the object rule."""
+        return _object(self.raw.get(name), name, keys, required)
 
 
 def _check_name(name, path: str) -> None:
@@ -153,36 +168,61 @@ def _check_name(name, path: str) -> None:
         raise ConfigError(path, "expected a non-empty string")
 
 
-def _named_character(cfg: RunConfig, body, path: str, what: str,
+def _named_character(cfg: RunConfig, body, path: str,
                      keys: Tuple[str, ...]) -> Tuple[str, ChernCharacter]:
     """Name of a candidate or quotient entry, and its character: the
     inline 'ch' when given, else the named sheaf's."""
-    if not isinstance(body, dict) or "name" not in body:
-        raise ConfigError(path, f"each {what} needs a name")
-    _check_keys(body, keys, path)
-    name = body["name"]
+    name = _object(body, path, keys, ("name",))["name"]
     _check_name(name, path + ".name")
     if "ch" in body:
-        return name, ChernCharacter(parse_class(cfg.ring, body["ch"], path + ".ch"))
+        return name, _character(cfg.ring, body["ch"], path + ".ch")
     return name, cfg.sheaf(name, path + ".name")
 
 
+def _ring_table(value, path: str) -> NumericalRing:
+    """The ring of an explicit table: name, complex_dimension, generators
+    [{name, degree}], products [[gen_i, gen_j, {gen_k: "p/q"}]],
+    integration {gen: "p/q"} and an optional todd {gen: "p/q"}."""
+    table = _object(value, path, ("name", "complex_dimension", "generators", "products",
+                                  "integration", "todd"),
+                    ("complex_dimension", "generators", "integration"))
+    name = table.get("name", "ring")
+    _check_name(name, path + ".name")
+    dimension = parse_int(table["complex_dimension"], path + ".complex_dimension", minimum=1)
+    gens, entries = table["generators"], table.get("products", [])
+    if not isinstance(gens, list):
+        raise ConfigError(path + ".generators", "expected a list of {name, degree} objects")
+    basis = []
+    for i, gen in enumerate(gens):
+        p = f"{path}.generators[{i}]"
+        _object(gen, p, ("name", "degree"), ("name", "degree"))
+        _check_name(gen["name"], p + ".name")
+        basis.append(BasisElement(gen["name"], parse_int(gen["degree"], p + ".degree")))
+    names = [b.name for b in basis]
+    if not isinstance(entries, list):
+        raise ConfigError(path + ".products", "expected a list of [gen_i, gen_j, {...}] entries")
+    products = {}
+    for i, entry in enumerate(entries):
+        p = f"{path}.products[{i}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ConfigError(p, 'expected [gen_i, gen_j, {gen_k: "p/q"}]')
+        for j in (0, 1):
+            if entry[j] not in names:
+                raise ConfigError(f"{p}[{j}]", f"unknown generator {entry[j]!r}; ring has {names}")
+        products[(entry[0], entry[1])] = _coefficients(entry[2], p + "[2]", names)
+    integration = _coefficients(table["integration"], path + ".integration", names)
+    todd = _coefficients(table["todd"], path + ".todd", names) if "todd" in table else None
+    try:
+        return NumericalRing(name, dimension, basis, products, integration, todd)
+    except RingError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
-    man = raw.get("manifold")
-    if not isinstance(man, dict):
-        raise ConfigError("manifold", "section missing or not an object")
-    _check_keys(man, ("preset", "dimension", "volume", "ring", "omega"), "manifold")
+    man = _object(raw.get("manifold"), "manifold",
+                  ("preset", "dimension", "volume", "ring", "omega"))
     if "ring" in man:
-        table = man["ring"]
-        _check_keys(table, ("name", "complex_dimension", "generators", "products",
-                           "integration", "todd"), "manifold.ring")
-        gens = table.get("generators") if isinstance(table, dict) else None
-        for i, gen in enumerate(gens if isinstance(gens, list) else []):
-            _check_keys(gen, ("name", "degree"), f"manifold.ring.generators[{i}]")
-        try:
-            ring = ring_from_dict(table)
-        except Exception as exc:
-            raise ConfigError("manifold.ring", str(exc)) from None
+        ring = _ring_table(man["ring"], "manifold.ring")
     elif man.get("preset") == "projective_space":
         if "dimension" not in man:
             raise ConfigError("manifold.dimension", "projective_space needs a dimension")
@@ -211,20 +251,13 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
 def _build_charge(
     raw: dict, ring: NumericalRing
 ) -> Tuple[StabilityVector, UnipotentOperator, Optional[str]]:
-    sec = raw.get("charge")
-    if not isinstance(sec, dict):
-        raise ConfigError("charge", "section missing or not an object")
-    _check_keys(sec, ("preset", "bfield", "rho", "unipotent", "object"), "charge")
-    bfield = (
-        parse_class(ring, sec["bfield"], "charge.bfield")
-        if "bfield" in sec
-        else ring.zero()
-    )
+    sec = _object(raw.get("charge"), "charge", ("preset", "bfield", "rho", "unipotent", "object"))
+    bfield = parse_class(ring, sec.get("bfield", {}), "charge.bfield")
     if "preset" in sec:
         name = sec["preset"]
         try:
             rho, U = charge_preset(name, ring, bfield)
-        except Exception as exc:
+        except (ChargeError, RingError) as exc:
             raise ConfigError("charge.preset", str(exc)) from None
         return rho, U, name
     if "rho" not in sec:
@@ -240,13 +273,11 @@ def _build_charge(
         rho = StabilityVector(weights)
     except ChargeError as exc:
         raise ConfigError("charge.rho", str(exc)) from None
-    if "unipotent" in sec:
-        ucls = parse_class(ring, sec["unipotent"], "charge.unipotent")
-    else:
-        ucls = ring.unit()
+    ucls = (parse_class(ring, sec["unipotent"], "charge.unipotent")
+            if "unipotent" in sec else ring.unit())
     try:
         U = UnipotentOperator(ucls)
-    except Exception as exc:
+    except ChargeError as exc:
         raise ConfigError("charge.unipotent", str(exc)) from None
     return rho, U, None
 
@@ -258,10 +289,7 @@ def _build_sheaves(raw: dict, ring: NumericalRing) -> Dict[str, ChernCharacter]:
     out = {}
     for name, body in sec.items():
         path = f"sheaves.{name}"
-        if not isinstance(body, dict) or "ch" not in body:
-            raise ConfigError(path, "each sheaf needs a 'ch' object")
-        _check_keys(body, ("ch",), path)
-        out[name] = ChernCharacter(parse_class(ring, body["ch"], path + ".ch"))
+        out[name] = _character(ring, _object(body, path, ("ch",), ("ch",))["ch"], path + ".ch")
     return out
 
 
@@ -304,7 +332,7 @@ def candidates_from_section(
     out = []
     for i, body in enumerate(entries):
         p = f"{path}[{i}]"
-        name, ch = _named_character(cfg, body, p, "candidate", ("name", "ch", "kind"))
+        name, ch = _named_character(cfg, body, p, ("name", "ch", "kind"))
         kind = body.get("kind", "subbundle")
         if kind not in ("subbundle", "quotient"):
             raise ConfigError(p + ".kind", f"unknown kind {kind!r}")
@@ -322,8 +350,7 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
         if isinstance(body, str):
             quotients.append(QuotientSpec(body, cfg.sheaf(body, p)))
         else:
-            quotients.append(QuotientSpec(*_named_character(cfg, body, p, "quotient",
-                                                            ("name", "ch"))))
+            quotients.append(QuotientSpec(*_named_character(cfg, body, p, ("name", "ch"))))
     edges_raw = sec.get("edges", [])
     if not isinstance(edges_raw, list):
         raise ConfigError(path + ".edges", "expected a list of [from, to] pairs")
@@ -335,7 +362,7 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
         edges.append((parse_int(pair[0], p + "[0]"), parse_int(pair[1], p + "[1]")))
     try:
         return FiltrationGraph(tuple(quotients), tuple(edges))
-    except Exception as exc:
+    except ExtensionError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -346,9 +373,7 @@ def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
 
 def parse_hermitian(sec, path: str) -> Tuple[float, complex, float]:
     """Constant Hermitian matrix {"a11": "p/q", "a12": gaussian, "a22": "p/q"}."""
-    if not isinstance(sec, dict):
-        raise ConfigError(path, "expected an object with a11, a12, a22")
-    _check_keys(sec, ("a11", "a12", "a22"), path)
+    _object(sec, path, ("a11", "a12", "a22"))
     a11 = _parse_complex(parse_fraction, sec.get("a11", 0), path + ".a11").real
     a22 = _parse_complex(parse_fraction, sec.get("a22", 0), path + ".a22").real
     return a11, _parse_complex(parse_gaussian, sec.get("a12", 0), path + ".a12"), a22
@@ -371,9 +396,7 @@ def parse_mode_sum(geom, terms, path: str):
     out = np.zeros(geom.shape)
     for i, term in enumerate(terms):
         p = f"{path}[{i}]"
-        if not isinstance(term, dict) or "mode" not in term:
-            raise ConfigError(p, "each term needs a mode [m1, m2, m3, m4]")
-        _check_keys(term, ("mode", "amplitude", "phase"), p)
+        _object(term, p, ("mode", "amplitude", "phase"), ("mode",))
         mode = term["mode"]
         if not isinstance(mode, list) or len(mode) != 4:
             raise ConfigError(p + ".mode", "mode must be four integers")
@@ -411,10 +434,8 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None):
     from .surface import DHYM_RHO, SurfaceChargeData, TorusGeometry
 
     path = "surface"
-    if not isinstance(sec, dict):
-        raise ConfigError(path, "section must be an object")
-    _check_keys(sec, ("N", "metric", "alpha0", "preset", "rho", "u1_const",
-                     "u1_potential", "u2", "tol", "k_values", "dump"), path)
+    _object(sec, path, ("N", "metric", "alpha0", "preset", "rho", "u1_const", "u1_potential",
+                        "u2", "tol", "k_values", "dump"), ("metric", "alpha0"))
     if n_override is not None:
         size, n_path = n_override, "--N"
     else:
@@ -424,11 +445,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None):
         geom = TorusGeometry(size)
     except SurfaceError as exc:
         raise ConfigError(n_path, str(exc)) from None
-    if "metric" not in sec:
-        raise ConfigError(path + ".metric", "metric matrix required")
     metric = parse_hermitian(sec["metric"], path + ".metric")
-    if "alpha0" not in sec:
-        raise ConfigError(path + ".alpha0", "alpha0 matrix required")
     alpha0 = parse_hermitian(sec["alpha0"], path + ".alpha0")
 
     if sec.get("preset") == "dhym":
@@ -445,12 +462,9 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None):
     u1_const = (0.0, 0.0, 0.0)
     if "u1_const" in sec:
         u1_const = parse_hermitian(sec["u1_const"], path + ".u1_const")
-    u1_potential = None
-    if "u1_potential" in sec:
-        u1_potential = parse_mode_sum(geom, sec["u1_potential"], path + ".u1_potential")
-    u2 = None
-    if "u2" in sec:
-        u2 = parse_mode_sum(geom, sec["u2"], path + ".u2")
+    u1_potential = (parse_mode_sum(geom, sec["u1_potential"], path + ".u1_potential")
+                    if "u1_potential" in sec else None)
+    u2 = parse_mode_sum(geom, sec["u2"], path + ".u2") if "u2" in sec else None
 
     try:
         data = SurfaceChargeData(geom, metric, rho, alpha0, u1_const, u1_potential, u2)

@@ -6,6 +6,10 @@ constants, and a rational integration functional on the top degree.
 Classes are rational coordinate vectors; products truncate above degree
 2n by nilpotency. Everything runs on fractions.Fraction, so ring
 computations are exact and reproducible bit for bit.
+
+This module reads no JSON: config.py reads an explicit ring table, naming
+the JSON path of each fault, and builds the NumericalRing, whose own
+checks of names, degrees and homogeneity raise RingError.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class NumericalRing:
             self._table[self._key(i, j)] = {k: as_fraction(v) for k, v in comb.items()}
         self.integration: Dict[str, Fraction] = {}
         for k, v in integration.items():
+            if k not in self._by_name:
+                raise RingError(f"unknown generator {k!r} in integration")
             if self._by_name[k].degree != top:
                 raise RingError(f"integration assigns mass to {k!r} of degree "
                                 f"{self._by_name[k].degree}, expected {top}")
@@ -326,41 +332,3 @@ def preset_ring(preset: str, **params) -> NumericalRing:
         return NumericalRing(f"T(vol={vol})", 2, basis, products,
                              {"w^2": vol}, {"1": Fraction(1)})
     raise RingError(f"unknown ring preset {preset!r}")
-
-
-# -- JSON descriptions ------------------------------------------------------
-
-def _as_int(value, what: str) -> int:
-    """An int or an integer string; a float or a bool is rejected, not truncated."""
-    if isinstance(value, str):
-        value = int(value.strip())
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RingError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def ring_from_dict(data: Dict) -> NumericalRing:
-    """Build a ring from its JSON description.
-
-    Expected keys: name, complex_dimension, generators (list of
-    {name, degree}), products (list of [gen_i, gen_j, {gen_k: 'p/q'}]),
-    integration ({gen: 'p/q'}), optional todd ({gen: 'p/q'}).
-    """
-    try:
-        basis = [BasisElement(g["name"], _as_int(g["degree"], f"generators[{i}].degree"))
-                 for i, g in enumerate(data["generators"])]
-        products = {}
-        for entry in data.get("products", []):
-            i, j, comb = entry
-            products[(i, j)] = {k: as_fraction(v) for k, v in comb.items()}
-        integration = {k: as_fraction(v) for k, v in data["integration"].items()}
-        todd = data.get("todd")
-        if todd is not None:
-            todd = {k: as_fraction(v) for k, v in todd.items()}
-        return NumericalRing(
-            str(data.get("name", "ring")),
-            _as_int(data["complex_dimension"], "complex_dimension"),
-            basis, products, integration, todd,
-        )
-    except KeyError as exc:
-        raise RingError(f"ring description missing field {exc}") from exc

@@ -38,6 +38,13 @@ gradients cannot reduce. A resolution policy for those modes needs
 residual projection or 2/3 dealiasing of the quadratic term (Orszag
 1971), not a change of symbol.
 
+The grid size N is a power of two >= 8 or odd and >= 7. An odd grid
+has no Nyquist planes: its frequencies are symmetric, so s is even, P
+and Q are real (Re s and Im s), the operator with constant coefficients
+is symmetric and conjugate gradients converge on every mode. It
+resolves the same modes as the even grid one point larger; the FFTs
+are fast for 3- and 5-smooth N (9, 15, 25, 27, 45, 75, 81).
+
 Writing the normalised charge integrand with rho_0 scaled to 2,
 
     Zt(a) = rho2 w^2 + rho1 w ^ (a + U1) + a^2 + 2 a ^ U1 + 2 U2,
@@ -95,8 +102,9 @@ real fields x, y with half spectra a, b, Parseval gives
 
     sum(x y) = (1 / N^4) sum_k w_k Re(conj(a_k) b_k),
 
-with w_k = 1 on the k3 = 0 and k3 = N/2 planes and 2 off them, where
-a half-spectrum mode also stands for its conjugate. In real transforms
+with w_k = 1 on the k3 = 0 and k3 = N/2 planes (odd N has only the
+first) and 2 off them, where a half-spectrum mode also stands for its
+conjugate. In real transforms
 of N^4 points, a conjugate-gradient iteration costs five (the
 operator's four inverse transforms and one forward transform of its
 output), a line-search trial four inverse transforms, and a Newton
@@ -170,7 +178,7 @@ class TorusGeometry:
     """Uniform N^4 grid on the unit 4-torus with cached spectral data.
 
     The spectral data lives on the real-FFT half spectrum: mu1 has shape
-    (N, N, 1, 1) and mu2 shape (1, 1, N, N/2 + 1), both with fftfreq
+    (N, N, 1, 1) and mu2 shape (1, 1, N, N//2 + 1), both with fftfreq
     values, and cross_re, cross_im are the half-spectrum symbols P, Q of
     the module docstring for the off-diagonal Hessian term.
     """
@@ -182,8 +190,8 @@ class TorusGeometry:
     cross_im: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.size < 8 or self.size & (self.size - 1):
-            raise SurfaceError("grid size must be a power of two >= 8")
+        if self.size < 7 or (self.size % 2 == 0 and self.size & (self.size - 1)):
+            raise SurfaceError("grid size must be odd and >= 7, or a power of two >= 8")
         n = self.size
         half = n // 2 + 1
         m = np.fft.fftfreq(n, d=1.0 / n)
@@ -576,11 +584,12 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
     By Parseval each mode off the k3 = 0 and k3 = N/2 planes stands for
     itself and its conjugate, so it weighs 2 and a mode on them 1, and
-    the sum is divided by N^4.
+    the sum is divided by N^4. An odd grid has no k3 = N/2 plane.
     """
     n = a.shape[0]
-    total = (2 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
-             - np.vdot(a[..., -1], b[..., -1]).real)
+    total = 2 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+    if n % 2 == 0:
+        total -= np.vdot(a[..., -1], b[..., -1]).real
     return float(total) / n ** 4
 
 

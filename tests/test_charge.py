@@ -15,12 +15,13 @@ from zcrit.charge import (
 )
 from zcrit.gaussian import GaussianRational
 from zcrit.numring import (
+    BasisElement,
+    NumericalRing,
     RingMismatchError,
     class_from_dict,
     integrate,
     power_series_apply,
     preset_ring,
-    ring_from_dict,
 )
 
 F = Fraction
@@ -164,11 +165,8 @@ def test_preset_and_argument_errors():
         charge_preset("mukai", ring, ring.zero())
     with pytest.raises(ChargeError):
         charge_preset("dhym", ring, ring.unit())          # B not degree 2
-    no_todd = ring_from_dict({
-        "name": "bare", "complex_dimension": 1,
-        "generators": [{"name": "1", "degree": 0}, {"name": "t", "degree": 2}],
-        "products": [], "integration": {"t": "1"},
-    })
+    no_todd = NumericalRing("bare", 1, [BasisElement("1", 0), BasisElement("t", 2)], {},
+                            {"t": F(1)})
     with pytest.raises(ChargeError):
         charge_preset("todd", no_todd, no_todd.zero())
 
@@ -188,11 +186,8 @@ def test_preset_and_argument_errors():
 
 
 def test_negative_volume_rejected():
-    ring = ring_from_dict({
-        "name": "antip1", "complex_dimension": 1,
-        "generators": [{"name": "1", "degree": 0}, {"name": "t", "degree": 2}],
-        "products": [], "integration": {"t": "-1"},
-    })
+    ring = NumericalRing("antip1", 1, [BasisElement("1", 0), BasisElement("t", 2)], {},
+                         {"t": F(-1)})
     rho = dhym_stability_vector(1)
     U = UnipotentOperator(ring.unit())
     ch = ChernCharacter(ring.unit())
@@ -224,28 +219,26 @@ def truncated_rings(draw):
                  if sum(m) <= n and (r == 2 or m[1] == 0)]
     name = {m: "1" if m == (0, 0) else f"x{m[0]}y{m[1]}" for m in monomials}
     s = {m: F(1) if m == (0, 0) else draw(nonzero) for m in monomials}
-    products = []
+    products = {}
     for i, a in enumerate(monomials):
         for b in monomials[i:]:
             c = (a[0] + b[0], a[1] + b[1])
             if a != (0, 0) and b != (0, 0) and sum(c) <= n:
-                products.append([name[a], name[b], {name[c]: s[a] * s[b] / s[c]}])
+                products[(name[a], name[b])] = {name[c]: s[a] * s[b] / s[c]}
     top = [m for m in monomials if sum(m) == n]
     integration = {name[m]: draw(small) for m in top}
     degree2 = [name[m] for m in monomials if sum(m) == 1]
     omega = {x: draw(nonzero if i == 0 else small) for i, x in enumerate(degree2)}
-    data = {"name": "random", "complex_dimension": n, "products": products,
-            "generators": [{"name": name[m], "degree": 2 * sum(m)} for m in monomials],
-            "integration": integration}
-    ring = ring_from_dict(data)
+    basis = [BasisElement(name[m], 2 * sum(m)) for m in monomials]
+    ring = NumericalRing("random", n, basis, products, integration)
     omega = class_from_dict(ring, omega)
     power = ring.unit()
     for _ in range(n):
         power = power * omega
     vol = integrate(power)
     if vol < 0:     # integrate(omega^n) is linear in the integration vector
-        data["integration"] = {k: -v for k, v in integration.items()}
-        ring = ring_from_dict(data)
+        ring = NumericalRing("random", n, basis, products,
+                             {k: -v for k, v in integration.items()})
         omega = class_from_dict(ring, omega.coeffs)
     assume(vol != 0)
     return ring, omega

@@ -349,6 +349,16 @@ def test_tsv_head_rows_match_json(capsys, command, config):
         assert row[1:] == head[row[0]]
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("command", ["charge", "walls"])
+def test_explicit_ring_config_matches_the_preset(capsys, command, fmt):
+    # configs/p2_explicit_ring.json writes the ring of P2, Todd class
+    # included, as a table; config.py reads it into the preset's ring
+    preset = run(capsys, command, "--config", TODD_CFG, "--format", fmt)
+    table = run(capsys, command, "--config", "configs/p2_explicit_ring.json", "--format", fmt)
+    assert table == preset and preset[0] == 0
+
+
 def test_solve_surface_tsv(capsys):
     rc, out, _ = run(capsys, "solve-surface", "--config", TORUS_CFG)
     assert rc == 0
@@ -571,17 +581,25 @@ def ring_raw(**changes):
     (["charge", "--sheaf", "E"],
      ring_raw(generators=[{"name": "1", "degree": 0}, {"name": "h", "degree": 2.9},
                           {"name": "h^2", "degree": 4}]),
-     r"manifold.ring: generators\[1\].degree must be an integer, got 2.9"),
+     r"manifold.ring.generators\[1\].degree: expected an integer, got 2.9"),
     (["charge", "--sheaf", "E"], ring_raw(complex_dimension=2.5),
-     "manifold.ring: complex_dimension must be an integer, got 2.5"),
+     "manifold.ring.complex_dimension: expected an integer, got 2.5"),
     (["charge", "--sheaf", "E"], ring_raw(integration={"h^2": True}),
-     "manifold.ring: not an exact rational: True"),
+     r"manifold.ring.integration.h\^2: rationals must be strings or integers, not booleans"),
     (["walls"], dhym_raw("walls", direction={"h": "0"}),
      "walls.direction: twist direction must be nonzero"),
     (["stability"], dhym_raw("sheaves", E={"ch": {"h^2": "-2"}}),
      "stability.object: ambient object must have positive rank"),
     (["walls"], dhym_raw("sheaves", E={"ch": {"h^2": "-2"}}),
      "walls.object: ambient object must have positive rank"),
+    (["tau"], {**tau_raw(), "sheaves": {**tau_raw()["sheaves"], "E": {"ch": {"h^2": "-2"}}}},
+     "tau.object: ambient object must have positive rank"),
+    (["stability"], dhym_raw("sheaves", F={"ch": {"1": "3"}}),
+     r"stability.candidates\[0\]: candidate 'F' must have rank between 1 and 2, got 3"),
+    (["walls"], dhym_raw("walls", candidates=[{"name": "F"}, {"name": "G", "ch": {"1": "0"}}]),
+     r"walls.candidates\[1\]: candidate 'G' must have rank between 1 and 2, got 0"),
+    (["stability"], dhym_raw("sheaves", F={"ch": {"1": "1/2"}}),
+     "sheaves.F.ch: rank must be an integer, got 1/2"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "dump-empty", "sheaf-flag-empty",
         "aliased-mode", "float-mode", "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
@@ -594,7 +612,9 @@ def ring_raw(**changes):
         "candidate-name-int", "metric-a11-huge", "alpha0-a22-400-digits",
         "metric-a12-huge-imaginary", "surface-rho-huge",
         "ring-degree-float", "ring-dimension-float", "ring-weight-bool",
-        "walls-direction-zero", "stability-object-rank-0", "walls-object-rank-0"])
+        "walls-direction-zero", "stability-object-rank-0", "walls-object-rank-0",
+        "tau-object-rank-0", "stability-candidate-rank-3", "walls-candidate-rank-0",
+        "sheaf-rank-half"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64
@@ -633,6 +653,23 @@ def test_misspelt_key_exits_64(tmp_path, capsys, command, raw, where, key):
     rc, out, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert (rc, out) == (64, "")
     assert err == f"config error: {path}: unexpected keys ['{key}']\n"
+
+
+@pytest.mark.parametrize("command, raw, section, key", [
+    (["stability"], dhym_raw("stability"), "stability", "object"),
+    (["walls"], dhym_raw("walls"), "walls", "object"),
+    (["walls"], dhym_raw("walls"), "walls", "direction"),
+    (["tau"], tau_raw(), "tau", "object"),
+    (["solve-surface"], torus_raw(), "surface", "metric"),
+    (["solve-surface"], torus_raw(), "surface", "alpha0"),
+], ids=["stability-object", "walls-object", "walls-direction", "tau-object", "surface-metric",
+        "surface-alpha0"])
+def test_required_key_missing_exits_64(tmp_path, capsys, command, raw, section, key):
+    # a required key is reported at its own path, not at its object's
+    raw = json.loads(json.dumps(raw))
+    del raw[section][key]
+    rc, out, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
+    assert (rc, out, err) == (64, "", f"config error: {section}.{key}: required key missing\n")
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["directory", "not-utf8"])
@@ -1026,3 +1063,77 @@ def test_fuzzed_exact_configs_exit_with_a_documented_code(drawn):
             rc = cli.main([*argv, "--config", path])
     assert rc in (0, 2, 3, 64), (argv, raw, err.getvalue())
     assert not caught, [str(w.message) for w in caught]
+
+
+JUNK = [None, True, 2.5, "x", [5], {"x": "1"}]
+BAD_PRODUCTS = [["h", "h^2", {"h^2": "1"}], ["h", "h", {"h": "1"}], ["h", "x", {}], ["h"],
+                ["h", "h", {"h^2": "1"}, 5], [["h"], "h", {}], ["h", "h", "h^2"]]
+
+
+def nodes(node, path=()):
+    """Every (path, value) under node, node itself included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_ring_tables(draw):
+    """The explicit P2 ring table, Todd class included, with one fault:
+    a required key of the table or of a generator dropped, any value
+    (the table, generators, products and their entries included)
+    replaced by a value of another JSON type or by an unknown name, a key
+    of any object misspelt, or a bad product entry appended. Dropping
+    products or a coefficient is not among them: that gives another
+    valid table, on which the charge itself may fail."""
+    raw = ring_raw(todd={"1": "1", "h": "3/2", "h^2": "1"})
+    table = raw["manifold"]["ring"]
+    fault = draw(st.sampled_from(["drop", "retype", "misspell", "product"]))
+    if fault == "drop":
+        path = draw(st.sampled_from(
+            [("name",), ("complex_dimension",), ("generators",), ("integration",), ("todd",)]
+            + [("generators", i, key) for i in range(3) for key in ("name", "degree")]))
+    else:
+        objects = [p for p, v in nodes(table) if isinstance(v, dict) and v]
+        path = draw(st.sampled_from({"retype": [p for p, _ in nodes(table)], "misspell": objects,
+                                     "product": [("products",)]}[fault]))
+    # the empty path is the table itself, held by manifold.ring
+    parent, key = (table, path[-1]) if path else (raw["manifold"], "ring")
+    for step in path[:-1]:
+        parent = parent[step]
+    if fault == "drop":
+        del parent[key]
+    elif fault == "retype":
+        parent[key] = draw(st.sampled_from(JUNK))
+    elif fault == "misspell":
+        obj = parent[key]
+        old = draw(st.sampled_from(sorted(obj)))
+        obj[old + draw(st.sampled_from(["_", "x", "s"]))] = obj.pop(old)
+    else:
+        parent[key].append(draw(st.sampled_from(BAD_PRODUCTS)))
+    return raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_ring_tables())
+def test_fuzzed_ring_tables_name_their_fault(raw):
+    # a faulty ring table is refused as a config error that names the
+    # table's JSON path, with no Python-internal wording; a mutation that
+    # leaves a valid table (a new ring name, say) runs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["charge", "--sheaf", "E", "--config", path])
+    err = err.getvalue()
+    assert rc in (0, 64), (raw, err)
+    if rc == 64:
+        assert err.startswith("config error: manifold.ring"), (raw, err)
+        for internal in ("object is not", "integers or slices", "unhashable", "Fraction",
+                         "Traceback"):
+            assert internal not in err, (raw, err)
+        assert not re.search(r": '[^']*'$", err.rstrip()), (raw, err)

@@ -47,7 +47,7 @@ def test_parse_fraction_accepts_strings_and_ints():
 def test_parse_fraction_rejects_floats_and_garbage():
     with pytest.raises(ConfigError, match="not floats"):
         parse_fraction(0.5, "charge.bfield.h")
-    with pytest.raises(ConfigError, match="not floats"):
+    with pytest.raises(ConfigError, match="not booleans"):
         parse_fraction(True, "x")
     with pytest.raises(ConfigError, match="zebra"):
         parse_fraction("zebra", "x")
@@ -117,8 +117,15 @@ def test_config_resolves_ring_and_omega():
     assert ch.rank == 3
     with pytest.raises(ConfigError, match="unknown sheaf"):
         cfg.sheaf("G")
-    with pytest.raises(ConfigError, match="section missing"):
-        cfg.section("walls")
+    with pytest.raises(ConfigError, match="^walls: missing or not an object$"):
+        cfg.section("walls", ("object",))
+    # a task section declares its keys and its required keys where it is read
+    raw = dict(base_raw(), walls={"object": "E", "rnage": ["0", "1"]})
+    with pytest.raises(ConfigError, match=r"^walls: unexpected keys \['rnage'\]$"):
+        config_from_dict(raw).section("walls", ("object", "range"))
+    raw["walls"] = {"range": ["0", "1"]}
+    with pytest.raises(ConfigError, match="^walls.object: required key missing$"):
+        config_from_dict(raw).section("walls", ("object", "range"), ("object",))
 
 
 def test_manifold_variants_and_errors():
@@ -198,7 +205,7 @@ def test_charge_section_variants():
 
     # unknown basis name inside a class
     raw["charge"] = {"preset": "dhym", "bfield": {"t": "1"}}
-    with pytest.raises(ConfigError, match="unknown basis element"):
+    with pytest.raises(ConfigError, match=r"^charge.bfield: unexpected keys \['t'\]$"):
         config_from_dict(raw)
 
 
@@ -218,7 +225,7 @@ def test_candidates_from_section():
 
     with pytest.raises(ConfigError, match="non-empty list"):
         candidates_from_section(cfg, [], "p")
-    with pytest.raises(ConfigError, match="needs a name"):
+    with pytest.raises(ConfigError, match=r"^p\[0\].name: required key missing$"):
         candidates_from_section(cfg, [{"kind": "subbundle"}], "p")
     with pytest.raises(ConfigError, match="unknown kind"):
         candidates_from_section(cfg, [{"name": "F", "kind": "ideal"}], "p")
@@ -285,13 +292,13 @@ def test_surface_section_builds_charge_data():
 
 def test_surface_section_errors():
     sec = surface_section()
-    sec["N"] = 7
+    sec["N"] = 12
     with pytest.raises(ConfigError, match="surface.N"):
         surface_from_section(sec)
 
     sec = surface_section()
     del sec["metric"]
-    with pytest.raises(ConfigError, match="metric matrix required"):
+    with pytest.raises(ConfigError, match="^surface.metric: required key missing$"):
         surface_from_section(sec)
 
     sec = surface_section()

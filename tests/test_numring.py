@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from zcrit.config import ConfigError, config_from_dict
 from zcrit.numring import (
+    BasisElement,
     NumericalRing,
     RingError,
     RingMismatchError,
@@ -11,7 +13,6 @@ from zcrit.numring import (
     integrate,
     power_series_apply,
     preset_ring,
-    ring_from_dict,
 )
 
 F = Fraction
@@ -53,8 +54,10 @@ TWO_FACTOR = {
 
 def two_factor_ring():
     """Degree-3 ring with generators a (a^2 = 0) and b (b^3 = 0),
-    int a b^2 = 1. Mixed products follow from commutativity."""
-    return ring_from_dict(TWO_FACTOR)
+    int a b^2 = 1. Mixed products follow from commutativity. The table
+    is read by config.py, as a configuration's explicit ring."""
+    return config_from_dict({"manifold": {"ring": TWO_FACTOR, "omega": {"a": "1", "b": "1"}},
+                             "charge": {"preset": "dhym"}}).ring
 
 
 def test_projective_plane_products_and_integration():
@@ -133,6 +136,15 @@ def test_unknown_preset_and_generator():
     ring = preset_ring("projective_space", n=2)
     with pytest.raises(RingError):
         ring.gen("x")
+    # an unknown name in any table of the constructor is a RingError, not a KeyError
+    basis = [BasisElement("1", 0), BasisElement("h", 2), BasisElement("h^2", 4)]
+    products = {("h", "h"): {"h^2": F(1)}}
+    for args in (({("h", "x"): {}}, {"h^2": F(1)}, None),
+                 ({("h", "h"): {"x": F(1)}}, {"h^2": F(1)}, None),
+                 (products, {"x": F(1)}, None),
+                 (products, {"h^2": F(1)}, {"x": F(1)})):
+        with pytest.raises(RingError, match="unknown generator 'x'"):
+            NumericalRing("r", 2, basis, *args)
 
 
 def test_cross_ring_arithmetic_rejected():
@@ -163,5 +175,7 @@ def test_dict_round_trip():
         assert ring.gen(i) * ring.gen(j) == class_from_dict(ring, comb)
     assert integrate(ring.gen("ab^2")) == 1
     assert ring.todd == class_from_dict(ring, TWO_FACTOR["todd"])
-    with pytest.raises(RingError):
-        ring_from_dict({"generators": []})
+    with pytest.raises(ConfigError, match="manifold.ring.complex_dimension: required"):
+        config_from_dict({"manifold": {"ring": {"generators": [], "integration": {}}}})
+    with pytest.raises(RingError, match="exactly one degree-0"):
+        NumericalRing("empty", 1, [], {}, {})

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from zcrit.charge import ChernCharacter, central_charge, charge_map, charge_preset
 from zcrit.gaussian import GaussianRational
 from zcrit import stability
-from zcrit.numring import class_from_dict, preset_ring, ring_from_dict
+from zcrit.numring import BasisElement, NumericalRing, class_from_dict, preset_ring
 from zcrit.realroots import primitive, roots_in_range
 from zcrit.stability import (
     PhaseVerdict,
@@ -46,17 +46,11 @@ def p2_character(ring, rank, c1, ch2):
 
 
 def two_factor_ring():
-    return ring_from_dict({
-        "name": "two_factor", "complex_dimension": 3,
-        "generators": [
-            {"name": "1", "degree": 0}, {"name": "a", "degree": 2},
-            {"name": "b", "degree": 2}, {"name": "ab", "degree": 4},
-            {"name": "b^2", "degree": 4}, {"name": "ab^2", "degree": 6}],
-        "products": [
-            ["a", "b", {"ab": "1"}], ["b", "b", {"b^2": "1"}],
-            ["a", "b^2", {"ab^2": "1"}], ["b", "ab", {"ab^2": "1"}]],
-        "integration": {"ab^2": "1"},
-    })
+    basis = [BasisElement(name, degree) for name, degree in (
+        ("1", 0), ("a", 2), ("b", 2), ("ab", 4), ("b^2", 4), ("ab^2", 6))]
+    products = {("a", "b"): {"ab": F(1)}, ("b", "b"): {"b^2": F(1)},
+                ("a", "b^2"): {"ab^2": F(1)}, ("b", "ab"): {"ab^2": F(1)}}
+    return NumericalRing("two_factor", 3, basis, products, {"ab^2": F(1)})
 
 
 def test_comparison_polynomial_of_the_pinned_pair():
