@@ -135,6 +135,20 @@ class ChernCharacter:
         return ChernCharacter(self.cls + other.cls)
 
 
+def omega_powers(ring: NumericalRing, omega: GradedClass) -> List[GradedClass]:
+    """1, omega, ..., omega^n for a polarisation omega, which must be a
+    nonzero degree-2 class with integrate(omega^n) > 0."""
+    if omega.is_zero() or omega.degrees() != [2]:
+        raise ChargeError("polarisation must be a nonzero degree-2 class")
+    powers = [ring.unit()]
+    for _ in range(ring.complex_dimension):
+        powers.append(powers[-1] * omega)
+    vol = integrate(powers[-1])
+    if vol <= 0:
+        raise ChargeError(f"integrate(omega^n) = {vol} must be positive")
+    return powers
+
+
 def charge_map(
     ring: NumericalRing,
     omega: GradedClass,
@@ -147,8 +161,8 @@ def charge_map(
     The map sends ch to table[d][j], the k^d t^j coefficient of
     Z(k, t) = sum_d rho_d * integrate(omega^d * ch * U(t)) * k^d.
     U(0) = u_0 must be unipotent and every u_j with j >= 1 must have
-    zero degree-0 part, so U(t) is unipotent for all t. Requires
-    deg(omega) = 2 and integrate(omega^n) > 0 (rho is valid once built).
+    zero degree-0 part, so U(t) is unipotent for all t. omega must be a
+    polarisation (omega_powers; rho is valid once built).
     For positive rank the map checks that the leading coefficient at
     t = 0 lands in the closed upper half-plane off the negative real
     axis.
@@ -156,22 +170,15 @@ def charge_map(
     n = ring.complex_dimension
     if rho.n != n:
         raise ChargeError(f"stability vector has n = {rho.n}, ring has n = {n}")
-    if omega.is_zero() or omega.degrees() != [2]:
-        raise ChargeError("polarisation must be a nonzero degree-2 class")
+    powers = omega_powers(ring, omega)
     if (not u_coeffs or u_coeffs[0].degree0() != 1
             or any(u.degree0() != 0 for u in u_coeffs[1:])):
         raise ChargeError(
             "twist pencil needs degree-0 part 1 in u_0 and 0 in every later u_j")
-    omega_powers = [ring.unit()]
-    for _ in range(n):
-        omega_powers.append(omega_powers[-1] * omega)
-    vol = integrate(omega_powers[n])
-    if vol <= 0:
-        raise ChargeError(f"integrate(omega^n) = {vol} must be positive")
     # integrate(omega^d * u_j * e_k) scaled by the real and imaginary
     # parts of rho_d, nonzero entries only
     covectors = []
-    for d, power in enumerate(omega_powers):
+    for d, power in enumerate(powers):
         row = []
         for u in u_coeffs:
             kappa: Dict[str, Fraction] = {}

@@ -20,13 +20,13 @@ from typing import Iterable, List, Optional, Sequence
 from .charge import ChargeError, central_charge
 from .config import (
     ConfigError,
-    candidates_from_section,
-    graph_from_section,
+    charge_inputs,
     load_config,
     load_raw,
-    parse_class,
-    parse_fraction,
-    surface_from_section,
+    stability_inputs,
+    surface_inputs,
+    tau_inputs,
+    walls_inputs,
 )
 from .extension import (
     CertificateError,
@@ -88,11 +88,7 @@ def _emit(fmt: str, doc: dict, rows: Iterable[Sequence]) -> None:
 
 def cmd_charge(args) -> int:
     cfg = load_config(args.config)
-    flag = args.sheaf is not None
-    sheaf = args.sheaf if flag else cfg.raw.get("charge", {}).get("object")
-    if sheaf is None:
-        raise ConfigError("charge.object", "no sheaf named; use --sheaf or charge.object")
-    ch = cfg.sheaf(sheaf, "--sheaf" if flag else "charge.object")
+    sheaf, ch = charge_inputs(cfg, args.sheaf)
     z = central_charge(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch)
     terms = [(f"k^{d}", z[d]) for d in range(len(z) - 1, -1, -1)]
     doc = {"sheaf": sheaf, "coefficients": {k: c.to_json() for k, c in terms}}
@@ -100,32 +96,9 @@ def cmd_charge(args) -> int:
     return EXIT_OK
 
 
-def _ambient(cfg, sec: dict, name: str):
-    """The character of the object that section name compares its
-    candidates or quotients against; it must have positive rank."""
-    path = name + ".object"
-    ch = cfg.sheaf(sec["object"], path)
-    if ch.rank < 1:
-        raise ConfigError(path, "ambient object must have positive rank")
-    return ch
-
-
-def _candidates(cfg, sec: dict, name: str, ch_e):
-    """The candidates of section name, each of rank between 1 and
-    rank(E) - 1."""
-    cands = candidates_from_section(cfg, sec.get("candidates"), name + ".candidates")
-    for i, cand in enumerate(cands):
-        if not 1 <= cand.ch.rank < ch_e.rank:
-            raise ConfigError(f"{name}.candidates[{i}]", f"candidate {cand.name!r} must have "
-                              f"rank between 1 and {ch_e.rank - 1}, got {cand.ch.rank}")
-    return cands
-
-
 def cmd_stability(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("stability", ("object", "candidates"), required=("object",))
-    ch_e = _ambient(cfg, sec, "stability")
-    cands = _candidates(cfg, sec, "stability", ch_e)
+    ch_e, cands = stability_inputs(cfg)
     report = stability_verdict(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, cands)
     head = {"status": report.status, "witness": report.witness, "order": report.order}
     details = [
@@ -140,26 +113,9 @@ def cmd_stability(args) -> int:
 
 def cmd_walls(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("walls", ("object", "candidates", "direction", "range", "base", "preset"),
-                      required=("object", "direction"))
-    ch_e = _ambient(cfg, sec, "walls")
-    cands = _candidates(cfg, sec, "walls", ch_e)
-    rng = sec.get("range")
-    if not isinstance(rng, list) or len(rng) != 2:
-        raise ConfigError("walls.range", "expected [t_min, t_max]")
-    t_min = parse_fraction(rng[0], "walls.range[0]")
-    t_max = parse_fraction(rng[1], "walls.range[1]")
-    if not t_min < t_max:
-        raise ConfigError("walls.range", "expected t_min < t_max")
-    b_dir = parse_class(cfg.ring, sec["direction"], "walls.direction")
-    if b_dir.is_zero():
-        raise ConfigError("walls.direction", "twist direction must be nonzero")
-    b_base = parse_class(cfg.ring, sec["base"], "walls.base") if "base" in sec else None
-    preset = sec.get("preset", cfg.charge_preset_name)
-    if preset is None:
-        raise ConfigError("walls.preset", "scan needs a charge preset (dhym or todd)")
-    report = wall_scan(cfg.ring, cfg.omega, ch_e, cands, b_base, b_dir, t_min, t_max, preset)
-    head = {"range": [str(report.t_min), str(report.t_max)], "preset": preset}
+    scan = walls_inputs(cfg)
+    report = wall_scan(cfg.ring, cfg.omega, **scan)
+    head = {"range": [str(report.t_min), str(report.t_max)], "preset": scan["preset"]}
     cells = [
         {"left": str(c.t_left), "right": str(c.t_right), "sample": str(c.sample),
          "status": c.report.status}
@@ -181,14 +137,9 @@ def cmd_walls(args) -> int:
 
 def cmd_tau(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("tau", ("object", "quotients", "edges", "cap"), required=("object",))
-    ch_e = _ambient(cfg, sec, "tau")
-    graph = graph_from_section(cfg, sec, "tau")
+    ch_e, graph = tau_inputs(cfg)
     system = assemble_tau_system(cfg.ring, cfg.omega, cfg.rho, cfg.unipotent, ch_e, graph)
-    cap = parse_fraction(sec.get("cap", 1), "tau.cap")
-    if cap <= 0:
-        raise ConfigError("tau.cap", f"the margin cap must be positive, got {cap}")
-    solution = solve_tau_positive(system, cap=cap)
+    solution = solve_tau_positive(system)
     profile = [(q.name, str(b)) for q, b in zip(graph.quotients, system.b)]
     tau = None if solution.tau is None else [str(t) for t in solution.tau]
     head = {"order": system.order, "feasible": solution.feasible,
@@ -203,7 +154,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_solve_surface(args) -> int:
-    data, params = surface_from_section(load_raw(args.config).get("surface"), n_override=args.N)
+    data, params = surface_inputs(load_raw(args.config), n_override=args.N)
 
     from .surface import large_volume_check, solve_critical_equation, write_field_dump
 

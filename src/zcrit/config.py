@@ -9,13 +9,18 @@ strings "p/q" and parsed exactly; complex rationals are objects
 {"re": "p/q", "im": "p/q"}. Floats are accepted only for purely
 numerical knobs such as solver tolerances.
 
+Each subcommand gets its inputs from one call here: charge_inputs,
+stability_inputs, walls_inputs, tau_inputs or surface_inputs.
+
 Every JSON object goes through one rule, _object, next to the code that
 reads its values: it must be an object, its keys must lie in the set
 listed there, and a missing required key is reported at path.key. Every
 error is a ConfigError that names the JSON path of the field at fault.
 Only the library's input errors (RingError, ChargeError, ExtensionError,
-SurfaceError) are turned into ConfigErrors, with the path added, so a
-defect elsewhere in the library stays an internal error.
+SurfaceError) are turned into ConfigErrors, by _at, with the path added,
+so a defect elsewhere in the library stays an internal error. Inputs
+that the library checks only after the command line hands them over
+(the walls twists and preset, the tau quotients) are checked here too.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .gaussian import GaussianRational
 from .numring import (
@@ -43,6 +48,7 @@ from .charge import (
     StabilityVector,
     UnipotentOperator,
     charge_preset,
+    omega_powers,
 )
 from .stability import SubobjectCandidate
 from .extension import ExtensionError, FiltrationGraph, QuotientSpec
@@ -71,6 +77,21 @@ def _object(value, path: str, keys: Iterable[str], required: Tuple[str, ...] = (
     return value
 
 
+def _at(path: str, build: Callable[..., Any], *args, **kwargs):
+    """build(*args, **kwargs), a library input error re-raised as a
+    ConfigError at path."""
+    try:
+        return build(*args, **kwargs)
+    except (RingError, ChargeError, ExtensionError, SurfaceError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _json_type(value) -> str:
+    """The JSON name of the type of a value that no parser here takes."""
+    return {type(None): "null", dict: "an object", list: "an array"}.get(
+        type(value), type(value).__name__)
+
+
 def parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, (bool, float)):
         kind = "booleans" if isinstance(value, bool) else "floats"
@@ -83,7 +104,7 @@ def parse_fraction(value, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ConfigError(path, f"invalid rational {value!r}; expected an integer "
                               "or p/q with q nonzero") from None
-    raise ConfigError(path, f"cannot read a rational from {type(value).__name__}")
+    raise ConfigError(path, f"cannot read a rational from {_json_type(value)}")
 
 
 def parse_int(value, path: str, minimum: Optional[int] = None) -> int:
@@ -123,7 +144,7 @@ def parse_float(value, path: str) -> float:
             return float(value)
         except ValueError:
             raise ConfigError(path, f"invalid number {value!r}") from None
-    raise ConfigError(path, f"cannot read a number from {type(value).__name__}")
+    raise ConfigError(path, f"cannot read a number from {_json_type(value)}")
 
 
 def _coefficients(value, path: str, names: List[str]) -> Dict[str, Fraction]:
@@ -136,10 +157,15 @@ def parse_class(ring: NumericalRing, data, path: str) -> GradedClass:
 
 
 def _character(ring: NumericalRing, data, path: str) -> ChernCharacter:
-    try:
-        return ChernCharacter(parse_class(ring, data, path))
-    except ChargeError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return _at(path, ChernCharacter, parse_class(ring, data, path))
+
+
+def _twist(ring: NumericalRing, data, path: str, what: str) -> GradedClass:
+    """A class that must lie purely in degree 2, as a B-field does."""
+    cls = parse_class(ring, data, path)
+    if cls.degrees() not in ([], [2]):
+        raise ConfigError(path, f"{what} must be purely of degree 2")
+    return cls
 
 
 @dataclass
@@ -158,10 +184,6 @@ class RunConfig:
             raise ConfigError(path, f"unknown sheaf {name!r}; have {sorted(self.sheaves)}")
         return self.sheaves[name]
 
-    def section(self, name: str, keys: Tuple[str, ...], required: Tuple[str, ...] = ()) -> dict:
-        """The task section name under the object rule."""
-        return _object(self.raw.get(name), name, keys, required)
-
 
 def _check_name(name, path: str) -> None:
     if not isinstance(name, str) or not name:
@@ -179,6 +201,17 @@ def _named_character(cfg: RunConfig, body, path: str,
     return name, cfg.sheaf(name, path + ".name")
 
 
+def _homogeneous(value, path: str, degree_of: Dict[str, int], degree: int) -> Dict[str, Fraction]:
+    """An object mapping generators, all of the given degree, to exact
+    rationals."""
+    coeffs = _coefficients(value, path, list(degree_of))
+    for k in coeffs:
+        if degree_of[k] != degree:
+            raise ConfigError(f"{path}.{k}", f"expected a generator of degree {degree}, "
+                              f"{k!r} has degree {degree_of[k]}")
+    return coeffs
+
+
 def _ring_table(value, path: str) -> NumericalRing:
     """The ring of an explicit table: name, complex_dimension, generators
     [{name, degree}], products [[gen_i, gen_j, {gen_k: "p/q"}]],
@@ -189,16 +222,22 @@ def _ring_table(value, path: str) -> NumericalRing:
     name = table.get("name", "ring")
     _check_name(name, path + ".name")
     dimension = parse_int(table["complex_dimension"], path + ".complex_dimension", minimum=1)
+    top = 2 * dimension
     gens, entries = table["generators"], table.get("products", [])
     if not isinstance(gens, list):
         raise ConfigError(path + ".generators", "expected a list of {name, degree} objects")
-    basis = []
+    degree_of: Dict[str, int] = {}
     for i, gen in enumerate(gens):
         p = f"{path}.generators[{i}]"
         _object(gen, p, ("name", "degree"), ("name", "degree"))
         _check_name(gen["name"], p + ".name")
-        basis.append(BasisElement(gen["name"], parse_int(gen["degree"], p + ".degree")))
-    names = [b.name for b in basis]
+        if gen["name"] in degree_of:
+            raise ConfigError(p + ".name", f"duplicate generator name {gen['name']!r}")
+        degree = parse_int(gen["degree"], p + ".degree")
+        if degree % 2 or not 0 <= degree <= top:
+            raise ConfigError(p + ".degree", f"expected an even degree in 0..{top}, got {degree}")
+        degree_of[gen["name"]] = degree
+    names = list(degree_of)
     if not isinstance(entries, list):
         raise ConfigError(path + ".products", "expected a list of [gen_i, gen_j, {...}] entries")
     products = {}
@@ -209,13 +248,16 @@ def _ring_table(value, path: str) -> NumericalRing:
         for j in (0, 1):
             if entry[j] not in names:
                 raise ConfigError(f"{p}[{j}]", f"unknown generator {entry[j]!r}; ring has {names}")
-        products[(entry[0], entry[1])] = _coefficients(entry[2], p + "[2]", names)
-    integration = _coefficients(table["integration"], path + ".integration", names)
+        degree = degree_of[entry[0]] + degree_of[entry[1]]
+        if degree > top:
+            raise ConfigError(p, f"the product has degree {degree}, above the top degree {top}")
+        products[(entry[0], entry[1])] = _homogeneous(entry[2], p + "[2]", degree_of, degree)
+    integration = _homogeneous(table["integration"], path + ".integration", degree_of, top)
     todd = _coefficients(table["todd"], path + ".todd", names) if "todd" in table else None
-    try:
-        return NumericalRing(name, dimension, basis, products, integration, todd)
-    except RingError as exc:
-        raise ConfigError(path, str(exc)) from None
+    basis = [BasisElement(k, d) for k, d in degree_of.items()]
+    # what the entries leave to check is the one generator of degree 0
+    return _at(path + ".generators", NumericalRing, name, dimension, basis, products,
+               integration, todd)
 
 
 def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
@@ -230,21 +272,22 @@ def _build_ring(raw: dict) -> Tuple[NumericalRing, GradedClass]:
         ring = preset_ring("projective_space", n=n)
     elif man.get("preset") == "torus_line":
         vol = parse_fraction(man.get("volume", 1), "manifold.volume")
-        ring = preset_ring("torus_line", vol=vol)
+        ring = _at("manifold.volume", preset_ring, "torus_line", vol=vol)
     else:
         raise ConfigError(
             "manifold", "need either a preset (projective_space, torus_line) or a ring"
         )
+    path = "manifold.omega"
     if "omega" in man:
-        omega = parse_class(ring, man["omega"], "manifold.omega")
+        omega = parse_class(ring, man["omega"], path)
     else:
         degree_two = ring.generators_of_degree(2)
         if len(degree_two) != 1:
-            raise ConfigError(
-                "manifold.omega",
-                "omega is required when the degree-2 part is not one-dimensional",
-            )
-        omega = class_from_dict(ring, {degree_two[0]: Fraction(1)})
+            raise ConfigError(path, "omega is required when the degree-2 part is not "
+                              "one-dimensional")
+        # a default omega with no positive volume is the ring table's fault
+        omega, path = class_from_dict(ring, {degree_two[0]: Fraction(1)}), "manifold.ring"
+    _at(path, omega_powers, ring, omega)
     return ring, omega
 
 
@@ -252,14 +295,10 @@ def _build_charge(
     raw: dict, ring: NumericalRing
 ) -> Tuple[StabilityVector, UnipotentOperator, Optional[str]]:
     sec = _object(raw.get("charge"), "charge", ("preset", "bfield", "rho", "unipotent", "object"))
-    bfield = parse_class(ring, sec.get("bfield", {}), "charge.bfield")
+    bfield = _twist(ring, sec.get("bfield", {}), "charge.bfield", "B-field")
     if "preset" in sec:
-        name = sec["preset"]
-        try:
-            rho, U = charge_preset(name, ring, bfield)
-        except (ChargeError, RingError) as exc:
-            raise ConfigError("charge.preset", str(exc)) from None
-        return rho, U, name
+        rho, U = _at("charge.preset", charge_preset, sec["preset"], ring, bfield)
+        return rho, U, sec["preset"]
     if "rho" not in sec:
         raise ConfigError("charge", "need either a preset or an explicit rho list")
     entries = sec["rho"]
@@ -269,17 +308,10 @@ def _build_charge(
             f"expected a list of {ring.complex_dimension + 1} complex rationals",
         )
     weights = tuple(parse_gaussian(v, f"charge.rho[{i}]") for i, v in enumerate(entries))
-    try:
-        rho = StabilityVector(weights)
-    except ChargeError as exc:
-        raise ConfigError("charge.rho", str(exc)) from None
+    rho = _at("charge.rho", StabilityVector, weights)
     ucls = (parse_class(ring, sec["unipotent"], "charge.unipotent")
             if "unipotent" in sec else ring.unit())
-    try:
-        U = UnipotentOperator(ucls)
-    except ChargeError as exc:
-        raise ConfigError("charge.unipotent", str(exc)) from None
-    return rho, U, None
+    return rho, _at("charge.unipotent", UnipotentOperator, ucls), None
 
 
 def _build_sheaves(raw: dict, ring: NumericalRing) -> Dict[str, ChernCharacter]:
@@ -324,9 +356,37 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(ring, omega, rho, U, preset_name, sheaves, raw)
 
 
-def candidates_from_section(
-    cfg: RunConfig, entries, path: str
-) -> List[SubobjectCandidate]:
+# ---------------------------------------------------------------------------
+# task sections: each subcommand's inputs come from one call
+# ---------------------------------------------------------------------------
+
+
+def charge_inputs(cfg: RunConfig, sheaf: Optional[str]) -> Tuple[str, ChernCharacter]:
+    """The name and character of the sheaf that charge prints: the
+    --sheaf flag when given, else charge.object."""
+    if sheaf is not None:
+        return sheaf, cfg.sheaf(sheaf, "--sheaf")
+    name = cfg.raw["charge"].get("object")
+    if name is None:
+        raise ConfigError("charge.object", "no sheaf named; use --sheaf or charge.object")
+    return name, cfg.sheaf(name, "charge.object")
+
+
+def _task(cfg: RunConfig, name: str, keys: Tuple[str, ...],
+          required: Tuple[str, ...] = ("object",)) -> Tuple[dict, ChernCharacter]:
+    """Task section name under the object rule, and the character of the
+    object E that it compares against, which must have positive rank."""
+    sec = _object(cfg.raw.get(name), name, keys, required)
+    ch_e = cfg.sheaf(sec["object"], name + ".object")
+    if ch_e.rank < 1:
+        raise ConfigError(name + ".object", "ambient object must have positive rank")
+    return sec, ch_e
+
+
+def candidates_from_section(cfg: RunConfig, entries, path: str,
+                            ch_e: ChernCharacter) -> List[SubobjectCandidate]:
+    """The candidates listed at path, each of rank between 1 and
+    rank(E) - 1."""
     if not isinstance(entries, list) or not entries:
         raise ConfigError(path, "expected a non-empty list of candidates")
     out = []
@@ -336,34 +396,76 @@ def candidates_from_section(
         kind = body.get("kind", "subbundle")
         if kind not in ("subbundle", "quotient"):
             raise ConfigError(p + ".kind", f"unknown kind {kind!r}")
+        if not 1 <= ch.rank < ch_e.rank:
+            raise ConfigError(p, f"candidate {name!r} must have rank between 1 and "
+                              f"{ch_e.rank - 1}, got {ch.rank}")
         out.append(SubobjectCandidate(name, ch, kind))
     return out
 
 
-def graph_from_section(cfg: RunConfig, sec: dict, path: str) -> FiltrationGraph:
+def stability_inputs(cfg: RunConfig) -> Tuple[ChernCharacter, List[SubobjectCandidate]]:
+    """E and the candidates of the stability section."""
+    sec, ch_e = _task(cfg, "stability", ("object", "candidates"))
+    return ch_e, candidates_from_section(cfg, sec.get("candidates"), "stability.candidates", ch_e)
+
+
+def walls_inputs(cfg: RunConfig) -> dict:
+    """The walls section as the arguments of stability.wall_scan after
+    the ring and omega, by name."""
+    sec, ch_e = _task(cfg, "walls", ("object", "candidates", "direction", "range", "base",
+                                     "preset"), ("object", "direction"))
+    cands = candidates_from_section(cfg, sec.get("candidates"), "walls.candidates", ch_e)
+    rng = sec.get("range")
+    if not isinstance(rng, list) or len(rng) != 2:
+        raise ConfigError("walls.range", "expected [t_min, t_max]")
+    t_min = parse_fraction(rng[0], "walls.range[0]")
+    t_max = parse_fraction(rng[1], "walls.range[1]")
+    if not t_min < t_max:
+        raise ConfigError("walls.range", "expected t_min < t_max")
+    b_dir = _twist(cfg.ring, sec["direction"], "walls.direction", "twist direction")
+    if b_dir.is_zero():
+        raise ConfigError("walls.direction", "twist direction must be nonzero")
+    b_base = _twist(cfg.ring, sec["base"], "walls.base", "base twist") if "base" in sec else None
+    preset = sec.get("preset", cfg.charge_preset_name)
+    if preset is None:
+        raise ConfigError("walls.preset", "scan needs a charge preset (dhym or todd)")
+    _at("walls.preset", charge_preset, preset, cfg.ring, cfg.ring.zero())
+    return {"ch_e": ch_e, "candidates": cands, "b_base": b_base, "b_dir": b_dir,
+            "t_min": t_min, "t_max": t_max, "preset": preset}
+
+
+def tau_inputs(cfg: RunConfig) -> Tuple[ChernCharacter, FiltrationGraph]:
+    """E and the filtration graph of the tau section: quotients of
+    positive rank, in filtration order, that sum to E, and [from, to]
+    edges between their indices."""
+    sec, ch_e = _task(cfg, "tau", ("object", "quotients", "edges"))
     entries = sec.get("quotients")
     if not isinstance(entries, list) or not entries:
-        raise ConfigError(path + ".quotients", "expected a non-empty list")
+        raise ConfigError("tau.quotients", "expected a non-empty list")
     quotients = []
     for i, body in enumerate(entries):
-        p = f"{path}.quotients[{i}]"
+        p = f"tau.quotients[{i}]"
         if isinstance(body, str):
-            quotients.append(QuotientSpec(body, cfg.sheaf(body, p)))
+            spec = QuotientSpec(body, cfg.sheaf(body, p))
         else:
-            quotients.append(QuotientSpec(*_named_character(cfg, body, p, ("name", "ch"))))
+            spec = QuotientSpec(*_named_character(cfg, body, p, ("name", "ch")))
+        if spec.ch.rank < 1:
+            raise ConfigError(p, f"quotient {spec.name!r} must have positive rank, "
+                              f"got {spec.ch.rank}")
+        quotients.append(spec)
+    if sum((q.ch.cls for q in quotients[1:]), quotients[0].ch.cls) != ch_e.cls:
+        raise ConfigError("tau.quotients", "quotient characters must sum to the character "
+                          "of tau.object")
     edges_raw = sec.get("edges", [])
     if not isinstance(edges_raw, list):
-        raise ConfigError(path + ".edges", "expected a list of [from, to] pairs")
+        raise ConfigError("tau.edges", "expected a list of [from, to] pairs")
     edges = []
     for i, pair in enumerate(edges_raw):
-        p = f"{path}.edges[{i}]"
+        p = f"tau.edges[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(p, "edges are [from, to] index pairs")
         edges.append((parse_int(pair[0], p + "[0]"), parse_int(pair[1], p + "[1]")))
-    try:
-        return FiltrationGraph(tuple(quotients), tuple(edges))
-    except ExtensionError as exc:
-        raise ConfigError(path, str(exc)) from None
+    return ch_e, _at("tau", FiltrationGraph, tuple(quotients), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +510,7 @@ def parse_mode_sum(geom, terms, path: str):
         phase = term.get("phase", "cos")
         if phase not in ("cos", "sin"):
             raise ConfigError(p + ".phase", f"phase must be cos or sin, got {phase!r}")
-        try:
-            out = out + geom.mode_field(mode, amp, phase)
-        except SurfaceError as exc:
-            raise ConfigError(p + ".mode", str(exc)) from None
+        out = out + _at(p + ".mode", geom.mode_field, mode, amp, phase)
     return out
 
 
@@ -428,23 +527,21 @@ def _parse_k_values(value, path: str) -> List[float]:
     return out
 
 
-def surface_from_section(sec: dict, n_override: Optional[int] = None):
+def surface_inputs(raw: dict, n_override: Optional[int] = None):
     """Build the torus charge data and solver parameters from the surface
-    section; n_override stands for the --N flag."""
+    section of the document raw; n_override stands for the --N flag."""
     from .surface import DHYM_RHO, SurfaceChargeData, TorusGeometry
 
     path = "surface"
-    _object(sec, path, ("N", "metric", "alpha0", "preset", "rho", "u1_const", "u1_potential",
-                        "u2", "tol", "k_values", "dump"), ("metric", "alpha0"))
+    sec = _object(raw.get(path), path, ("N", "metric", "alpha0", "preset", "rho", "u1_const",
+                                        "u1_potential", "u2", "tol", "k_values", "dump"),
+                  ("metric", "alpha0"))
     if n_override is not None:
         size, n_path = n_override, "--N"
     else:
         n_path = path + ".N"
         size = parse_int(sec.get("N", 16), n_path)
-    try:
-        geom = TorusGeometry(size)
-    except SurfaceError as exc:
-        raise ConfigError(n_path, str(exc)) from None
+    geom = _at(n_path, TorusGeometry, size)
     metric = parse_hermitian(sec["metric"], path + ".metric")
     alpha0 = parse_hermitian(sec["alpha0"], path + ".alpha0")
 
@@ -466,10 +563,7 @@ def surface_from_section(sec: dict, n_override: Optional[int] = None):
                     if "u1_potential" in sec else None)
     u2 = parse_mode_sum(geom, sec["u2"], path + ".u2") if "u2" in sec else None
 
-    try:
-        data = SurfaceChargeData(geom, metric, rho, alpha0, u1_const, u1_potential, u2)
-    except SurfaceError as exc:
-        raise ConfigError(path, str(exc)) from None
+    data = _at(path, SurfaceChargeData, geom, metric, rho, alpha0, u1_const, u1_potential, u2)
 
     tol = parse_float(sec.get("tol", 1e-8), path + ".tol")
     if not (math.isfinite(tol) and tol > 0):

@@ -161,7 +161,11 @@ def _check_primal(system: TauSystem, tau: Sequence[Fraction]) -> None:
              "weight vector must balance the loads")
 
 
-def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSolution:
+# the bound on the margin under which an unbounded program is re-solved
+MARGIN_CAP = Fraction(1)
+
+
+def solve_tau_positive(system: TauSystem) -> TauSolution:
     """Decide strict positivity of the weight system, with certificate.
 
     The program runs on tau = x + delta 1 with x >= 0 and delta free,
@@ -170,7 +174,7 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
     delta* > 0 (solving weights attached); or delta* <= 0 (optimal dual
     y with A^T y >= 0, (A 1)^T y = 1, -b.y = delta*). A graph containing
     no directed cycle always gives a bounded program; if the margin is
-    unbounded anyway, it is re-solved under min-weight <= cap and
+    unbounded anyway, it is re-solved under min-weight <= MARGIN_CAP and
     reported with the cap noted. The certificates are checked on the
     edge list: (A^T y)_l = y_u - y_v for edge l = (u, v).
     """
@@ -201,10 +205,9 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
         capped = True
         M = [row + [Fraction(0)] for row in M]
         M.append([Fraction(0)] * L + [Fraction(1), Fraction(-1), Fraction(1)])
-        res = simplex_solve(M, neg_b + [cap], c + [Fraction(0)])
-        _certify(
-            res.status == "optimal" and res.value == cap, "capped margin must equal the cap"
-        )
+        res = simplex_solve(M, neg_b + [MARGIN_CAP], c + [Fraction(0)])
+        _certify(res.status == "optimal" and res.value == MARGIN_CAP,
+                 "capped margin must equal the cap")
     if res.status != "optimal":
         raise ExtensionError(f"unexpected optimisation status {res.status}")
 
@@ -215,7 +218,7 @@ def solve_tau_positive(system: TauSystem, cap: Fraction = Fraction(1)) -> TauSol
     if margin > 0:
         cert = {"kind": "primal", "tau": tau, "margin": margin}
         if capped:
-            cert["cap"] = cap
+            cert["cap"] = MARGIN_CAP
         return TauSolution(True, margin, tau, cert)
 
     y = res.dual[:m]

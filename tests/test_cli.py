@@ -349,6 +349,31 @@ def test_tsv_head_rows_match_json(capsys, command, config):
         assert row[1:] == head[row[0]]
 
 
+@pytest.mark.parametrize("config", sorted(os.listdir("configs")))
+def test_shipped_configs_exit_with_the_readme_codes(capsys, config):
+    # every shipped config runs each subcommand whose section it holds
+    # (charge needs charge.object) with the README's exit code for the
+    # printed outcome, and every other subcommand exits 64
+    path = os.path.join("configs", config)
+    raw = json.load(open(path))
+    holds = {"charge": "object" in raw.get("charge", {}), "stability": "stability" in raw,
+             "walls": "walls" in raw, "tau": "tau" in raw, "solve-surface": "surface" in raw}
+    assert any(holds.values())
+    for command, held in holds.items():
+        rc, out, err = run(capsys, command, "--config", path, "--format", "json")
+        if not held:
+            assert (rc, out) == (64, "") and err.startswith("config error: ")
+            continue
+        doc = json.loads(out)
+        if command == "stability":
+            expected = {"stable": 0, "unstable": 2, "semistable": 3}[doc["status"]]
+        elif command == "tau":
+            expected = 0 if doc["feasible"] else 2
+        else:
+            expected = 0
+        assert (rc, err) == (expected, "")
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 @pytest.mark.parametrize("command", ["charge", "walls"])
 def test_explicit_ring_config_matches_the_preset(capsys, command, fmt):
@@ -554,8 +579,10 @@ def ring_raw(**changes):
     (["solve-surface"], torus_raw(k_values=[10, 1e-300]), r"surface.k_values\[1\]: k must"),
     (["solve-surface"], torus_raw(k_values=[10, 1e-8]), r"surface.k_values\[1\]: k must"),
     (["solve-surface"], torus_raw(k_values=[-0.5]), r"surface.k_values\[0\]: k must"),
-    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap=0), "tau.cap"),
-    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap="-1"), "tau.cap"),
+    # the margin cap is a library constant, not a key
+    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap=0), r"tau: unexpected keys \['cap'\]"),
+    (["tau"], tau_raw(edges=[[0, 1], [1, 0]], cap="-1"), r"tau: unexpected keys \['cap'\]"),
+    (["tau"], tau_raw(cap="1"), r"^config error: tau: unexpected keys \['cap'\]\n$"),
     (["tau"], tau_raw(quotients=[{"name": 5, "ch": {"1": "1"}}, "F"]),
      r"tau.quotients\[0\].name: expected a non-empty string"),
     (["tau"], tau_raw(quotients=[{"name": ["Q"], "ch": {"1": "1"}}, "F"]),
@@ -600,13 +627,68 @@ def ring_raw(**changes):
      r"walls.candidates\[1\]: candidate 'G' must have rank between 1 and 2, got 0"),
     (["stability"], dhym_raw("sheaves", F={"ch": {"1": "1/2"}}),
      "sheaves.F.ch: rank must be an integer, got 1/2"),
+    # library input errors that reach the subcommand are checked at load
+    (["charge"], dhym_raw("manifold", omega={"h": "0"}),
+     "^config error: manifold.omega: polarisation must be a nonzero degree-2 class"),
+    (["charge"], dhym_raw("manifold", omega={"h^2": "1"}),
+     "^config error: manifold.omega: polarisation must be a nonzero degree-2 class"),
+    (["charge"], dhym_raw("manifold", dimension=3, omega={"h": "-1"}),
+     r"^config error: manifold.omega: integrate\(omega\^n\) = -1 must be positive"),
+    (["charge"], dhym_raw("charge", bfield={"1": "1"}),
+     "^config error: charge.bfield: B-field must be purely of degree 2"),
+    (["walls"], dhym_raw("walls", direction={"h": "1", "h^2": "1"}),
+     "^config error: walls.direction: twist direction must be purely of degree 2"),
+    (["walls"], dhym_raw("walls", base={"1": "1"}),
+     "^config error: walls.base: base twist must be purely of degree 2"),
+    (["walls"], dhym_raw("walls", preset="foo"),
+     "^config error: walls.preset: unknown charge preset 'foo'"),
+    (["tau"], tau_raw(quotients=[{"name": "Q", "ch": {"h^2": "1"}}, "F"]),
+     r"^config error: tau.quotients\[0\]: quotient 'Q' must have positive rank, got 0"),
+    (["tau"], tau_raw(quotients=["Q", {"name": "G", "ch": {"1": "2"}}]),
+     "^config error: tau.quotients: quotient characters must sum to the character of "
+     "tau.object"),
+    (["charge", "--sheaf", "E"],
+     {"manifold": {"preset": "torus_line", "volume": "0"}, "charge": {"preset": "dhym"},
+      "sheaves": {"E": {"ch": {"1": "1"}}}},
+     "^config error: manifold.volume: torus_line volume must be positive, got 0"),
+    # a ring table whose degrees do not fit is refused at the entry
+    (["charge", "--sheaf", "E"], ring_raw(products=[["h", "h", {"h": "1"}]]),
+     r"^config error: manifold.ring.products\[0\]\[2\].h: expected a generator of degree 4, "
+     "'h' has degree 2"),
+    (["charge", "--sheaf", "E"],
+     ring_raw(products=[["h", "h", {"h^2": "1"}], ["h^2", "h^2", {}]]),
+     r"^config error: manifold.ring.products\[1\]: the product has degree 8, above the top"),
+    (["charge", "--sheaf", "E"],
+     ring_raw(generators=[{"name": "1", "degree": 0}, {"name": "h", "degree": 3},
+                          {"name": "h^2", "degree": 4}]),
+     r"^config error: manifold.ring.generators\[1\].degree: expected an even degree in 0..4, "
+     "got 3"),
+    (["charge", "--sheaf", "E"],
+     ring_raw(generators=[{"name": "1", "degree": 0}, {"name": "h", "degree": 2},
+                          {"name": "h", "degree": 4}]),
+     r"^config error: manifold.ring.generators\[2\].name: duplicate generator name 'h'"),
+    (["charge", "--sheaf", "E"],
+     ring_raw(generators=[{"name": "1", "degree": 0}, {"name": "h", "degree": 0},
+                          {"name": "h^2", "degree": 4}], products=[]),
+     "^config error: manifold.ring.generators: ring needs exactly one degree-0 generator"),
+    (["charge", "--sheaf", "E"], ring_raw(integration={"h": "1"}),
+     "^config error: manifold.ring.integration.h: expected a generator of degree 4"),
+    (["charge", "--sheaf", "E"], ring_raw(integration={"h^2": "-1"}),
+     r"^config error: manifold.ring: integrate\(omega\^n\) = -1 must be positive"),
+    # a JSON value of the wrong type is named by its JSON type
+    (["charge"], dhym_raw("charge", bfield={"h": None}),
+     "^config error: charge.bfield.h: cannot read a rational from null$"),
+    (["walls"], dhym_raw("walls", range=[[0], "1"]),
+     r"^config error: walls.range\[0\]: cannot read a rational from an array$"),
+    (["solve-surface"], torus_raw(tol={"value": 1e-9}),
+     "^config error: surface.tol: cannot read a number from an object$"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "dump-empty", "sheaf-flag-empty",
         "aliased-mode", "float-mode", "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
         "flag-tol-negative", "flag-tol-zero", "flag-tol-nan", "flag-tol-inf",
         "k-values-string", "k-values-zero", "k-values-nan", "k-values-inf",
         "k-values-1e-300", "k-values-1e-8", "k-values-negative-half",
-        "tau-cap-zero", "tau-cap-negative", "tau-name-int", "tau-name-list",
+        "tau-cap-zero", "tau-cap-negative", "tau-cap-one", "tau-name-int", "tau-name-list",
         "walls-range-reversed", "walls-range-empty", "flag-N",
         "charge-object-list", "stability-object-list", "candidate-name-list",
         "candidate-name-int", "metric-a11-huge", "alpha0-a22-400-digits",
@@ -614,7 +696,13 @@ def ring_raw(**changes):
         "ring-degree-float", "ring-dimension-float", "ring-weight-bool",
         "walls-direction-zero", "stability-object-rank-0", "walls-object-rank-0",
         "tau-object-rank-0", "stability-candidate-rank-3", "walls-candidate-rank-0",
-        "sheaf-rank-half"])
+        "sheaf-rank-half", "omega-zero", "omega-degree-4", "omega-negative-volume",
+        "bfield-degree-0", "walls-direction-degree-4", "walls-base-degree-0", "walls-preset-foo",
+        "tau-quotient-rank-0", "tau-quotients-wrong-total", "torus-line-volume-zero",
+        "ring-product-not-homogeneous",
+        "ring-product-above-top", "ring-generator-odd-degree", "ring-generator-duplicate",
+        "ring-two-units", "ring-integration-off-top", "ring-negative-volume",
+        "bfield-null", "walls-range-array", "surface-tol-object"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64
@@ -880,15 +968,20 @@ def test_fuzzed_surface_configs_exit_with_a_documented_code(sec):
     assert not caught, [str(w.message) for w in caught]
 
 
+# a config error of the exact subcommands starts with the JSON path of
+# the field at fault
+PATH_ERROR = re.compile(r"config error: (manifold|charge|sheaves|stability|walls|tau)[.\[\]\w^ -]*"
+                        r": |config error: --sheaf: ")
+
+
 P2_CHARACTERS = st.fixed_dictionaries({
     "1": st.integers(1, 3).map(str),
     "h": st.sampled_from(["0", "1", "-1", "1/2", "-3/2"]),
     "h^2": st.sampled_from(["0", "-1", "1/2", "-2", "5/6"]),
 })
 # at most one fault per config, none in about half of them
-TAU_FAULTS = ["none"] * 9 + ["repeated name", "rank 0", "rank -1", "wrong total", "loop",
-                             "vertex -1", "vertex m", "cap 0", "cap -1", "cap -2/3",
-                             "cap abc", "cap 1.5"]
+TAU_FAULTS = ["none"] * 7 + ["repeated name", "rank 0", "rank -1", "wrong total", "loop",
+                             "vertex -1", "vertex m"]
 
 
 @st.composite
@@ -896,8 +989,8 @@ def tau_configs(draw):
     """tau runs on P2 with 1-4 quotients, named by sheaf or inline, E
     their sum, and edges that may repeat, form cycles or be empty; one
     drawn fault may repeat a name, give a quotient rank 0 or -1, add a
-    unit of rank to E, add a loop or an edge leaving the vertex range,
-    or set the cap to 0, a negative number, a non-number or a float."""
+    unit of rank to E, or add a loop or an edge leaving the vertex
+    range."""
     fault = draw(st.sampled_from(TAU_FAULTS))
     count = draw(st.integers(1, 4))
     names = draw(st.lists(st.sampled_from("ABCDFG"), min_size=count, max_size=count, unique=True))
@@ -925,13 +1018,6 @@ def tau_configs(draw):
     if bad_edge is not None:
         edges.insert(draw(st.integers(0, len(edges))), bad_edge)
     tau = {"object": "E", "quotients": quotients, "edges": edges}
-    if fault.startswith("cap"):
-        tau["cap"] = {"cap 0": 0, "cap -1": -1, "cap -2/3": "-2/3", "cap abc": "abc",
-                      "cap 1.5": 1.5}[fault]
-    else:
-        cap = draw(st.sampled_from([None, 1, "3/2", "1/7"]))
-        if cap is not None:
-            tau["cap"] = cap
     bfield = {"h": draw(st.sampled_from(["0", "1/3", "-2"]))}
     return {"manifold": {"preset": "projective_space", "dimension": 2},
             "charge": {"preset": "dhym", "bfield": bfield}, "sheaves": sheaves, "tau": tau}
@@ -941,7 +1027,8 @@ def tau_configs(draw):
 @given(tau_configs())
 def test_fuzzed_tau_configs_exit_with_a_documented_code(raw):
     # every drawn config is decided (0 feasible, 2 infeasible) or refused
-    # as a config error (64): never a crash (1) or a failed certificate (70)
+    # as a config error (64) at its path: never a crash (1) or a failed
+    # certificate (70)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -952,6 +1039,7 @@ def test_fuzzed_tau_configs_exit_with_a_documented_code(raw):
             warnings.simplefilter("always")
             rc = cli.main(["tau", "--config", path])
     assert rc in (0, 2, 64), err.getvalue()
+    assert rc != 64 or PATH_ERROR.match(err.getvalue()), err.getvalue()
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -962,6 +1050,9 @@ RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/3", "5/6", "-2"])
 EXACT_FAULTS = [
     (("manifold", "dimension"), 0), (("manifold", "dimension"), "two"),
     (("manifold", "dimension"), 2.5), (("manifold", "preset"), "sphere"),
+    (("manifold", "omega"), {"h": "0"}), (("manifold", "omega"), {"h^2": "1"}),
+    (("manifold", "omega"), {"h": "-1"}), (("charge", "bfield"), {"1": "1"}),
+    (("charge", "bfield", "h"), None),
     (("charge", "preset"), "zeta"), (("charge", "rho"), ["-1", {"im": "1"}]),
     (("charge", "rho"), ["-1", {"im": "1"}, "-1/2", "1"]), (("charge", "bfield"), {"k": "1"}),
     (("charge", "bfield"), {"h": "1/0"}), (("charge", "bfield"), {"h": 1.5}),
@@ -975,7 +1066,8 @@ EXACT_FAULTS = [
     (("SEC", "candidates", 0, "ch"), {"1": "1", "h": "x"}),
     (("SEC", "range"), ["1", "-1"]), (("SEC", "range"), ["0"]), (("SEC", "range"), ["a", "1"]),
     (("SEC", "range"), [0.5, 1]), (("SEC", "direction"), DELETE), (("SEC", "direction"), {"h": "0"}),
-    (("SEC", "direction"), "h"), (("SEC", "base"), {"h": "x"}), (("SEC", "preset"), "zeta"),
+    (("SEC", "direction"), "h"), (("SEC", "direction"), {"h": "1", "h^2": "1"}),
+    (("SEC", "base"), {"h": "x"}), (("SEC", "base"), {"1": "1"}), (("SEC", "preset"), "zeta"),
     (("--sheaf",), ""), (("--sheaf",), "Z"),
 ]
 
@@ -1049,8 +1141,8 @@ def exact_configs(draw):
 @given(exact_configs())
 def test_fuzzed_exact_configs_exit_with_a_documented_code(drawn):
     # every drawn run gives a verdict (0 stable, 2 unstable, 3
-    # semistable) or is refused as a config error (64): never an
-    # internal error (70), and no warning on the way
+    # semistable) or is refused as a config error (64) at its path:
+    # never an internal error (70), and no warning on the way
     argv, raw = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -1062,6 +1154,7 @@ def test_fuzzed_exact_configs_exit_with_a_documented_code(drawn):
             warnings.simplefilter("always")
             rc = cli.main([*argv, "--config", path])
     assert rc in (0, 2, 3, 64), (argv, raw, err.getvalue())
+    assert rc != 64 or PATH_ERROR.match(err.getvalue()), (argv, raw, err.getvalue())
     assert not caught, [str(w.message) for w in caught]
 
 

@@ -12,13 +12,14 @@ from zcrit.config import (
     ConfigError,
     candidates_from_section,
     config_from_dict,
-    graph_from_section,
     load_config,
     load_raw,
     parse_fraction,
     parse_gaussian,
     parse_float,
-    surface_from_section,
+    surface_inputs,
+    tau_inputs,
+    walls_inputs,
 )
 from zcrit.gaussian import GaussianRational
 from zcrit.numring import class_from_dict
@@ -102,7 +103,7 @@ def test_shipped_configs_load(shipped=("p2_extension_dhym", "p2_extension_todd",
         assert sorted(cfg.sheaves) >= ["E", "F"]
     # the torus config carries only a surface section
     raw = load_raw("configs/torus_dhym.json")
-    data, params = surface_from_section(raw["surface"])
+    data, params = surface_inputs(raw)
     assert data.geom.size == 16
     assert params["k_values"] == [10.0, 100.0]
 
@@ -118,14 +119,14 @@ def test_config_resolves_ring_and_omega():
     with pytest.raises(ConfigError, match="unknown sheaf"):
         cfg.sheaf("G")
     with pytest.raises(ConfigError, match="^walls: missing or not an object$"):
-        cfg.section("walls", ("object",))
+        walls_inputs(cfg)
     # a task section declares its keys and its required keys where it is read
     raw = dict(base_raw(), walls={"object": "E", "rnage": ["0", "1"]})
     with pytest.raises(ConfigError, match=r"^walls: unexpected keys \['rnage'\]$"):
-        config_from_dict(raw).section("walls", ("object", "range"))
-    raw["walls"] = {"range": ["0", "1"]}
+        walls_inputs(config_from_dict(raw))
+    raw["walls"] = {"range": ["0", "1"], "direction": {"h": "1"}}
     with pytest.raises(ConfigError, match="^walls.object: required key missing$"):
-        config_from_dict(raw).section("walls", ("object", "range"), ("object",))
+        walls_inputs(config_from_dict(raw))
 
 
 def test_manifold_variants_and_errors():
@@ -211,6 +212,7 @@ def test_charge_section_variants():
 
 def test_candidates_from_section():
     cfg = config_from_dict(base_raw())
+    ch_e = cfg.sheaf("E")
     cands = candidates_from_section(
         cfg,
         [
@@ -218,42 +220,48 @@ def test_candidates_from_section():
             {"name": "G", "kind": "quotient", "ch": {"1": "1", "h": "1"}},
         ],
         "stability.candidates",
+        ch_e,
     )
     assert cands[0].ch is cfg.sheaf("F")
     assert cands[1].kind == "quotient"
     assert cands[1].ch.rank == 1
 
     with pytest.raises(ConfigError, match="non-empty list"):
-        candidates_from_section(cfg, [], "p")
+        candidates_from_section(cfg, [], "p", ch_e)
     with pytest.raises(ConfigError, match=r"^p\[0\].name: required key missing$"):
-        candidates_from_section(cfg, [{"kind": "subbundle"}], "p")
+        candidates_from_section(cfg, [{"kind": "subbundle"}], "p", ch_e)
     with pytest.raises(ConfigError, match="unknown kind"):
-        candidates_from_section(cfg, [{"name": "F", "kind": "ideal"}], "p")
+        candidates_from_section(cfg, [{"name": "F", "kind": "ideal"}], "p", ch_e)
+    # the one candidate reader checks ranks against E's
+    with pytest.raises(ConfigError, match=r"^p\[0\]: candidate 'E' must have rank between "
+                                          "1 and 2, got 3$"):
+        candidates_from_section(cfg, [{"name": "E"}], "p", ch_e)
 
 
-def test_graph_from_section():
+def test_tau_inputs():
     raw = base_raw()
     raw["sheaves"]["Q"] = {"ch": {"1": "1"}}
-    cfg = config_from_dict(raw)
-    graph = graph_from_section(
-        cfg,
-        {"quotients": ["Q", {"name": "R", "ch": {"1": "2", "h^2": "-2"}}],
-         "edges": [[0, 1]]},
-        "tau",
-    )
+    raw["tau"] = {"object": "E",
+                  "quotients": ["Q", {"name": "R", "ch": {"1": "2", "h^2": "-2"}}],
+                  "edges": [[0, 1]]}
+    ch_e, graph = tau_inputs(config_from_dict(raw))
+    assert ch_e.rank == 3
     assert [q.name for q in graph.quotients] == ["Q", "R"]
     assert graph.edges == ((0, 1),)
 
-    with pytest.raises(ConfigError, match="non-empty list"):
-        graph_from_section(cfg, {"quotients": []}, "tau")
-    with pytest.raises(ConfigError, match="index pairs"):
-        graph_from_section(cfg, {"quotients": ["Q", "F"], "edges": [[0]]}, "tau")
-    with pytest.raises(ConfigError, match="must be integers"):
-        graph_from_section(
-            cfg, {"quotients": ["Q", "F"], "edges": [[0, "x"]]}, "tau")
-    # graph-level validation is surfaced with the section path
-    with pytest.raises(ConfigError, match="tau"):
-        graph_from_section(cfg, {"quotients": ["Q", "F"], "edges": [[0, 0]]}, "tau")
+    for changes, match in [
+        ({"quotients": []}, "^tau.quotients: expected a non-empty list$"),
+        ({"quotients": ["Q", "F"], "edges": [[0]]}, r"^tau.edges\[0\]: .*index pairs"),
+        ({"quotients": ["Q", "F"], "edges": [[0, "x"]]}, r"^tau.edges\[0\]\[1\]: .*integers"),
+        # graph-level validation is surfaced with the section path
+        ({"quotients": ["Q", "F"], "edges": [[0, 0]]}, "^tau: edge .* is a loop$"),
+        ({"quotients": ["Q", "F"], "cap": "1"}, r"^tau: unexpected keys \['cap'\]$"),
+        ({"quotients": ["Q", "Q", "F"]}, "^tau.quotients: quotient characters must sum"),
+        ({"quotients": [{"name": "T", "ch": {"h^2": "1"}}, "E"]},
+         r"^tau.quotients\[0\]: quotient 'T' must have positive rank, got 0$"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            tau_inputs(config_from_dict(dict(raw, tau=dict(raw["tau"], **changes))))
 
 
 def surface_section():
@@ -273,7 +281,7 @@ def surface_section():
 
 def test_surface_section_builds_charge_data():
     sec = surface_section()
-    data, params = surface_from_section(sec)
+    data, params = surface_inputs({"surface": sec})
     assert data.geom.size == 16
     assert data.metric == (1.0, 0.25 + 0.125j, 2.0)
     assert data.alpha0 == (2.0, 0.0, 3.0)
@@ -283,10 +291,10 @@ def test_surface_section_builds_charge_data():
     assert np.allclose(data.u1_potential, expected)
     assert params == {"tol": 1e-9, "k_values": [10.0, 100.0], "dump": None}
     # negative k is a valid sample point; only 0 and non-finite k are rejected
-    assert surface_from_section(dict(sec, k_values=[-10]))[1]["k_values"] == [-10.0]
+    assert surface_inputs({"surface": dict(sec, k_values=[-10])})[1]["k_values"] == [-10.0]
 
     # the grid override wins over the section value
-    data32, _ = surface_from_section(sec, n_override=32)
+    data32, _ = surface_inputs({"surface": sec}, n_override=32)
     assert data32.geom.size == 32
 
 
@@ -294,53 +302,53 @@ def test_surface_section_errors():
     sec = surface_section()
     sec["N"] = 12
     with pytest.raises(ConfigError, match="surface.N"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     sec = surface_section()
     del sec["metric"]
     with pytest.raises(ConfigError, match="^surface.metric: required key missing$"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     sec = surface_section()
     sec["metric"]["a13"] = "1"
     with pytest.raises(ConfigError, match="unexpected keys"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     sec = surface_section()
     del sec["preset"]
     with pytest.raises(ConfigError, match="preset 'dhym' or an explicit rho"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     sec = surface_section()
     del sec["preset"]
     sec["rho"] = ["2", {"im": "-2"}, "-1"]
-    data, _ = surface_from_section(sec)
+    data, _ = surface_inputs({"surface": sec})
     assert data.rho == (2 + 0j, -2j, -1 + 0j)
 
     sec = surface_section()
     sec["u1_potential"] = [{"mode": [1, 0], "amplitude": 1}]
     with pytest.raises(ConfigError, match="four integers"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     sec = surface_section()
     sec["u1_potential"][0]["phase"] = "tan"
     with pytest.raises(ConfigError, match="cos or sin"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})
 
     # a key outside the documented set fails, the removed homotopy and
     # Newton budget keys included, rather than being ignored
     for key in ("stages", "max_newton", "Tol"):
         sec = dict(surface_section(), **{key: 1})
         with pytest.raises(ConfigError, match=rf"^surface: unexpected keys \['{key}'\]$"):
-            surface_from_section(sec)
+            surface_inputs({"surface": sec})
 
     for dump in (7, ""):
         sec = dict(surface_section(), dump=dump)
         with pytest.raises(ConfigError, match="surface.dump: dump must be a non-empty file path"):
-            surface_from_section(sec)
+            surface_inputs({"surface": sec})
 
     # a non-positive metric is rejected with the section path
     sec = surface_section()
     sec["metric"] = {"a11": "-1", "a22": "1"}
     with pytest.raises(ConfigError, match="positive definite"):
-        surface_from_section(sec)
+        surface_inputs({"surface": sec})

@@ -13,6 +13,7 @@ from zcrit import exactlp, extension
 from zcrit.charge import ChernCharacter, central_charge, charge_preset
 from zcrit.exactlp import solve_linear_system
 from zcrit.extension import (
+    MARGIN_CAP,
     ExtensionError,
     FiltrationGraph,
     QuotientSpec,
@@ -317,7 +318,7 @@ def test_random_trees_match_direct_elimination():
             assert list(sol.tau) == tau
 
 
-def ref_solve_tau_positive(system, cap):
+def ref_solve_tau_positive(system):
     """The tau program decided the old way, on the Fraction tableau:
     Gauss-Jordan first for consistency, then the simplex on the
     consistent system. Returns (feasible, margin, tau, certificate
@@ -334,7 +335,7 @@ def ref_solve_tau_positive(system, cap):
     res = ref_simplex(M, neg_b, c, pivots)
     if res.status == "unbounded":
         M = [row + [F(0)] for row in M] + [[F(0)] * L + [F(1), F(-1), F(1)]]
-        res = ref_simplex(M, neg_b + [cap], c + [F(0)], pivots)
+        res = ref_simplex(M, neg_b + [MARGIN_CAP], c + [F(0)], pivots)
     delta = res.x[L] - res.x[L + 1]
     tau = tuple(res.x[l] + delta for l in range(L))
     return (res.value > 0, res.value, tau, "primal" if res.value > 0 else "dual"), pivots
@@ -365,15 +366,13 @@ def weight_systems(draw):
             root[find(u)] = find(v)
         for r in {find(v) for v in range(m)}:
             b[r] -= sum((b[v] for v in range(m) if find(v) == r), F(0))
-    cap = draw(st.sampled_from([F(1), F(5, 2), F(1, 7)]))
-    return synthetic_system(preset_ring("projective_space", n=2), b, edges), cap
+    return synthetic_system(preset_ring("projective_space", n=2), b, edges)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(weight_systems())
-def test_tau_matches_the_elimination_then_simplex_reference(drawn):
-    system, cap = drawn
-    expected, ref_pivots = ref_solve_tau_positive(system, cap)
+def test_tau_matches_the_elimination_then_simplex_reference(system):
+    expected, ref_pivots = ref_solve_tau_positive(system)
     calls = []
     real = exactlp._pivot
 
@@ -383,7 +382,7 @@ def test_tau_matches_the_elimination_then_simplex_reference(drawn):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactlp, "_pivot", counted)
-        sol = solve_tau_positive(system, cap=cap)
+        sol = solve_tau_positive(system)
     kind = sol.certificate["kind"]
     assert (sol.feasible, sol.margin, sol.tau, kind) == expected
     if kind == "inconsistent":
@@ -394,6 +393,41 @@ def test_tau_matches_the_elimination_then_simplex_reference(drawn):
     else:
         # a consistent system is decided by the same simplex pivots
         assert calls == ref_pivots
+
+
+def closed_set_oracle(system):
+    """Whether the balance equations are consistent, and the least
+    -b(S)/|out(S)| over the sets S of quotients with no edge into S and
+    at least one edge out of it (None if there is no such set), both by
+    enumerating every set. A set with no edge in or out is a union of
+    weakly connected components, and its loads must sum to 0."""
+    b, edges = system.b, system.graph.edges
+    consistent, ratios = True, []
+    for mask in range(1, 1 << len(b)):
+        inside = [mask >> i & 1 for i in range(len(b))]
+        into = any(inside[v] and not inside[u] for u, v in edges)
+        out = sum(inside[u] and not inside[v] for u, v in edges)
+        load = sum((x for x, i in zip(b, inside) if i), F(0))
+        if not into and out:
+            ratios.append(-load / out)
+        if not into and not out and load:
+            consistent = False
+    return consistent, min(ratios, default=None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weight_systems())
+def test_tau_margin_is_the_least_closed_set_ratio(system):
+    # the program is a circulation with lower bounds (Hoffman, 1960): a
+    # consistent bounded program has the least ratio as its margin, and
+    # one with no closed set that an edge leaves is re-solved at the cap
+    consistent, ratio = closed_set_oracle(system)
+    sol = solve_tau_positive(system)
+    assert (sol.certificate["kind"] != "inconsistent") == consistent
+    if consistent:
+        assert sol.margin == (MARGIN_CAP if ratio is None else ratio)
+        assert sol.certificate.get("cap") == (MARGIN_CAP if ratio is None else None)
+        assert sol.feasible == (sol.margin > 0)
 
 
 def pinned_reverse_system():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from zcrit.config import load_raw, surface_from_section
+from zcrit.config import load_raw, surface_inputs
 from zcrit.surface import (
     DHYM_RHO,
     ClassObstructionError,
@@ -592,7 +592,7 @@ def assembly_cases():
                                         rng.choice(("cos", "sin")))
             yield f"flat-N{n}-{modes}", flat.perturb_u1(v)
     for name in ("torus_dhym", "torus_two_mode", "torus_harmonic", "torus_skew"):
-        yield name, surface_from_section(load_raw(f"configs/{name}.json")["surface"])[0]
+        yield name, surface_inputs(load_raw(f"configs/{name}.json"))[0]
     geom = TorusGeometry(16)
     skew = ((1.3, 0.2 + 0.1j, 0.9), DHYM_RHO, (2.0, 0.3 - 0.2j, 3.0), (0.1, 0.05 + 0.02j, -0.1))
     yield "constant", SurfaceChargeData(geom, *skew)
