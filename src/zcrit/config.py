@@ -254,6 +254,10 @@ def _ring_table(value, path: str) -> NumericalRing:
         products[(entry[0], entry[1])] = _homogeneous(entry[2], p + "[2]", degree_of, degree)
     integration = _homogeneous(table["integration"], path + ".integration", degree_of, top)
     todd = _coefficients(table["todd"], path + ".todd", names) if "todd" in table else None
+    units = [k for k, d in degree_of.items() if d == 0]
+    if todd is not None and len(units) == 1 and todd.get(units[0], 0) != 1:
+        raise ConfigError(f"{path}.todd.{units[0]}", "the Todd class needs degree-0 part 1, "
+                          f"got {todd.get(units[0], 0)}")
     basis = [BasisElement(k, d) for k, d in degree_of.items()]
     # what the entries leave to check is the one generator of degree 0
     return _at(path + ".generators", NumericalRing, name, dimension, basis, products,
@@ -301,6 +305,9 @@ def _build_charge(
         return rho, U, sec["preset"]
     if "rho" not in sec:
         raise ConfigError("charge", "need either a preset or an explicit rho list")
+    if "bfield" in sec:
+        raise ConfigError("charge.bfield", "a B-field twists a charge preset only; with an "
+                          "explicit rho, give the twist as a unipotent class")
     entries = sec["rho"]
     if not isinstance(entries, list) or len(entries) != ring.complex_dimension + 1:
         raise ConfigError(

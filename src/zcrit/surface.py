@@ -13,20 +13,46 @@ Derivatives act spectrally: for the mode with integer frequencies
 
     ddc(u)_{jk} = -pi^2 conj(mu_j) mu_k u_hat.
 
+The solution is a function of fewer variables than four. The equation
+below commutes with translations and its solution is unique up to a
+constant (Calabi), so the solution is invariant under every
+translation that fixes the data: it is g(B^T x), where the columns of
+the integer 4 x r matrix B (TorusGeometry.basis) are a basis of the
+lattice Lambda that the modes of the twist data generate, and mode j
+of g has the 4-D frequency k = B j. A grid has N points on each of its
+r axes, so it resolves |j_a| < N/2 whatever the entries of B, where
+the N^4 grid of the identity basis resolves |k_i| < N/2.
+solve_critical_equation finds Lambda from the half spectra of
+u1_potential and u2 (_reduce): a mode is in the support when its
+coefficient exceeds ROUNDOFF_FLOOR eps times the largest one. B is made
+of support modes, the shortest linearly independent ones, when their
+Hermite normal form is that of the whole support (Cohen 1993, section
+2.4), so that every support mode has small integer coordinates j, and
+is that normal form's rows otherwise. The solve runs on the r-torus,
+and u and the residual are gathered back as u4[i] = g[B^T i mod N]. The
+identity basis is kept for data of rank 4 or without support modes,
+with a support mode on a 4-D Nyquist plane or some 2 |j_a| >= N, and
+when the reduced data gathered back miss their input by more than
+ROUNDOFF_FLOOR eps max(1, sup |input|).
+
 Frequencies take fftfreq values, so the Nyquist index n/2 of an axis
-carries -n/2, which is also the value at its negated index. Transforms
-are real FFTs on the half spectrum (N, N, N, N/2 + 1). The symbols
-|mu_j|^2 are even under k -> -k; s = conj(mu_1) mu_2 is not, on the
-Nyquist planes. With s_e, s_o its even and odd parts,
+carries -n/2, which is also the value at its negated index j_neg.
+Transforms are real FFTs on the half spectrum (N, ..., N, N/2 + 1).
+The real part of the full complex transform of sigma u_hat, for a
+symbol sigma and a real u, is the real transform of the half-spectrum
+symbol (sigma(j) + conj sigma(j_neg))/2, and every symbol is taken that
+way: |mu_j|^2 (even under j -> j_neg for the identity basis, not for
+every B) and the cross symbol s = conj(mu_1) mu_2, which is not even on
+Nyquist planes. With s_e, s_o the even and odd parts of s,
 
     Re ddc(u)_12 = irfft(-pi^2 P u_hat),   P = Re s_e + i Im s_o,
     Im ddc(u)_12 = irfft(-pi^2 Q u_hat),   Q = Im s_e - i Re s_o,
 
-which are exactly the real and imaginary parts of the full complex
-transform of -pi^2 s u_hat. For the same reason the least-squares
-potential pairs conj(P) and conj(Q) with the real and imaginary parts
-of a_12, and the preconditioner divides by the harmonic mean of its
-symbol at k and -k.
+P and Q being that rule applied to s and to -i s. The least-squares
+potential applies the rule to the symbols of its whole per-mode map,
+the division included, and the preconditioner divides by the harmonic
+mean of its symbol at j and j_neg, which is the rule applied to
+1 / sigma.
 
 Nyquist modes are kept, not zeroed. Since |s|^2 = |mu_1|^2 |mu_2|^2 on
 every mode, Parseval gives mean(det ddc u) = 0 for every real u, so
@@ -86,10 +112,12 @@ A constant form (FormField.constant, omega(), alpha_harmonic(), the
 twist without a potential) has numpy scalar components, and a missing
 u2 is the scalar 0; numpy broadcasting spreads them over the grid
 wherever they meet a field. beta, gamma and every density built from
-constant forms alone are scalars too. These are full N^4 grids
-whatever the inputs: ddc, mode_field, potential_from_form's input and
-potential, the solver's right side f, MongeAmpereSolution.u and
-residual, ZResidualReport.field and the arrays of the .npz field dump.
+constant forms alone are scalars too. These are full grids of their
+geometry whatever the inputs: ddc, mode_field, potential_from_form's
+input and potential, the right side f and MongeAmpereSolution.u and
+residual. The data of a config, SurfaceSolution.u and residual,
+ZResidualReport.field and the arrays of the .npz field dump are on
+the N^4 grid.
 
 The Newton-Krylov vectors are half spectra: the iterate psi, the
 Newton step delta, the line search's trial psi and the
@@ -100,18 +128,18 @@ as min(m11) > 0 and min(8 det m) > 0, from the determinant the residual
 needs anyway; the smallest eigenvalue is taken once, at the end. For
 real fields x, y with half spectra a, b, Parseval gives
 
-    sum(x y) = (1 / N^4) sum_k w_k Re(conj(a_k) b_k),
+    sum(x y) = (1 / N^r) sum_j w_j Re(conj(a_j) b_j),
 
-with w_k = 1 on the k3 = 0 and k3 = N/2 planes (odd N has only the
-first) and 2 off them, where a half-spectrum mode also stands for its
-conjugate. In real transforms
-of N^4 points, a conjugate-gradient iteration costs five (the
+with w_j = 1 on the planes 0 and N/2 of the last axis (odd N has only
+the first) and 2 off them, where a half-spectrum mode also stands for
+its conjugate. In real transforms
+of the solve's grid, a conjugate-gradient iteration costs five (the
 operator's four inverse transforms and one forward transform of its
 output), a line-search trial four inverse transforms, and a Newton
 right side one forward transform; u = psi - phi_U is transformed back
 once, at the end of a solve.
 
-Memory is counted in grids of N^4 float64 (a complex grid is two, a
+Memory is counted in grids of N^r float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
 numpy's rfftn and irfftn in the same order, bit for bit, but the
 complex passes work in place (numpy >= 2.0): _rfft allocates one half
@@ -133,11 +161,16 @@ four grids after a Newton step) and its residual against f plus the
 compatibility constant, which is subtracted in place, so no shifted
 copy of f is made. A Newton step adds the spectra of delta and of the
 conjugate-gradient vectors; its line search drops m and the residual
-and holds the trial psi, the trial m and its residual instead. The
-tracemalloc peak of solve_critical_equation is about 16.7 grids for a
-multi-step Newton solve at N=16, in the conjugate-gradient operator,
-and 6.7 at N=16 and 6.2 at N=32 for a solve that ends at its start, in
-the assembly; ddc takes 6.1 beside its input.
+and holds the trial psi, the trial m and its residual instead. On the
+N^4 grid, the tracemalloc peak of a multi-step Newton solve at N=16 is
+about 16.7 grids, in the conjugate-gradient operator; ddc takes 6.1
+beside its input. A solve on the lattice of its data holds, beside
+its reduced grids, the spectrum of the twist potential while it finds
+the lattice and then the gathered outputs: solve_critical_equation
+peaks at about 3.0 grids of N^4 at N=16 and N=32, in u, the residual
+and the phase residual, where it took 6.2 at N=32 on the N^4 grid. A
+basis column with every entry nonzero adds its gather index, an N^4
+grid of int64 (4.0 grids at N=32 for the single mode (1, 2, 3, 1)).
 """
 
 from __future__ import annotations
@@ -156,9 +189,9 @@ from .errors import ClassObstructionError, NumericalFailureError, SurfaceError
 
 
 def _rfft(u: np.ndarray) -> np.ndarray:
-    """Half spectrum (N, N, N, N/2 + 1) of a real grid field, as rfftn."""
-    spec = np.fft.rfft(u, axis=3)
-    for axis in (2, 1, 0):
+    """Half spectrum (N, ..., N, N/2 + 1) of a real grid field, as rfftn."""
+    spec = np.fft.rfft(u, axis=-1)
+    for axis in reversed(range(u.ndim - 1)):
         np.fft.fft(spec, axis=axis, out=spec)
     return spec
 
@@ -168,24 +201,41 @@ def _irfft(
 ) -> np.ndarray:
     """Real grid field of a half spectrum, as irfftn; overwrites spec, and
     is written to out (a grid, which may be strided) when given."""
-    for axis in (0, 1, 2):
+    for axis in range(spec.ndim - 1):
         np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, n=geom.size, axis=3, out=out)
+    return np.fft.irfft(spec, n=geom.size, axis=-1, out=out)
+
+
+# the columns of B for the 4-D grid: x1, y1, x2, y2
+IDENTITY_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 @dataclass(frozen=True)
 class TorusGeometry:
-    """Uniform N^4 grid on the unit 4-torus with cached spectral data.
+    """Uniform grid of N points per axis for fields g(B^T x) on the 4-torus.
 
-    The spectral data lives on the real-FFT half spectrum: mu1 has shape
-    (N, N, 1, 1) and mu2 shape (1, 1, N, N//2 + 1), both with fftfreq
-    values, and cross_re, cross_im are the half-spectrum symbols P, Q of
-    the module docstring for the off-diagonal Hessian term.
+    basis holds the columns of the integer 4 x r matrix B: a grid field
+    is g on the r-torus, and its mode j has the 4-D frequency k = B j.
+    The identity basis gives the N^4 grid of the 4-torus itself.
+
+    The spectral data lives on the real-FFT half spectrum, with fftfreq
+    values j (the last axis holds 0..N/2): mu1, mu2 are mu_1(B j) and
+    mu_2(B j), and mu1_neg, mu2_neg the same at j_neg, the frequency at
+    the negated index. sq1, sq2, cross_re and cross_im are the
+    half-spectrum symbols of |mu_1|^2, |mu_2|^2 and of the real and
+    imaginary parts of conj(mu_1) mu_2 (the P, Q of the module
+    docstring). Each array broadcasts against the half spectrum; for the
+    identity basis mu1 has shape (N, N, 1, 1) and mu2 (1, 1, N, N//2 + 1).
     """
 
     size: int
+    basis: Tuple[Tuple[int, int, int, int], ...] = IDENTITY_BASIS
     mu1: np.ndarray = field(init=False, repr=False, compare=False)
     mu2: np.ndarray = field(init=False, repr=False, compare=False)
+    mu1_neg: np.ndarray = field(init=False, repr=False, compare=False)
+    mu2_neg: np.ndarray = field(init=False, repr=False, compare=False)
+    sq1: np.ndarray = field(init=False, repr=False, compare=False)
+    sq2: np.ndarray = field(init=False, repr=False, compare=False)
     cross_re: np.ndarray = field(init=False, repr=False, compare=False)
     cross_im: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -193,40 +243,58 @@ class TorusGeometry:
         if self.size < 7 or (self.size % 2 == 0 and self.size & (self.size - 1)):
             raise SurfaceError("grid size must be odd and >= 7, or a power of two >= 8")
         n = self.size
+        rank = len(self.basis)
         half = n // 2 + 1
         m = np.fft.fftfreq(n, d=1.0 / n)
         # frequency at the negated index: -m, except on the Nyquist index,
         # whose value -n/2 is its own negation's
         m_neg = m[-np.arange(n) % n]
 
+        def along(v: np.ndarray, axis: int) -> np.ndarray:
+            w = v[:half] if axis == rank - 1 else v
+            return w.reshape([w.size if a == axis else 1 for a in range(rank)])
+
         def mus(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return (v.reshape(n, 1, 1, 1) + 1j * v.reshape(1, n, 1, 1),
-                    v.reshape(1, 1, n, 1) + 1j * v[:half].reshape(1, 1, 1, half))
+            # component c of k = B j, with only the axes it depends on
+            k = [np.zeros((1,) * rank) for _ in range(4)]
+            for axis, column in enumerate(self.basis):
+                for c, entry in enumerate(column):
+                    if entry:
+                        k[c] = k[c] + entry * along(v, axis)
+            return k[0] + 1j * k[1], k[2] + 1j * k[3]
 
         mu1, mu2 = mus(m)
         mu1_neg, mu2_neg = mus(m_neg)
-        s = np.conj(mu1) * mu2                    # s(k)
-        s_neg_conj = mu1_neg * np.conj(mu2_neg)   # conj(s(-k))
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "cross_re", (s + s_neg_conj) / 2)
-        object.__setattr__(self, "cross_im", -0.5j * (s - s_neg_conj))
+        s = np.conj(mu1) * mu2                    # s(j)
+        s_neg_conj = mu1_neg * np.conj(mu2_neg)   # conj(s(j_neg))
+        for name, value in (
+                ("mu1", mu1), ("mu2", mu2), ("mu1_neg", mu1_neg), ("mu2_neg", mu2_neg),
+                ("sq1", (np.abs(mu1) ** 2 + np.abs(mu1_neg) ** 2) / 2),
+                ("sq2", (np.abs(mu2) ** 2 + np.abs(mu2_neg) ** 2) / 2),
+                ("cross_re", (s + s_neg_conj) / 2),
+                ("cross_im", -0.5j * (s - s_neg_conj))):
+            object.__setattr__(self, name, value)
 
     @property
-    def shape(self) -> Tuple[int, int, int, int]:
-        return (self.size,) * 4
+    def rank(self) -> int:
+        return len(self.basis)
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (self.size,) * self.rank
 
     def coordinates(self) -> Tuple[np.ndarray, ...]:
-        n = self.size
+        n, r = self.size, self.rank
         t = np.arange(n) / n
         return tuple(
-            t.reshape([n if a == i else 1 for a in range(4)]) for i in range(4)
+            t.reshape([n if a == i else 1 for a in range(r)]) for i in range(r)
         )
 
     def mode_field(
         self, mode: Sequence[int], amplitude: float, phase: str = "cos"
     ) -> np.ndarray:
-        """Real field amplitude * cos/sin(2 pi m.x) sampled on the grid.
+        """Real field amplitude * cos/sin(2 pi m.x) sampled on the grid,
+        with one entry of m per grid axis.
 
         A mode with some |m_i| >= N/2 aliases onto a lower one on the
         grid and is rejected.
@@ -236,8 +304,7 @@ class TorusGeometry:
                 f"mode {list(mode)} aliases on the N={self.size} grid; every "
                 "|m_i| must be below N/2"
             )
-        x1, y1, x2, y2 = self.coordinates()
-        arg = 2 * np.pi * (mode[0] * x1 + mode[1] * y1 + mode[2] * x2 + mode[3] * y2)
+        arg = 2 * np.pi * sum(m * t for m, t in zip(mode, self.coordinates()))
         wave = np.cos(arg) if phase == "cos" else np.sin(arg)
         return amplitude * np.broadcast_to(wave, self.shape)
 
@@ -301,8 +368,8 @@ def _spectral_hessian(
     a missing base is the zero form."""
     c = -np.pi ** 2
     buf = np.empty_like(spec)
-    h11 = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf)
-    h22 = _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf)
+    h11 = _hessian_part(geom, c * geom.sq1, spec, buf)
+    h22 = _hessian_part(geom, c * geom.sq2, spec, buf)
     h12 = np.empty(geom.shape, dtype=complex)
     for symbol, part in ((geom.cross_re, h12.real), (geom.cross_im, h12.imag)):
         _hessian_part(geom, symbol, spec, buf, c, out=part)
@@ -352,28 +419,35 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
     a = FormField(*(np.broadcast_to(c, geom.shape) for c in (a.a11, a.a12, a.a22)))
     mean = a.mean_matrix()
     pref = -np.pi ** 2
-    mu1_sq = np.abs(geom.mu1) ** 2
-    mu2_sq = np.abs(geom.mu2) ** 2
-    # per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
-    # with double weight on the off-diagonal pair; the real part of
-    # conj(s12) f12 splits over the real and imaginary parts of a12
+    # Per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
+    # with double weight on the off-diagonal pair: w_hat = (s11 f11 +
+    # s22 f22 + 2 conj(s12) f12) / D. Here s11 = pref |mu1|^2, s22 =
+    # pref |mu2|^2 and |s12|^2 = s11 s22 on every mode, so D = s11^2 +
+    # s22^2 + 2 |s12|^2 = (s11 + s22)^2, and with e = pref / D the
+    # symbols are |mu1|^2 e, |mu2|^2 e and 2 mu1 conj(mu2) e.
+    # f12 splits over the real and imaginary parts of a12, and each
+    # symbol sigma is taken as (sigma(j) + conj sigma(j_neg)) / 2.
+    sides = []
+    for mu1, mu2 in ((geom.mu1, geom.mu2), (geom.mu1_neg, geom.mu2_neg)):
+        sq1, sq2 = np.abs(mu1) ** 2, np.abs(mu2) ** 2
+        d = pref * (sq1 + sq2) ** 2
+        d.flat[0] = np.inf      # the mean mode, which w_hat drops
+        e = 1 / d
+        sides.append((sq1 * e, sq2 * e, mu1 * np.conj(mu2) * e))
+    (sq1, sq2, cross), (sq1_neg, sq2_neg, cross_neg) = sides
+    del sides, d, e
     wh = np.zeros_like(geom.cross_re)
-    for symbol, weight, c, c_mean in ((mu1_sq, pref, a.a11, mean[0, 0].real),
-                                      (mu2_sq, pref, a.a22, mean[1, 1].real),
-                                      (geom.cross_re, 2 * pref, a.a12.real, mean[0, 1].real),
-                                      (geom.cross_im, 2 * pref, a.a12.imag, mean[0, 1].imag)):
+    for symbol, c, c_mean in (((sq1 + sq1_neg) / 2, a.a11, mean[0, 0].real),
+                              ((sq2 + sq2_neg) / 2, a.a22, mean[1, 1].real),
+                              (cross + np.conj(cross_neg), a.a12.real, mean[0, 1].real),
+                              (1j * (cross - np.conj(cross_neg)), a.a12.imag,
+                               mean[0, 1].imag)):
         part = _rfft(c - c_mean)
-        part *= np.conj(symbol)
-        part *= weight
+        part *= symbol
         wh += part
-    # s11 = pref |mu1|^2, s22 = pref |mu2|^2 and |s12|^2 = s11 s22 on every
-    # mode, so s11^2 + s22^2 + 2 |s12|^2 is a square
-    denom = (pref * (mu1_sq + mu2_sq)) ** 2
-    denom[0, 0, 0, 0] = 1.0
-    wh /= denom
-    wh[0, 0, 0, 0] = 0.0
     w = _irfft(geom, wh)
-    del wh, part, denom     # the spectra are not held through ddc(w)
+    # the spectra are not held through ddc(w)
+    del wh, part, sq1, sq2, cross, sq1_neg, sq2_neg, cross_neg
     rec = ddc(geom, w)
     sup = 0.0
     for c, c_mean, c_rec in ((a.a11, mean[0, 0].real, rec.a11),
@@ -458,7 +532,7 @@ class SurfaceChargeData:
             return const, None
         potential = np.broadcast_to(np.asarray(self.u1_potential, dtype=float), self.geom.shape)
         potential_hat = _rfft(potential)
-        potential_hat[0, 0, 0, 0] = 0.0
+        potential_hat.flat[0] = 0.0     # the mean mode
         return _spectral_hessian(self.geom, potential_hat, const), potential_hat
 
     def u2_density(self) -> np.ndarray:
@@ -579,18 +653,19 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
 # ---------------------------------------------------------------------------
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
+def _inner(geom: TorusGeometry, a: np.ndarray, b: np.ndarray) -> float:
     """sum(x * y) over the grid for real fields x, y with half spectra a, b.
 
-    By Parseval each mode off the k3 = 0 and k3 = N/2 planes stands for
-    itself and its conjugate, so it weighs 2 and a mode on them 1, and
-    the sum is divided by N^4. An odd grid has no k3 = N/2 plane.
+    By Parseval each mode off the first and last planes of the half
+    (last) axis, index 0 and N/2, stands for itself and its conjugate, so
+    it weighs 2 and a mode on them 1, and the sum is divided by N^r. An
+    odd grid has no N/2 plane.
     """
-    n = a.shape[0]
+    n = geom.size
     total = 2 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
     if n % 2 == 0:
         total -= np.vdot(a[..., -1], b[..., -1]).real
-    return float(total) / n ** 4
+    return float(total) / n ** geom.rank
 
 
 def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.ndarray:
@@ -603,9 +678,9 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
     """
     c = 8 * np.pi ** 2              # each part is then -8 times one of h
     buf = np.empty_like(spec)
-    out = _hessian_part(geom, c * np.abs(geom.mu1) ** 2, spec, buf, m.a22)
+    out = _hessian_part(geom, c * geom.sq1, spec, buf, m.a22)
     part = np.empty(geom.shape)
-    out += _hessian_part(geom, c * np.abs(geom.mu2) ** 2, spec, buf, m.a11, out=part)
+    out += _hessian_part(geom, c * geom.sq2, spec, buf, m.a11, out=part)
     # the cross terms carry -2
     out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real, -2 * c, part)
     out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag, -2 * c, part)
@@ -615,31 +690,31 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
 def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
     """Half-spectrum symbol of the mean-coefficient operator, made positive.
 
-    The symbol sigma(k) is not even on Nyquist planes; the real part of
-    the full-spectrum division by sigma is a division by the harmonic
-    mean of sigma(k) and sigma(-k), which is what this returns.
+    The symbol sigma(j) need not be even on Nyquist planes; the real part
+    of the full-spectrum division by sigma is a division by the harmonic
+    mean of sigma(j) and sigma(j_neg), which is what this returns.
     """
     m11 = mbar[0, 0].real
     m22 = mbar[1, 1].real
     m12 = mbar[0, 1]
-    mu1_sq, mu2_sq = np.abs(geom.mu1) ** 2, np.abs(geom.mu2[0]) ** 2
+    out = np.empty(geom.cross_re.shape)
 
-    def sigma(s: np.ndarray, diag: np.ndarray, first: bool) -> np.ndarray:
-        sym = 8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real)
-        if first:
-            sym[0, 0, 0] = 1.0      # the mean mode
+    def sigma(mu1: np.ndarray, mu2: np.ndarray, i: int) -> np.ndarray:
+        """sigma on slab i, with 1 on the mean mode."""
+        mu1, mu2 = (a[i:i + 1] if a.shape[0] > 1 else a for a in (mu1, mu2))
+        s = np.conj(mu1) * mu2
+        diag = m11 * np.abs(mu2) ** 2 + m22 * np.abs(mu1) ** 2
+        sym = np.broadcast_to(8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real),
+                              out[i:i + 1].shape).copy()
+        if i == 0:
+            sym.flat[0] = 1.0      # the mean mode
         return sym
 
     # one slab (first index) at a time, so that no complex half spectrum
     # is built
-    out = np.empty(geom.cross_re.shape)
-    for i, (p, q) in enumerate(zip(geom.cross_re, geom.cross_im)):
-        # even and odd parts of s = conj(mu1) mu2, recovered from P and Q
-        s_even = p.real + 1j * q.real
-        s_odd = -q.imag + 1j * p.imag
-        diag = m11 * mu2_sq + m22 * mu1_sq[i]
-        out[i] = 2 / (1 / sigma(s_even + s_odd, diag, i == 0)
-                      + 1 / sigma(s_even - s_odd, diag, i == 0))
+    for i in range(out.shape[0]):
+        out[i:i + 1] = 2 / (1 / sigma(geom.mu1, geom.mu2, i)
+                            + 1 / sigma(geom.mu1_neg, geom.mu2_neg, i))
     return out
 
 
@@ -664,20 +739,20 @@ def _pcg(
     """
 
     r = _rfft(rhs)
-    r[0, 0, 0, 0] = 0.0
+    r.flat[0] = 0.0         # the mean mode
     x = np.zeros_like(r)
-    norm0 = float(np.sqrt(_inner(r, r)))
+    norm0 = float(np.sqrt(_inner(geom, r, r)))
     target = tol * norm0
     best_x = x.copy()
     best_norm = norm0
     it = 0
     if max_iter > 0 and norm0 > target:
         p = r / symbol
-        rz = _inner(r, p)
+        rz = _inner(geom, r, p)
         while True:
             ap = _rfft(_apply_operator(geom, m, p))
-            ap[0, 0, 0, 0] = 0.0
-            pap = _inner(p, ap)
+            ap.flat[0] = 0.0
+            pap = _inner(geom, p, ap)
             if pap <= 0:
                 # indefiniteness this late is roundoff at the attainable floor
                 if best_norm <= 1e-6 * norm0:
@@ -693,14 +768,14 @@ def _pcg(
             it += 1
             if it >= max_iter:
                 break
-            rnorm = float(np.sqrt(_inner(r, r)))
+            rnorm = float(np.sqrt(_inner(geom, r, r)))
             if rnorm < best_norm:
                 best_norm = rnorm
                 best_x = x.copy()
             if rnorm <= target:
                 break
             z = r / symbol
-            rz_new = _inner(r, z)
+            rz_new = _inner(geom, r, z)
             z += (rz_new / rz) * p
             p = z
             rz = rz_new
@@ -858,7 +933,7 @@ def solve_monge_ampere(
     del m           # not held through the transform back
     if potential_hat is not None:
         psi_hat -= potential_hat
-    psi_hat[0, 0, 0, 0] = 0.0
+    psi_hat.flat[0] = 0.0   # the mean mode
     u = _irfft(geom, psi_hat)
     return MongeAmpereSolution(
         u=u,
@@ -893,12 +968,159 @@ class SurfaceSolution(MongeAmpereSolution):
         return -np.sin(self.phi) * self.residual
 
 
+# ---------------------------------------------------------------------------
+# the lattice of the data
+# ---------------------------------------------------------------------------
+
+
+def _hermite_rows(vectors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Row Hermite normal form of integer 4-vectors: its nonzero rows are
+    in echelon form with positive pivots and the entries above each pivot
+    in [0, pivot), a basis of the lattice the vectors generate that is
+    the same for every generating set (Cohen 1993, section 2.4.2)."""
+    rows = [list(v) for v in vectors if any(v)]
+    out: List[List[int]] = []
+    for col in range(4):
+        pivots = [row for row in rows if row[col]]
+        rows = [row for row in rows if not row[col]]
+        if not pivots:
+            continue
+        pivot = pivots[0]
+        for row in pivots[1:]:
+            # Euclid on column col, by unimodular row operations
+            while row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]
+            if any(row):
+                rows.append(row)
+        if pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        for prev in out:
+            q = prev[col] // pivot[col]
+            prev[:] = [a - q * b for a, b in zip(prev, pivot)]
+        out.append(pivot)
+    return out
+
+
+def _lattice_basis(modes: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """A basis of the lattice that the integer 4-vectors modes generate.
+
+    It is made of modes when they allow: the shortest linearly
+    independent ones, each signed so that its first nonzero entry is
+    positive, kept when their Hermite normal form is that of all the
+    modes, so that every mode has integer coordinates in it. Otherwise
+    it is the rows of that normal form.
+    """
+    hermite = _hermite_rows(modes)
+    signed = {tuple(m) if next(a for a in m if a) > 0 else tuple(-a for a in m)
+              for m in modes if any(m)}
+    chosen: List[Tuple[int, ...]] = []
+    for mode in sorted(signed, key=lambda m: (sum(a * a for a in m), m)):
+        if len(chosen) == len(hermite):
+            break
+        if len(_hermite_rows(chosen + [mode])) > len(chosen):
+            chosen.append(mode)
+    if _hermite_rows(chosen) == hermite:
+        return tuple(chosen)
+    return tuple(tuple(row) for row in hermite)
+
+
+def _reduce(
+    data: SurfaceChargeData,
+) -> Optional[Tuple[SurfaceChargeData, Tuple[np.ndarray, ...]]]:
+    """The data as fields of B^T x on the lattice their modes generate,
+    and the index arrays that gather a reduced field onto the N^4 grid;
+    None when the data are solved as they are given.
+
+    A mode of u1_potential or u2 is in the support when its coefficient
+    exceeds ROUNDOFF_FLOOR * eps times the largest one. None is returned
+    for data on a reduced geometry already, data without support modes,
+    with a support mode on a Nyquist plane, of rank 4, with a support
+    mode j outside |j_a| < N/2, or when a reduced field gathered back
+    misses its input by more than ROUNDOFF_FLOOR * eps * max(1, sup
+    |input|).
+    """
+    geom = data.geom
+    n = geom.size
+    if geom.basis != IDENTITY_BASIS:
+        return None
+    eps = np.finfo(float).eps
+    freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    fields = []             # (grid, mean, support frequencies, coefficients)
+    for grid in (data.u1_potential, data.u2):
+        if grid is None:
+            fields.append(None)
+            continue
+        grid = np.broadcast_to(np.asarray(grid, dtype=float), geom.shape)
+        spec = _rfft(grid)
+        size = np.abs(spec)
+        index = np.nonzero(size > ROUNDOFF_FLOOR * eps * size.max())
+        del size
+        k = np.stack([freq[i] for i in index[:3]] + [index[3]], axis=1)
+        keep = k.any(axis=1)            # the mean mode is no mode of the lattice
+        fields.append((grid, spec.flat[0], k[keep], spec[index][keep]))
+        del spec
+    supports = [f[2] for f in fields if f is not None]
+    modes = np.concatenate(supports) if supports else np.zeros((0, 4), np.int64)
+    if (not len(modes) or (n % 2 == 0 and (2 * np.abs(modes) == n).any())
+            or np.linalg.matrix_rank(modes) == 4):
+        return None
+    basis = _lattice_basis(modes.tolist())
+    columns = np.array(basis, dtype=np.int64)
+    to_j = np.linalg.pinv(columns.T.astype(float))
+    rgeom = TorusGeometry(n, basis)
+    # numpy's coefficient of a mode on N^r points is N^r times its
+    # amplitude; mode j stands for k = B j, and -j for -k
+    scale = float(n) ** (rgeom.rank - 4)
+    arange = np.arange(n)
+    gather_index = tuple(
+        sum(entry * arange.reshape([n if a == c else 1 for a in range(4)])
+            for c, entry in enumerate(column) if entry) % n
+        for column in basis)
+    reduced = []
+    for f in fields:
+        if f is None:
+            reduced.append(None)
+            continue
+        grid, mean, k, coef = f
+        j = np.rint(k @ to_j.T).astype(np.int64)
+        if not (j @ columns == k).all() or (2 * np.abs(j) >= n).any():
+            return None
+        spec = np.zeros(rgeom.cross_re.shape, dtype=complex)
+        spec.flat[0] = mean * scale
+        for jj, c in ((j, coef), (-j, np.conj(coef))):
+            half = jj[:, -1] >= 0
+            spec[tuple((jj[half] % n).T)] = c[half] * scale
+        g = _irfft(rgeom, spec)
+        miss = g[gather_index] - grid
+        if _sup(miss) > ROUNDOFF_FLOOR * eps * max(1.0, _sup(grid)):
+            return None
+        reduced.append(g)
+    rdata = SurfaceChargeData(rgeom, data.metric, data.rho, data.alpha0, data.u1_const,
+                              *reduced)
+    return rdata, gather_index
+
+
+def _gather(g: np.ndarray, index: Tuple[np.ndarray, ...], shape: Tuple[int, ...]) -> np.ndarray:
+    """The N^4 grid field x -> g(B^T x) of a reduced grid field g."""
+    out = np.empty(shape)
+    out[...] = g[index]
+    return out
+
+
 def solve_critical_equation(
     data: SurfaceChargeData, tol: float = 1e-8, stages: int = 1
 ) -> SurfaceSolution:
     """Assemble the equation from charge data, solve it to sup residual
     tol, and report the residual of the original phase equation,
-    -sin(phi) times the solver's, alongside the solver's."""
+    -sin(phi) times the solver's, alongside the solver's.
+
+    The equation commutes with translations, so its solution is a
+    function of B^T x, where the columns of B span the lattice of the
+    data's modes (_reduce). It is solved on N points per axis of that
+    lattice's torus, and u and the residual are gathered onto the N^4
+    grid of the data; residual_sup is the sup of the gathered residual.
+    """
     # stages is accepted only as 1, because the bench harness
     # (perfbench/workloads.py) still passes stages=1; it goes once that
     # call stops passing it
@@ -906,8 +1128,14 @@ def solve_critical_equation(
         raise SurfaceError(
             f"stages={stages!r}: only 1 is accepted, the solver runs one Newton solve"
         )
-    asm = assemble_equation(data)
-    ma = solve_monge_ampere(data.geom, asm.a0, asm.potential_hat, asm.f, tol=tol)
+    reduced = _reduce(data)
+    solved = reduced[0] if reduced else data
+    asm = assemble_equation(solved)
+    ma = solve_monge_ampere(solved.geom, asm.a0, asm.potential_hat, asm.f, tol=tol)
+    if reduced:
+        ma.u = _gather(ma.u, reduced[1], data.geom.shape)
+        ma.residual = _gather(ma.residual, reduced[1], data.geom.shape)
+        ma.residual_sup = _sup(ma.residual)
     return SurfaceSolution(**vars(ma), phi=asm.phi)
 
 

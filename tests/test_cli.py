@@ -682,6 +682,15 @@ def ring_raw(**changes):
      r"^config error: walls.range\[0\]: cannot read a rational from an array$"),
     (["solve-surface"], torus_raw(tol={"value": 1e-9}),
      "^config error: surface.tol: cannot read a number from an object$"),
+    # a Todd class is refused at its degree-0 entry, not where a preset uses it
+    (["charge", "--sheaf", "E"],
+     {**ring_raw(todd={"1": "2", "h": "3/2", "h^2": "1"}), "charge": {"preset": "todd"}},
+     "^config error: manifold.ring.todd.1: the Todd class needs degree-0 part 1, got 2$"),
+    # a B-field beside an explicit rho would be parsed and then ignored
+    (["stability"], {**json.load(open(DHYM_CFG)),
+                     "charge": {"rho": ["-1", {"im": "1"}, "1/2"], "bfield": {"h": "5"},
+                                "object": "E"}},
+     "^config error: charge.bfield: a B-field twists a charge preset only"),
 ], ids=["dimension", "N", "stages", "stages-two", "max_newton", "dump-empty", "sheaf-flag-empty",
         "aliased-mode", "float-mode", "amplitude-nan", "amplitude-inf", "u2-amplitude-json-nan",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf",
@@ -702,7 +711,8 @@ def ring_raw(**changes):
         "ring-product-not-homogeneous",
         "ring-product-above-top", "ring-generator-odd-degree", "ring-generator-duplicate",
         "ring-two-units", "ring-integration-off-top", "ring-negative-volume",
-        "bfield-null", "walls-range-array", "surface-tol-object"])
+        "bfield-null", "walls-range-array", "surface-tol-object", "ring-todd-degree-0",
+        "bfield-beside-rho"])
 def test_bad_integer_knobs_exit_64(tmp_path, capsys, command, raw, path):
     rc, _, err = run(capsys, *command, "--config", write_cfg(tmp_path, raw))
     assert rc == 64

@@ -1,9 +1,11 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from zcrit import surface
+from zcrit.config import load_raw, surface_inputs
 from zcrit.surface import (
     ClassObstructionError,
     NumericalFailureError,
@@ -137,7 +139,8 @@ def test_transform_budget_of_the_spectral_solve(monkeypatch):
     # Newton right side costs one forward transform, a CG iteration one
     # forward and four inverse, a line-search trial four inverse, and u
     # is transformed back once; the Hessian of the twist potential adds
-    # one forward and four inverse
+    # one forward and four inverse, and finding its lattice one forward
+    # transform of N^4 points and one inverse, of the reduced potential
     counts = {"forward": 0, "inverse": 0, "hessian": 0}
 
     def counted(name, real):
@@ -154,8 +157,8 @@ def test_transform_budget_of_the_spectral_solve(monkeypatch):
     trials = counts["hessian"] - 1
     newton, cg = sol.newton_iterations, sol.cg_iterations
     assert (newton, cg, trials) == (4, 18, 4)
-    assert counts["forward"] == 1 + newton + cg == 23
-    assert counts["inverse"] == 4 * (1 + cg + trials) + 1 == 93
+    assert counts["forward"] == 2 + newton + cg == 24
+    assert counts["inverse"] == 4 * (1 + cg + trials) + 2 == 94
 
 
 def test_residual_agrees_with_fresh_evaluation():
@@ -232,6 +235,8 @@ def test_newton_budget_enforced(monkeypatch):
 
 
 def test_direct_interface_matches_wrapper():
+    # the direct interface solves the data on their N^4 grid; the wrapper
+    # solves them on their lattice and gathers the same fields back
     data = flat_data()
     x = data.geom.coordinates()
     pert = data.perturb_u1(0.05 * np.cos(2 * np.pi * x[2]))
@@ -241,7 +246,13 @@ def test_direct_interface_matches_wrapper():
     assert np.allclose(ma.u, wrapped.u, atol=1e-11)
     assert ma.residual_sup == pytest.approx(wrapped.residual_sup,
                                             rel=1e-6, abs=1e-13)
-    assert np.array_equal(ma.residual, wrapped.residual)
+    reduced, index = surface._reduce(pert)
+    assert reduced.geom.basis == ((0, 0, 1, 0),)
+    asm = assemble_equation(reduced)
+    ma = solve_monge_ampere(reduced.geom, asm.a0, asm.potential_hat, asm.f, tol=1e-9)
+    assert np.array_equal(surface._gather(ma.residual, index, data.geom.shape),
+                          wrapped.residual)
+    assert np.array_equal(surface._gather(ma.u, index, data.geom.shape), wrapped.u)
 
 
 def test_solves_leave_no_state_on_the_data():
@@ -293,15 +304,20 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
     assert np.max(np.abs(sol.z_residual_field - rep.field)) <= 1e-12
 
 
-# tracemalloc peaks in grids, rounded up: a multi-step Newton solve peaks
-# in the conjugate-gradient operator (16.7 at N=16), a solve that ends at
-# its start in the assembly (6.7 at N=16, 6.2 at N=32), and ddc with
-# its input at 7.1
-PEAK_GRIDS = {"newton": 17, "single": 7, "harmonic": 7, "ddc": 8}
+# tracemalloc peaks in grids, rounded up. A solve on the lattice of its
+# data peaks at its N^4 outputs, u, the residual and the phase residual,
+# beside the spectrum of the twist potential that finds the lattice
+# (3.0 grids, at N=16 and N=32; 6.2 at N=32 before the reduction). A
+# mode with every entry nonzero makes the gather index an N^4 grid of
+# int64 (4.0 at N=32). On the N^4 grid itself a multi-step Newton solve
+# peaks in the conjugate-gradient operator (16.7 at N=16); ddc with its
+# input at 7.1.
+PEAK_GRIDS = {"newton": 4, "single": 4, "harmonic": 4, "oblique": 5, "identity": 17, "ddc": 8}
 
 
 @pytest.mark.parametrize("case, n", [("newton", 16), ("single", 16), ("harmonic", 16),
-                                     ("single", 32), ("ddc", 32)])
+                                     ("single", 32), ("oblique", 32), ("identity", 16),
+                                     ("ddc", 32)])
 def test_solve_peak_memory_in_grids(case, n):
     # numpy reports its array buffers to tracemalloc, so the peak in grids
     # of N^4 float64 is the same on every machine; the data and its twist
@@ -313,11 +329,18 @@ def test_solve_peak_memory_in_grids(case, n):
         def run():
             return ddc(geom, np.random.default_rng(32).standard_normal(geom.shape))
     else:
-        x = geom.coordinates()
-        a1, a2 = {"newton": (0.1, 0.05), "single": (0.1, 0.0), "harmonic": (0.3, 0.0)}[case]
-        pert = data.perturb_u1(a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2]))
+        if case == "oblique":
+            potential = geom.mode_field((1, 2, 3, 1), 0.3 / (15 * np.pi ** 2))
+        else:
+            x = geom.coordinates()
+            a1, a2 = {"newton": (0.1, 0.05), "single": (0.1, 0.0), "harmonic": (0.3, 0.0),
+                      "identity": (0.1, 0.05)}[case]
+            potential = a1 * np.cos(2 * np.pi * x[0]) + a2 * np.cos(2 * np.pi * x[2])
+        pert = data.perturb_u1(potential)
 
         def run():
+            if case == "identity":
+                return identity_solve(pert, 1e-11)
             return solve_critical_equation(pert, tol=1e-11, stages=1)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -335,5 +358,105 @@ def test_solve_peak_memory_in_grids(case, n):
     else:
         assert out.residual_sup <= 1e-11
         assert out.used_harmonic_start
-        assert out.newton_iterations == {"newton": 4, "single": 0, "harmonic": 0}[case]
+        assert out.newton_iterations == {"newton": 4, "single": 0, "harmonic": 0,
+                                         "oblique": 0, "identity": 4}[case]
     assert peak / (8 * geom.size ** 4) <= PEAK_GRIDS[case]
+
+
+# ---------------------------------------------------------------------------
+# solves on the lattice of the data against the identity basis
+# ---------------------------------------------------------------------------
+
+def identity_solve(data, tol):
+    """The solve on the N^4 grid of the data, with no reduction."""
+    asm = assemble_equation(data)
+    return solve_monge_ampere(data.geom, asm.a0, asm.potential_hat, asm.f, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["torus_dhym", "torus_harmonic", "torus_two_mode",
+                                  "torus_skew"])
+@pytest.mark.parametrize("n", [9, 15, 16])
+def test_reduced_solve_matches_identity_basis(name, n):
+    # axis-aligned lattices with unit bases: the lattice's grid is the
+    # N^4 grid's restriction, so both solves take the same steps
+    data, params = surface_inputs(load_raw(f"configs/{name}.json"), n_override=n)
+    tol = params["tol"]
+    reduced, _ = surface._reduce(data)
+    assert reduced.geom.rank == (2 if name in ("torus_two_mode", "torus_skew") else 1)
+    sol = solve_critical_equation(data, tol=tol)
+    full = identity_solve(data, tol)
+    assert (sol.newton_iterations, sol.cg_iterations) == (full.newton_iterations,
+                                                           full.cg_iterations)
+    assert sol.u.shape == sol.residual.shape == data.geom.shape
+    assert sol.residual_sup <= tol
+    assert float(np.max(np.abs(sol.u - full.u))) <= 10 * tol
+
+
+def interpolate(g, n):
+    """The trigonometric interpolant of the odd reduced grid field g at
+    the points of an n-point grid on each of its axes."""
+    spec = np.fft.fftn(g) / g.size
+    j = np.fft.fftfreq(g.shape[0], d=1.0 / g.shape[0])
+    wave = np.exp(2j * np.pi * np.outer(np.arange(n) / n, j))
+    for axis in range(g.ndim):
+        spec = np.moveaxis(np.tensordot(wave, spec, axes=(1, axis)), 0, axis)
+    return spec.real
+
+
+def twist(geom, terms, coordinates=None):
+    """The sum of the (mode, amplitude, phase) terms on geom, each mode
+    placed on geom's axes by coordinates when given."""
+    v = np.zeros(geom.shape)
+    for mode, amp, phase in terms:
+        v = v + geom.mode_field(list(mode if coordinates is None else coordinates(mode)),
+                                amp, phase)
+    return v
+
+
+def reference_errors(data, terms, tol):
+    """max |u - reference| of the reduced solve and of the identity-basis
+    solve of data, against the reduced N=45 solve interpolated onto the
+    grid of data, whose twist potential is twist(data.geom, terms)."""
+    sol = solve_critical_equation(data, tol=tol)
+    full = identity_solve(data, tol)
+    reduced, index = surface._reduce(data)
+    columns = np.array(reduced.geom.basis).T
+
+    def coordinates(mode):
+        return np.rint(np.linalg.lstsq(columns, np.array(mode), rcond=None)[0]).astype(int)
+
+    fine = TorusGeometry(45, reduced.geom.basis)
+    fine_data = SurfaceChargeData(fine, data.metric, data.rho, data.alpha0, data.u1_const,
+                                  twist(fine, terms, coordinates))
+    ref = interpolate(solve_critical_equation(fine_data, tol=tol).u, data.geom.size)[index]
+    return float(np.max(np.abs(sol.u - ref))), float(np.max(np.abs(full.u - ref)))
+
+
+@pytest.mark.parametrize("n", [9, 15, 16])
+def test_oblique_reduced_solve_is_no_further_from_the_fine_reference(n):
+    # the basis (0, 1, 1, 0), (2, 1, 0, 0) has an entry 2, so the N^4 box
+    # |k_i| < N/2 holds fewer harmonics of the twist than the lattice's grid
+    raw = load_raw("configs/torus_oblique.json")
+    data, params = surface_inputs(raw, n_override=n)
+    terms = [(t["mode"], t["amplitude"], t["phase"]) for t in raw["surface"]["u1_potential"]]
+    err_reduced, err_full = reference_errors(data, terms, params["tol"])
+    assert err_reduced <= max(err_full, 10 * params["tol"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_solve_is_no_further_from_the_fine_reference(seed):
+    # Two or three independent modes with |m_i| <= 3 and ddc strength 1 in
+    # all, as the benchmark's N=16 jobs draw them. The identity basis
+    # resolves |k_i| < 8 and cuts harmonics such as 2 l1 + l2; the
+    # lattice's 16 points per axis resolve |j_a| < 8.
+    rng = random.Random(2701 + seed)
+    while True:
+        modes = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2 + seed % 2)]
+        if np.linalg.matrix_rank(np.array(modes)) == len(modes):
+            break
+    terms = [(m, 1.0 / (np.pi ** 2 * sum(a * a for a in m) * len(modes)),
+              rng.choice(("cos", "sin"))) for m in modes]
+    data = flat_data().perturb_u1(twist(flat_data().geom, terms))
+    tol = 1e-12
+    err_reduced, err_full = reference_errors(data, terms, tol)
+    assert err_reduced <= max(err_full, 10 * tol)

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zcrit.config import load_raw, surface_inputs
 from zcrit.surface import (
@@ -16,6 +19,7 @@ from zcrit.surface import (
     _apply_operator,
     _inner,
     _irfft,
+    _lattice_basis,
     _pcg,
     _precondition_symbol,
     _rfft,
@@ -57,6 +61,28 @@ def test_grid_size_is_odd_or_a_power_of_two():
     # an odd grid's half spectrum has (N + 1)/2 planes and no Nyquist plane
     for n in (7, 9, 15):
         assert TorusGeometry(n).mu2.shape == (1, 1, n, (n + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_identity_basis_builds_the_four_axis_symbols(n):
+    # TorusGeometry(N) holds the symbols of the N^4 grid built axis by
+    # axis, bit for bit: the half-spectrum rule (sigma(j) + conj
+    # sigma(j_neg))/2 leaves the diagonal symbols |mu|^2 as they are there
+    geom = TorusGeometry(n)
+    half = n // 2 + 1
+    m = np.fft.fftfreq(n, d=1.0 / n)
+
+    def mus(v):
+        return (v.reshape(n, 1, 1, 1) + 1j * v.reshape(1, n, 1, 1),
+                v.reshape(1, 1, n, 1) + 1j * v[:half].reshape(1, 1, 1, half))
+
+    mu1, mu2 = mus(m)
+    mu1_neg, mu2_neg = mus(m[-np.arange(n) % n])
+    s, s_neg_conj = np.conj(mu1) * mu2, mu1_neg * np.conj(mu2_neg)
+    for got, want in ((geom.mu1, mu1), (geom.mu2, mu2), (geom.sq1, np.abs(mu1) ** 2),
+                      (geom.sq2, np.abs(mu2) ** 2), (geom.cross_re, (s + s_neg_conj) / 2),
+                      (geom.cross_im, -0.5j * (s - s_neg_conj))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_mode_field_samples():
@@ -126,17 +152,18 @@ def test_potential_recovers_exact_part():
     assert remainder > 0.1
 
 
-# Reference operators on the full complex N^4 spectrum, with fftfreq
-# frequencies on every axis. The solver works on the real-FFT half
-# spectrum and must reproduce these exactly, Nyquist planes included.
+# Reference operators on the full complex spectrum of the grid, with
+# fftfreq frequencies j on every axis and the 4-D frequency k = B j. The
+# solver works on the real-FFT half spectrum and must reproduce these
+# exactly, Nyquist planes included.
 
 
 def ref_mu(geom):
-    n = geom.size
+    n, r = geom.size, geom.rank
     m = np.fft.fftfreq(n, d=1.0 / n)
-    mu1 = m.reshape(n, 1, 1, 1) + 1j * m.reshape(1, n, 1, 1)
-    mu2 = m.reshape(1, 1, n, 1) + 1j * m.reshape(1, 1, 1, n)
-    return mu1, mu2
+    j = [m.reshape([n if a == axis else 1 for a in range(r)]) for axis in range(r)]
+    k = [sum(column[c] * j[axis] for axis, column in enumerate(geom.basis)) for c in range(4)]
+    return k[0] + 1j * k[1], k[2] + 1j * k[3]
 
 
 def ref_ddc(geom, u):
@@ -153,11 +180,11 @@ def ref_potential(geom, a):
     s22 = -np.pi ** 2 * np.abs(mu2) ** 2
     s12 = -np.pi ** 2 * np.conj(mu1) * mu2
     denom = s11 ** 2 + s22 ** 2 + 2 * np.abs(s12) ** 2
-    denom[0, 0, 0, 0] = 1.0
+    denom.flat[0] = 1.0
     wh = (s11 * np.fft.fftn(a.a11 - np.mean(a.a11))
           + s22 * np.fft.fftn(a.a22 - np.mean(a.a22))
           + 2 * np.conj(s12) * np.fft.fftn(a.a12 - np.mean(a.a12))) / denom
-    wh[0, 0, 0, 0] = 0.0
+    wh.flat[0] = 0.0
     return np.fft.ifftn(wh).real
 
 
@@ -166,9 +193,9 @@ def ref_precondition(geom, mbar, r):
     sym = 8 * np.pi ** 2 * (mbar[0, 0].real * np.abs(mu2) ** 2
                             + mbar[1, 1].real * np.abs(mu1) ** 2
                             - 2 * (mbar[0, 1] * mu1 * np.conj(mu2)).real)
-    sym[0, 0, 0, 0] = 1.0
+    sym.flat[0] = 1.0
     zh = np.fft.fftn(r) / sym
-    zh[0, 0, 0, 0] = 0.0
+    zh.flat[0] = 0.0
     return np.fft.ifftn(zh).real
 
 
@@ -180,8 +207,18 @@ def assert_rel_close(new, ref, rel=1e-12):
 def test_real_fft_operators_match_complex_reference(n):
     # white noise fills the Nyquist planes, where conj(mu1) mu2 is not
     # even under k -> -k
-    geom = TorusGeometry(n)
-    rng = np.random.default_rng(n)
+    check_real_fft_operators(TorusGeometry(n), np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_real_fft_operators_match_complex_reference_on_a_lattice(n):
+    # with an entry 2 in B, |mu(B j)|^2 is not even under j -> j_neg on
+    # the Nyquist planes of an even grid either
+    basis = ((0, 1, 1, 0), (2, 1, 0, 0), (1, -1, 0, 2))
+    check_real_fft_operators(TorusGeometry(n, basis), np.random.default_rng(n))
+
+
+def check_real_fft_operators(geom, rng):
     u = rng.standard_normal(geom.shape)
     new, ref = ddc(geom, u), ref_ddc(geom, u)
     for a, b in ((new.a11, ref.a11), (new.a12, ref.a12), (new.a22, ref.a22)):
@@ -211,10 +248,11 @@ def test_real_fft_operators_match_complex_reference(n):
     assert np.array_equal(delta_hat, kept)
 
     # the in-place transforms run numpy's passes in numpy's order
-    spec = np.fft.rfftn(u, axes=(0, 1, 2, 3))
+    axes = tuple(range(geom.rank))
+    spec = np.fft.rfftn(u, axes=axes)
     assert np.array_equal(_rfft(u), spec)
     assert np.array_equal(_irfft(geom, spec.copy()),
-                          np.fft.irfftn(spec, s=geom.shape, axes=(0, 1, 2, 3)))
+                          np.fft.irfftn(spec, s=geom.shape, axes=axes))
 
 
 def mean_zero(a):
@@ -224,7 +262,7 @@ def mean_zero(a):
 def ref_apply_preconditioner(geom, symbol, r):
     """The preconditioner on a real grid: a division of its half spectrum."""
     zh = _rfft(r) / symbol
-    zh[0, 0, 0, 0] = 0.0
+    zh.flat[0] = 0.0
     return _irfft(geom, zh)
 
 
@@ -357,13 +395,13 @@ def test_parseval_inner_product_matches_grid_sum(n):
         assert np.max(np.abs(a_hat[..., plane])) > 0
     for x, y, x_hat, y_hat in ((a, b, a_hat, b_hat), (a, a, a_hat, a_hat)):
         want = float(np.sum(x * y))
-        assert _inner(x_hat, y_hat) == pytest.approx(want, rel=1e-12)
+        assert _inner(geom, x_hat, y_hat) == pytest.approx(want, rel=1e-12)
     # fields living on the two planes alone, and off them alone
     for keep in (np.s_[..., 1:-1], np.s_[..., [0, -1]]):
         c_hat = a_hat.copy()
         c_hat[keep] = 0.0
         c = _irfft(geom, c_hat.copy())
-        assert _inner(c_hat, b_hat) == pytest.approx(float(np.sum(c * b)), rel=1e-12)
+        assert _inner(geom, c_hat, b_hat) == pytest.approx(float(np.sum(c * b)), rel=1e-12)
 
 
 def ref_constant(geom, a11, a12, a22):
@@ -687,3 +725,76 @@ def test_field_dump_round_trip(tmp_path):
         assert np.array_equal(fields["u"], u)
         assert np.array_equal(fields["a12"], w)
         assert fields["a12"].dtype == np.complex128
+
+
+# ---------------------------------------------------------------------------
+# the lattice of the data, against a Fraction elimination
+# ---------------------------------------------------------------------------
+
+
+def frac_det(rows):
+    """Determinant of a square matrix by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def frac_solve(columns, k):
+    """The rational x with sum_a x_a columns[a] = k, or None."""
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(k[i])] for i in range(4)]
+    r = 0
+    for c in range(len(columns)):
+        pivot = next(i for i in range(r, 4) if rows[i][c])     # the columns are independent
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(4):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(row[-1] for row in rows[r:]):
+        return None
+    return [rows[i][-1] for i in range(r)]
+
+
+def frac_rank(vectors):
+    return max((size for size in range(1, 5)
+                for rows in itertools.combinations(range(4), size)
+                for cols in itertools.combinations(vectors, size)
+                if frac_det([[v[i] for v in cols] for i in rows])), default=0)
+
+
+def lattice_gram_det(vectors, rank):
+    """det(B^T B) for a basis B of the lattice the vectors generate: by
+    Cauchy-Binet, the sum over row sets of the squared minors of B, and
+    each is the gcd of the minors of the vectors on those rows."""
+    total = 0
+    for rows in itertools.combinations(range(4), rank):
+        minors = [int(frac_det([[v[i] for v in cols] for i in rows]))
+                  for cols in itertools.combinations(vectors, rank)]
+        total += math.gcd(*minors) ** 2
+    return total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_lattice_basis_against_fraction_elimination(modes):
+    basis = _lattice_basis(modes)
+    nonzero = [m for m in modes if any(m)]
+    rank = frac_rank(nonzero)
+    assert len(basis) == rank
+    for mode in nonzero:
+        coords = frac_solve(basis, mode)
+        assert coords is not None and all(c.denominator == 1 for c in coords), (basis, mode)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    assert frac_det(gram) == (lattice_gram_det(nonzero, rank) if rank else 1)
