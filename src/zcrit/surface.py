@@ -24,12 +24,15 @@ r axes, so it resolves |j_a| < N/2 whatever the entries of B, where
 the N^4 grid of the identity basis resolves |k_i| < N/2.
 solve_critical_equation finds Lambda from the half spectra of
 u1_potential and u2 (_reduce): a mode is in the support when its
-coefficient exceeds ROUNDOFF_FLOOR eps times the largest one. B is made
+coefficient exceeds ROUNDOFF_FLOOR eps times the largest one, and only
+the last-axis columns that can hold such a mode are transformed
+(_support). B is made
 of support modes, the shortest linearly independent ones, when their
 Hermite normal form is that of the whole support (Cohen 1993, section
 2.4), so that every support mode has small integer coordinates j, and
 is that normal form's rows otherwise. The solve runs on the r-torus,
-and u and the residual are gathered back as u4[i] = g[B^T i mod N]. The
+and u and the residual are gathered back as u4[i] = g[B^T i mod N], one
+slab (first grid index) at a time through an index of N^3 points. The
 identity basis is kept for data of rank 4 or without support modes,
 with a support mode on a 4-D Nyquist plane or some 2 |j_a| >= N, and
 when the reduced data gathered back miss their input by more than
@@ -165,18 +168,20 @@ and holds the trial psi, the trial m and its residual instead. On the
 N^4 grid, the tracemalloc peak of a multi-step Newton solve at N=16 is
 about 16.7 grids, in the conjugate-gradient operator; ddc takes 6.1
 beside its input. A solve on the lattice of its data holds, beside
-its reduced grids, the spectrum of the twist potential while it finds
-the lattice and then the gathered outputs: solve_critical_equation
+its reduced grids, the last-axis rfft of the twist potential while it
+finds the lattice and then the gathered outputs: solve_critical_equation
 peaks at about 3.0 grids of N^4 at N=16 and N=32, in u, the residual
-and the phase residual, where it took 6.2 at N=32 on the N^4 grid. A
-basis column with every entry nonzero adds its gather index, an N^4
-grid of int64 (4.0 grids at N=32 for the single mode (1, 2, 3, 1)).
+and the phase residual, where it took 6.2 at N=32 on the N^4 grid. The
+gather and its check build no N^4 index or difference, so a basis
+column with every entry nonzero costs no more (3.0 grids at N=32 for
+the single mode (1, 2, 3, 1), against 4.0 with an N^4 int64 index).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1025,41 +1030,85 @@ def _lattice_basis(modes: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
     return tuple(tuple(row) for row in hermite)
 
 
-def _reduce(
-    data: SurfaceChargeData,
-) -> Optional[Tuple[SurfaceChargeData, Tuple[np.ndarray, ...]]]:
-    """The data as fields of B^T x on the lattice their modes generate,
-    and the index arrays that gather a reduced field onto the N^4 grid;
+def _column_spectrum(half: np.ndarray, c: int) -> np.ndarray:
+    """Column c of the rfftn spectrum of a grid whose last-axis rfft is
+    half: half[..., c] transformed on axes 2, 1, 0, bit for bit _rfft's."""
+    spec = half[..., c].copy()
+    for axis in (2, 1, 0):
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
+
+
+def _support(grid: np.ndarray) -> Tuple[complex, np.ndarray, np.ndarray]:
+    """The mean coefficient of the rfftn spectrum of a real N^4 grid,
+    and the frequencies k (rows) and coefficients of its other support
+    modes: those whose coefficient exceeds ROUNDOFF_FLOOR * eps times
+    the largest one, in the order of np.nonzero on the whole spectrum.
+
+    The transform is pruned to the columns that can hold a support mode
+    (Markel, IEEE Trans. Audio Electroacoust. 19, 1971). With Y the rfft
+    of the grid on its last axis, the triangle inequality bounds every
+    coefficient of column c (k_4 = c) by U_c = sum |Y[..., c]|. Columns
+    are transformed in decreasing order of U_c until U_c is at most half
+    the threshold of the largest coefficient found so far. The largest
+    coefficient M of the whole spectrum is no smaller, so every column
+    left holds coefficients below ROUNDOFF_FLOOR * eps * M: no support
+    mode, and not M itself. The half covers the roundoff of U_c and of
+    the transform for a coefficient at the threshold. Column 0, which
+    holds the mean, is always transformed. An l2 (Parseval) bound does
+    not prune: its lower bound on M is loose by N^{3/2}.
+    """
+    n = grid.shape[0]
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps
+    half = np.fft.rfft(grid, axis=-1)
+    # one leading axis at a time, which numpy sums as long contiguous
+    # adds, three times faster than axis=(0, 1, 2)
+    bound = np.abs(half).sum(axis=0).sum(axis=0).sum(axis=0)
+    columns: Dict[int, np.ndarray] = {}
+    top = 0.0
+    for c in np.argsort(-bound, kind="stable").tolist():
+        if bound[c] <= floor * top / 2:
+            break
+        columns[c] = _column_spectrum(half, c)
+        top = max(top, float(np.abs(columns[c]).max()))
+    if 0 not in columns:
+        columns[0] = _column_spectrum(half, 0)
+    kept = sorted(columns)
+    spec = np.stack([columns[c] for c in kept], axis=-1)
+    size = np.abs(spec)
+    index = np.nonzero(size > floor * size.max())
+    freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    k = np.stack([freq[i] for i in index[:3]] + [np.array(kept)[index[3]]], axis=1)
+    keep = k.any(axis=1)                # the mean mode is no mode of the lattice
+    return spec.flat[0], k[keep], spec[index][keep]
+
+
+def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
+    """The data as fields of B^T x on the lattice their modes generate;
     None when the data are solved as they are given.
 
-    A mode of u1_potential or u2 is in the support when its coefficient
-    exceeds ROUNDOFF_FLOOR * eps times the largest one. None is returned
-    for data on a reduced geometry already, data without support modes,
-    with a support mode on a Nyquist plane, of rank 4, with a support
-    mode j outside |j_a| < N/2, or when a reduced field gathered back
-    misses its input by more than ROUNDOFF_FLOOR * eps * max(1, sup
-    |input|).
+    The support of u1_potential and u2 comes from a transform pruned to
+    the last-axis columns whose triangle-inequality bound reaches the
+    support threshold, and it is the whole transform's (_support). None
+    is returned for data on a reduced geometry already, data without
+    support modes, with a support mode on a Nyquist plane, of rank 4,
+    with a support mode j outside |j_a| < N/2, or when a reduced field
+    gathered back misses its input by more than ROUNDOFF_FLOOR * eps *
+    max(1, sup |input|), a check made one N^3 slab at a time
+    (_gather_miss).
     """
     geom = data.geom
     n = geom.size
     if geom.basis != IDENTITY_BASIS:
         return None
-    eps = np.finfo(float).eps
-    freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    floor = ROUNDOFF_FLOOR * np.finfo(float).eps
     fields = []             # (grid, mean, support frequencies, coefficients)
     for grid in (data.u1_potential, data.u2):
         if grid is None:
             fields.append(None)
             continue
         grid = np.broadcast_to(np.asarray(grid, dtype=float), geom.shape)
-        spec = _rfft(grid)
-        size = np.abs(spec)
-        index = np.nonzero(size > ROUNDOFF_FLOOR * eps * size.max())
-        del size
-        k = np.stack([freq[i] for i in index[:3]] + [index[3]], axis=1)
-        keep = k.any(axis=1)            # the mean mode is no mode of the lattice
-        fields.append((grid, spec.flat[0], k[keep], spec[index][keep]))
-        del spec
+        fields.append((grid, *_support(grid)))
     supports = [f[2] for f in fields if f is not None]
     modes = np.concatenate(supports) if supports else np.zeros((0, 4), np.int64)
     if (not len(modes) or (n % 2 == 0 and (2 * np.abs(modes) == n).any())
@@ -1072,11 +1121,6 @@ def _reduce(
     # numpy's coefficient of a mode on N^r points is N^r times its
     # amplitude; mode j stands for k = B j, and -j for -k
     scale = float(n) ** (rgeom.rank - 4)
-    arange = np.arange(n)
-    gather_index = tuple(
-        sum(entry * arange.reshape([n if a == c else 1 for a in range(4)])
-            for c, entry in enumerate(column) if entry) % n
-        for column in basis)
     reduced = []
     for f in fields:
         if f is None:
@@ -1092,20 +1136,59 @@ def _reduce(
             half = jj[:, -1] >= 0
             spec[tuple((jj[half] % n).T)] = c[half] * scale
         g = _irfft(rgeom, spec)
-        miss = g[gather_index] - grid
-        if _sup(miss) > ROUNDOFF_FLOOR * eps * max(1.0, _sup(grid)):
+        # miss > floor * max(1, sup |grid|), with sup |grid| taken only
+        # when miss exceeds floor; floor * 1 is exact and rounding is
+        # monotone, so the decision is the same bit for bit
+        miss = _gather_miss(g, basis, grid)
+        if miss > floor and miss > floor * _sup(grid):
             return None
         reduced.append(g)
-    rdata = SurfaceChargeData(rgeom, data.metric, data.rho, data.alpha0, data.u1_const,
-                              *reduced)
-    return rdata, gather_index
+    return SurfaceChargeData(rgeom, data.metric, data.rho, data.alpha0, data.u1_const,
+                             *reduced)
 
 
-def _gather(g: np.ndarray, index: Tuple[np.ndarray, ...], shape: Tuple[int, ...]) -> np.ndarray:
-    """The N^4 grid field x -> g(B^T x) of a reduced grid field g."""
-    out = np.empty(shape)
-    out[...] = g[index]
+def _slabs(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
+           outs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The N^4 grid field x -> g(B^T x) of a reduced field g, one slab
+    (first grid index i) at a time, each written into the next N^3 grid
+    of outs (the slabs of an N^4 grid, or one buffer N times) and
+    yielded.
+
+    Slab i is g rolled by -i B_1, where B_1 holds the x1 entries of the
+    basis columns, taken at one flat index of N^3 points: the other
+    three entries of B^T x, each mod N. No N^4 index is built.
+    """
+    n, rank = g.shape[0], g.ndim
+    points = np.arange(n)
+    flat = np.zeros((n,) * 3, dtype=np.intp)
+    for a, column in enumerate(basis):
+        part = sum(entry * points.reshape([n if b == c else 1 for b in range(3)])
+                   for c, entry in enumerate(column[1:]) if entry)
+        flat += part % n * n ** (rank - 1 - a)
+    for i, out in zip(range(n), outs):
+        shift = [-i * column[0] % n for column in basis]
+        source = np.roll(g, shift, axis=tuple(range(rank))) if any(shift) else g
+        yield np.take(source, flat, out=out, mode="wrap")
+
+
+def _gather(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+    """The N^4 grid field x -> g(B^T x) of a reduced field g."""
+    out = np.empty((g.shape[0],) * 4)
+    for _ in _slabs(g, basis, out):
+        pass
     return out
+
+
+def _gather_miss(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
+                 grid: np.ndarray) -> float:
+    """sup |g(B^T x) - grid| on the N^4 grid, bit for bit _sup of the
+    difference (max and min are exact), from one N^3 slab at a time."""
+    n = g.shape[0]
+    extremes = np.empty((n, 2))
+    for i, slab in enumerate(_slabs(g, basis, itertools.repeat(np.empty((n,) * 3)))):
+        miss = np.subtract(slab, grid[i], out=slab)
+        extremes[i] = miss.max(), -miss.min()
+    return float(abs(extremes.max()))
 
 
 def solve_critical_equation(
@@ -1129,12 +1212,12 @@ def solve_critical_equation(
             f"stages={stages!r}: only 1 is accepted, the solver runs one Newton solve"
         )
     reduced = _reduce(data)
-    solved = reduced[0] if reduced else data
+    solved = data if reduced is None else reduced
     asm = assemble_equation(solved)
     ma = solve_monge_ampere(solved.geom, asm.a0, asm.potential_hat, asm.f, tol=tol)
-    if reduced:
-        ma.u = _gather(ma.u, reduced[1], data.geom.shape)
-        ma.residual = _gather(ma.residual, reduced[1], data.geom.shape)
+    if reduced is not None:
+        ma.u = _gather(ma.u, solved.geom.basis)
+        ma.residual = _gather(ma.residual, solved.geom.basis)
         ma.residual_sup = _sup(ma.residual)
     return SurfaceSolution(**vars(ma), phi=asm.phi)
 

@@ -139,9 +139,11 @@ def test_transform_budget_of_the_spectral_solve(monkeypatch):
     # Newton right side costs one forward transform, a CG iteration one
     # forward and four inverse, a line-search trial four inverse, and u
     # is transformed back once; the Hessian of the twist potential adds
-    # one forward and four inverse, and finding its lattice one forward
-    # transform of N^4 points and one inverse, of the reduced potential
-    counts = {"forward": 0, "inverse": 0, "hessian": 0}
+    # one forward and four inverse, and finding its lattice one inverse,
+    # of the reduced potential. The support search transforms only the
+    # last-axis columns that can hold a mode, each of N^3 points: both
+    # modes have k_4 = 0, so that is column 0 alone
+    counts = {"forward": 0, "inverse": 0, "hessian": 0, "column": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -151,14 +153,17 @@ def test_transform_budget_of_the_spectral_solve(monkeypatch):
 
     monkeypatch.setattr(surface, "_rfft", counted("forward", surface._rfft))
     monkeypatch.setattr(surface, "_irfft", counted("inverse", surface._irfft))
+    monkeypatch.setattr(surface, "_column_spectrum",
+                        counted("column", surface._column_spectrum))
     monkeypatch.setattr(surface, "_spectral_hessian",
                         counted("hessian", surface._spectral_hessian))
     sol = solve_critical_equation(two_mode_data(), tol=1e-11, stages=1)
     trials = counts["hessian"] - 1
     newton, cg = sol.newton_iterations, sol.cg_iterations
     assert (newton, cg, trials) == (4, 18, 4)
-    assert counts["forward"] == 2 + newton + cg == 24
+    assert counts["forward"] == 1 + newton + cg == 23
     assert counts["inverse"] == 4 * (1 + cg + trials) + 2 == 94
+    assert counts["column"] == 1
 
 
 def test_residual_agrees_with_fresh_evaluation():
@@ -246,13 +251,13 @@ def test_direct_interface_matches_wrapper():
     assert np.allclose(ma.u, wrapped.u, atol=1e-11)
     assert ma.residual_sup == pytest.approx(wrapped.residual_sup,
                                             rel=1e-6, abs=1e-13)
-    reduced, index = surface._reduce(pert)
+    reduced = surface._reduce(pert)
     assert reduced.geom.basis == ((0, 0, 1, 0),)
     asm = assemble_equation(reduced)
     ma = solve_monge_ampere(reduced.geom, asm.a0, asm.potential_hat, asm.f, tol=1e-9)
-    assert np.array_equal(surface._gather(ma.residual, index, data.geom.shape),
+    assert np.array_equal(surface._gather(ma.residual, reduced.geom.basis),
                           wrapped.residual)
-    assert np.array_equal(surface._gather(ma.u, index, data.geom.shape), wrapped.u)
+    assert np.array_equal(surface._gather(ma.u, reduced.geom.basis), wrapped.u)
 
 
 def test_solves_leave_no_state_on_the_data():
@@ -305,14 +310,14 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
 
 
 # tracemalloc peaks in grids, rounded up. A solve on the lattice of its
-# data peaks at its N^4 outputs, u, the residual and the phase residual,
-# beside the spectrum of the twist potential that finds the lattice
-# (3.0 grids, at N=16 and N=32; 6.2 at N=32 before the reduction). A
-# mode with every entry nonzero makes the gather index an N^4 grid of
-# int64 (4.0 at N=32). On the N^4 grid itself a multi-step Newton solve
+# data peaks at its N^4 outputs, u, the residual and the phase residual
+# (3.0 grids, at N=16 and N=32; 6.2 at N=32 before the reduction). The
+# gather builds N^3 indices only, so a mode with every entry nonzero
+# costs no more (3.0 at N=32, against 4.0 with an N^4 int64 gather
+# index). On the N^4 grid itself a multi-step Newton solve
 # peaks in the conjugate-gradient operator (16.7 at N=16); ddc with its
 # input at 7.1.
-PEAK_GRIDS = {"newton": 4, "single": 4, "harmonic": 4, "oblique": 5, "identity": 17, "ddc": 8}
+PEAK_GRIDS = {"newton": 4, "single": 4, "harmonic": 4, "oblique": 4, "identity": 17, "ddc": 8}
 
 
 @pytest.mark.parametrize("case, n", [("newton", 16), ("single", 16), ("harmonic", 16),
@@ -381,7 +386,7 @@ def test_reduced_solve_matches_identity_basis(name, n):
     # N^4 grid's restriction, so both solves take the same steps
     data, params = surface_inputs(load_raw(f"configs/{name}.json"), n_override=n)
     tol = params["tol"]
-    reduced, _ = surface._reduce(data)
+    reduced = surface._reduce(data)
     assert reduced.geom.rank == (2 if name in ("torus_two_mode", "torus_skew") else 1)
     sol = solve_critical_equation(data, tol=tol)
     full = identity_solve(data, tol)
@@ -390,6 +395,26 @@ def test_reduced_solve_matches_identity_basis(name, n):
     assert sol.u.shape == sol.residual.shape == data.geom.shape
     assert sol.residual_sup <= tol
     assert float(np.max(np.abs(sol.u - full.u))) <= 10 * tol
+
+
+@pytest.mark.parametrize("amp, noise, kept", [
+    (0.05, 4e-16, True),     # misses by 0.5 floor: under floor * 1, over floor * sup
+    (0.05, 2e-15, False),    # misses by 2.5 floor
+    (4.0, 1.5e-13, False),   # misses by 45 floor * sup |input|
+    (1e3, 2e-13, True),      # misses by 320 floor, but 0.3 floor * sup |input|
+])
+def test_gather_check_against_noise_below_the_support_threshold(amp, noise, kept):
+    # white noise with coefficients below the support threshold (at most
+    # 0.3 of it) leaves the support one mode, and the reduced potential
+    # misses its input by the noise: the lattice is kept only when the
+    # miss is within ROUNDOFF_FLOOR eps max(1, sup |input|)
+    geom = TorusGeometry(16)
+    grid = (geom.mode_field([1, 0, 0, 0], amp)
+            + noise * np.random.default_rng(0).standard_normal(geom.shape))
+    reduced = surface._reduce(flat_data().perturb_u1(grid))
+    assert (reduced is not None) == kept
+    if kept:
+        assert reduced.geom.basis == ((1, 0, 0, 0),)
 
 
 def interpolate(g, n):
@@ -419,7 +444,7 @@ def reference_errors(data, terms, tol):
     grid of data, whose twist potential is twist(data.geom, terms)."""
     sol = solve_critical_equation(data, tol=tol)
     full = identity_solve(data, tol)
-    reduced, index = surface._reduce(data)
+    reduced = surface._reduce(data)
     columns = np.array(reduced.geom.basis).T
 
     def coordinates(mode):
@@ -428,7 +453,8 @@ def reference_errors(data, terms, tol):
     fine = TorusGeometry(45, reduced.geom.basis)
     fine_data = SurfaceChargeData(fine, data.metric, data.rho, data.alpha0, data.u1_const,
                                   twist(fine, terms, coordinates))
-    ref = interpolate(solve_critical_equation(fine_data, tol=tol).u, data.geom.size)[index]
+    ref = surface._gather(interpolate(solve_critical_equation(fine_data, tol=tol).u,
+                                      data.geom.size), reduced.geom.basis)
     return float(np.max(np.abs(sol.u - ref))), float(np.max(np.abs(full.u - ref)))
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zcrit.config import load_raw, surface_inputs
 from zcrit.surface import (
     DHYM_RHO,
+    ROUNDOFF_FLOOR,
     ClassObstructionError,
     FormField,
     SurfaceChargeData,
@@ -17,6 +18,8 @@ from zcrit.surface import (
     TorusGeometry,
     NumericalFailureError,
     _apply_operator,
+    _gather,
+    _gather_miss,
     _inner,
     _irfft,
     _lattice_basis,
@@ -24,6 +27,8 @@ from zcrit.surface import (
     _precondition_symbol,
     _rfft,
     _spectral_hessian,
+    _sup,
+    _support,
     assemble_equation,
     ddc,
     potential_from_form,
@@ -798,3 +803,73 @@ def test_lattice_basis_against_fraction_elimination(modes):
         assert coords is not None and all(c.denominator == 1 for c in coords), (basis, mode)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     assert frac_det(gram) == (lattice_gram_det(nonzero, rank) if rank else 1)
+
+
+# ---------------------------------------------------------------------------
+# the pruned support search and the slab gather, against whole-grid rules
+# ---------------------------------------------------------------------------
+
+
+def full_support(grid):
+    """The support rule on the whole rfftn spectrum of an N^4 grid: its
+    mean coefficient, the frequencies and coefficients of its other modes
+    above ROUNDOFF_FLOOR eps times the largest, and the largest."""
+    n = grid.shape[0]
+    spec = _rfft(grid)
+    size = np.abs(spec)
+    index = np.nonzero(size > ROUNDOFF_FLOOR * np.finfo(float).eps * size.max())
+    freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    k = np.stack([freq[i] for i in index[:3]] + [index[3]], axis=1)
+    keep = k.any(axis=1)
+    return spec.flat[0], k[keep], spec[index][keep], size.max()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([7, 8, 9, 16]), st.sampled_from(["modes", "noise", "zero"]),
+       st.data())
+def test_pruned_support_search_against_the_full_transform(n, kind, data):
+    # modes of amplitude down to below the threshold (16 eps, 10^-14.45
+    # of the largest), white noise, whose every column is transformed,
+    # and the zero grid, which has no support and keeps only column 0
+    geom = TorusGeometry(n)
+    grid = np.zeros(geom.shape)
+    if kind == "modes":
+        limit = (n - 1) // 2
+        for _ in range(data.draw(st.integers(1, 6))):
+            mode = data.draw(st.lists(st.integers(-limit, limit), min_size=4, max_size=4))
+            amp = 10.0 ** data.draw(st.floats(-15.5, 0.0))
+            grid = grid + geom.mode_field(mode, amp, data.draw(st.sampled_from(["cos", "sin"])))
+    elif kind == "noise":
+        grid = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+            geom.shape)
+    mean, k, coef = _support(grid)
+    ref_mean, ref_k, ref_coef, top = full_support(grid)
+    assert mean == ref_mean
+    assert np.array_equal(k, ref_k)
+    assert np.max(np.abs(coef - ref_coef), initial=0.0) <= 4 * np.finfo(float).eps * top
+
+
+def index_gather(g, basis):
+    """g[B^T i mod N] on the N^4 grid, through the whole N^4 index."""
+    n = g.shape[0]
+    j = np.array(basis) @ np.indices((n,) * 4).reshape(4, -1) % n
+    return g[tuple(j)].reshape((n,) * 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([7, 8, 9, 16]),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+@example(16, [[0, 1, 1, 0]], 0)                     # x1 entry zero: no roll
+@example(16, [[0, 1, 1, 0], [2, 1, 0, 0]], 1)       # the torus_oblique basis
+@example(9, [[1, 2, 3, 1], [0, 0, 0, 1], [-3, 0, 2, 0]], 2)
+def test_slab_gather_against_the_index_gather(n, basis, seed):
+    rng = np.random.default_rng(seed)
+    basis = tuple(tuple(column) for column in basis)
+    g = rng.standard_normal((n,) * len(basis))
+    ref = index_gather(g, basis)
+    assert np.array_equal(_gather(g, basis), ref)
+    # the gather check's sup, against a dense and a broadcast input
+    for grid in (ref + 1e-3 * rng.standard_normal(ref.shape),
+                 np.broadcast_to(rng.standard_normal((n, 1, 1, n)), ref.shape)):
+        assert _gather_miss(g, basis, grid) == _sup(ref - grid)
