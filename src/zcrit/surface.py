@@ -32,7 +32,8 @@ Hermite normal form is that of the whole support (Cohen 1993, section
 2.4), so that every support mode has small integer coordinates j, and
 is that normal form's rows otherwise. The solve runs on the r-torus,
 and u and the residual are gathered back as u4[i] = g[B^T i mod N], one
-slab (first grid index) at a time through an index of N^3 points. The
+block of slabs (first grid index) at a time, from a copy of g tiled
+twice along each axis through an index of N^3 points per slab. The
 identity basis is kept for data of rank 4 or without support modes,
 with a support mode on a 4-D Nyquist plane or some 2 |j_a| >= N, and
 when the reduced data gathered back miss their input by more than
@@ -142,21 +143,34 @@ output), a line-search trial four inverse transforms, and a Newton
 right side one forward transform; u = psi - phi_U is transformed back
 once, at the end of a solve.
 
+The four inverse transforms of a Hessian or of the operator are one
+batch in the sense of FFTW's "howmany" (Frigo and Johnson, Proc. IEEE
+93, 2005): their products with the half spectrum are stacked
+k = min(4, BLOCK / size of the half spectrum) at a time, and a stack
+is inverted by one numpy call per axis, each grid bit for bit its lone
+transform. With BLOCK = 2^16 elements all four parts go in one stack
+at rank <= 3 and N=16, three then one at rank 3 and N=32, and one at
+a time on the N^4 grid at N >= 16, so the N^4 grid keeps its memory.
+On the lattice grids at N=16 a conjugate-gradient iteration thus makes
+one inverse and one forward transform call, and a line-search trial
+one inverse.
+
 Memory is counted in grids of N^r float64 (a complex grid is two, a
 half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
 numpy's rfftn and irfftn in the same order, bit for bit, but the
 complex passes work in place (numpy >= 2.0): _rfft allocates one half
 spectrum, and _irfft overwrites the spectrum it is given, a product
-buffer its caller reuses, and writes the grid where its caller says,
-the strided real or imaginary part of a complex grid included. ddc
-builds its four grids from one such buffer, and _apply_operator sums
-its four inverse transforms into one grid through one scratch grid,
-never forming ddc(delta). Pointwise formulas that would take several
-temporary grids run one slab (first grid index) at a time, with the
-same numpy operations in the same order, so they are bit for bit the
-whole-grid formulas: f = wedge(beta, beta)/4 - gamma, written over the
-a11 grid of the twist, so beta and gamma never exist as grids, and the
-preconditioner's symbol. m_base is never built: a0 is held as scalars
+buffer its caller reuses, and writes the grid where its caller says.
+ddc builds its four grids from one stack of k such buffers, and
+_apply_operator sums its four inverse transforms into one grid through
+one block of k scratch grids, never forming ddc(delta). Pointwise
+formulas that would take several temporary grids run one block of
+first-axis rows at a time, as many rows as BLOCK elements hold and at
+least one, with the same numpy operations in the same order, so they
+are bit for bit the whole-grid formulas: f = wedge(beta, beta)/4 -
+gamma, written over the a11 grid of the twist, so beta and gamma never
+exist as N^4 grids, and the preconditioner's symbol. A lattice grid at
+N=16 is one block. m_base is never built: a0 is held as scalars
 and phi_U as its half spectrum. square_density takes one output and one
 scratch grid, and sup norms are max(max x, -min x), with no |x| copy.
 A solve holds f, the spectra of psi and phi_U, m (scalars at the start,
@@ -167,11 +181,16 @@ conjugate-gradient vectors; its line search drops m and the residual
 and holds the trial psi, the trial m and its residual instead. On the
 N^4 grid, the tracemalloc peak of a multi-step Newton solve at N=16 is
 about 16.7 grids, in the conjugate-gradient operator; ddc takes 6.1
-beside its input. A solve on the lattice of its data holds, beside
-its reduced grids, the last-axis rfft of the twist potential while it
-finds the lattice and then the gathered outputs: solve_critical_equation
-peaks at about 3.0 grids of N^4 at N=16 and N=32, in u, the residual
-and the phase residual, where it took 6.2 at N=32 on the N^4 grid. The
+beside its input at N=32. Both are the same with stacked parts, since
+an N^4 grid at N >= 16 inverts them one at a time; a stack of more
+than one part adds at most about 2 MB, BLOCK complex products and
+their grids (the N=8 solve on the N^4 grid peaks at 30.6 grids of
+8^4, 1 MB, against 18.8 one part at a time). A solve on the lattice of
+its data holds, beside its reduced grids, the last-axis rfft of the
+twist potential while it finds the lattice and then the gathered
+outputs: solve_critical_equation peaks at about 3.1 grids of N^4 at
+N=16 and 3.0 at N=32, in u, the residual and the phase residual, where
+it took 6.2 at N=32 on the N^4 grid. The
 gather and its check build no N^4 index or difference, so a basis
 column with every entry nonzero costs no more (3.0 grids at N=32 for
 the single mode (1, 2, 3, 1), against 4.0 with an N^4 int64 index).
@@ -179,9 +198,8 @@ the single mode (1, 2, 3, 1), against 4.0 with an N^4 int64 index).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,10 +223,50 @@ def _irfft(
     geom: "TorusGeometry", spec: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Real grid field of a half spectrum, as irfftn; overwrites spec, and
-    is written to out (a grid, which may be strided) when given."""
-    for axis in range(spec.ndim - 1):
+    is written to out when given.
+
+    A stack of half spectra on leading axes gives the stack of their
+    grids, one numpy call per axis. pocketfft transforms each line of a
+    call on its own, so every grid of a stack is bit for bit its lone
+    transform."""
+    for axis in range(spec.ndim - geom.rank, spec.ndim - 1):
         np.fft.ifft(spec, axis=axis, out=spec)
     return np.fft.irfft(spec, n=geom.size, axis=-1, out=out)
+
+
+# elements of the arrays that one numpy call of a batched loop works on:
+# stacks of Hessian parts and blocks of first-axis rows are sized by it,
+# so a small grid goes in one call and an N^4 grid keeps its memory
+BLOCK = 2 ** 16
+
+
+def _per_block(size: int) -> int:
+    """How many items of size elements one block holds, at least one."""
+    return max(1, BLOCK // size)
+
+
+def _inverse_parts(
+    geom: "TorusGeometry", spec: np.ndarray,
+    parts: Sequence[Tuple[np.ndarray, Optional[float]]], grids: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """Yield irfft(symbol * spec), the product also times scale when
+    scale is not None, for the (symbol, scale) pairs of parts in order;
+    spec is left as it was.
+
+    The products go k = min(len(parts), _per_block(spec.size)) at a time
+    into one (k, *half) stack, inverted by one _irfft call. Each stack's
+    grids are written to grids, a (k, *shape) block reused from stack to
+    stack, or to a new block when grids is None.
+    """
+    k = min(len(parts), _per_block(spec.size))
+    stack = np.empty((k,) + spec.shape, dtype=complex)
+    for start in range(0, len(parts), k):
+        block = stack[:len(parts) - start]
+        for buf, (symbol, scale) in zip(block, parts[start:]):
+            np.multiply(symbol, spec, out=buf)
+            if scale is not None:
+                buf *= scale
+        yield from _irfft(geom, block, None if grids is None else grids[:len(block)])
 
 
 # the columns of B for the 4-D grid: x1, y1, x2, y2
@@ -368,36 +426,27 @@ def ddc(geom: TorusGeometry, u: np.ndarray) -> FormField:
 def _spectral_hessian(
     geom: TorusGeometry, spec: np.ndarray, base: Optional[FormField] = None
 ) -> FormField:
-    """base + ddc of the real field with half spectrum spec, from four
-    inverse transforms and no forward one; spec is left as it was, and
-    a missing base is the zero form."""
+    """base + ddc of the real field with half spectrum spec, from the
+    inverse transforms of its four parts and no forward one; spec is left
+    as it was, and a missing base is the zero form.
+
+    The parts are stacked as _inverse_parts does: four to a stack at
+    rank <= 3 and N=16, one at a time on an N^4 grid at N >= 16. The cross
+    parts come first, so that each is copied into h12 before the next
+    part's grid is made.
+    """
     c = -np.pi ** 2
-    buf = np.empty_like(spec)
-    h11 = _hessian_part(geom, c * geom.sq1, spec, buf)
-    h22 = _hessian_part(geom, c * geom.sq2, spec, buf)
+    parts = _inverse_parts(geom, spec, ((geom.cross_re, None), (geom.cross_im, None),
+                                        (c * geom.sq1, None), (c * geom.sq2, None)))
     h12 = np.empty(geom.shape, dtype=complex)
-    for symbol, part in ((geom.cross_re, h12.real), (geom.cross_im, h12.imag)):
-        _hessian_part(geom, symbol, spec, buf, c, out=part)
+    np.multiply(next(parts), c, out=h12.real)
+    np.multiply(next(parts), c, out=h12.imag)
+    h11, h22 = parts
     if base is not None:
         h11 += base.a11
         h12 += base.a12
         h22 += base.a22
     return FormField(h11, h12, h22)
-
-
-def _hessian_part(
-    geom: TorusGeometry, symbol, spec, buf, coef=None, scale=None, out=None
-) -> np.ndarray:
-    """irfft(scale * symbol * spec), times coef when given, with the
-    product built in buf, spec left as it was and the grid written to
-    out when given."""
-    np.multiply(symbol, spec, out=buf)
-    if scale is not None:
-        buf *= scale
-    part = _irfft(geom, buf, out)
-    if coef is not None:
-        part *= coef
-    return part
 
 
 def wedge_density(a: FormField, b: FormField) -> np.ndarray:
@@ -609,13 +658,15 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     alpha0 + beta/2, and f = wedge(beta, beta)/4 - gamma of the module
     docstring.
 
-    f is evaluated one slab (first grid index) at a time from the four
-    components of the twist U1 and written over its a11 grid (a new grid
-    for a constant twist with a u2 density), so beta, gamma and the
-    wedges exist only slab by slab. Each slab runs the pointwise numpy
-    operations of the whole-grid formula in the same order, complex
-    products included, so f is bit for bit that formula's. With a
-    constant twist and no u2 density, f is a scalar.
+    f is evaluated one block of first-axis rows at a time, as many as
+    BLOCK elements hold and at least one (the whole grid of a lattice
+    solve at N=16, two rows of the N^4 grid at N=32), from the four
+    components of the twist U1, and written over its a11 grid (a new
+    grid for a constant twist with a u2 density), so beta, gamma and the
+    wedges exist only block by block. Each block runs the pointwise
+    numpy operations of the whole-grid formula in the same order,
+    complex products included, so f is bit for bit that formula's. With
+    a constant twist and no u2 density, f is a scalar.
     """
     u1, potential_hat = data._u1_and_potential_hat()
     phi = data.phase()
@@ -641,12 +692,14 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     if not any(np.ndim(c) for c in parts):
         f = rhs(u1, u2)
     else:
-        # a slab of f is written only after rhs has read the same slab
+        # a block of f is written only after rhs has read the same block
         # of u1.a11, so a twist grid can hold f
         f = u1.a11 if np.ndim(u1.a11) else np.empty(data.geom.shape)
-        for i in range(data.geom.size):
-            a11, a12, a22, u2_i = (c[i] if np.ndim(c) else c for c in parts)
-            f[i] = rhs(FormField(a11, a12, a22), u2_i)
+        step = _per_block(f[0].size)
+        for i in range(0, data.geom.size, step):
+            rows = slice(i, i + step)
+            a11, a12, a22, u2_i = (c[rows] if np.ndim(c) else c for c in parts)
+            f[rows] = rhs(FormField(a11, a12, a22), u2_i)
     c11, c12, c22 = data.u1_const
     a0 = data.alpha_harmonic() + (FormField.constant(c11, c12, c22)
                                   + g.scale(-im1 / (2 * s)))
@@ -678,17 +731,24 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
     real grid, for the delta with half spectrum spec (left as it was).
 
     With h = ddc(delta) that is -8 (m11 h22 + m22 h11 - 2 (Re m12 Re h12
-    + Im m12 Im h12)), summed one inverse transform at a time, so h
-    itself is never formed.
+    + Im m12 Im h12)), summed part by part into one grid, so h itself is
+    never formed. The parts are inverted as _inverse_parts stacks them,
+    into one block of grids reused from stack to stack: four to a stack
+    at rank <= 3 and N=16, one at a time on an N^4 grid at N >= 16.
     """
     c = 8 * np.pi ** 2              # each part is then -8 times one of h
-    buf = np.empty_like(spec)
-    out = _hessian_part(geom, c * geom.sq1, spec, buf, m.a22)
-    part = np.empty(geom.shape)
-    out += _hessian_part(geom, c * geom.sq2, spec, buf, m.a11, out=part)
     # the cross terms carry -2
-    out += _hessian_part(geom, geom.cross_re, spec, buf, m.a12.real, -2 * c, part)
-    out += _hessian_part(geom, geom.cross_im, spec, buf, m.a12.imag, -2 * c, part)
+    parts = ((c * geom.sq1, None), (c * geom.sq2, None),
+             (geom.cross_re, -2 * c), (geom.cross_im, -2 * c))
+    grids = np.empty((min(len(parts), _per_block(spec.size)),) + geom.shape)
+    out = np.empty(geom.shape)
+    for i, (part, coef) in enumerate(zip(_inverse_parts(geom, spec, parts, grids),
+                                         (m.a22, m.a11, m.a12.real, m.a12.imag))):
+        if i == 0:
+            np.multiply(part, coef, out=out)
+        else:
+            part *= coef
+            out += part
     return out
 
 
@@ -697,29 +757,34 @@ def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
 
     The symbol sigma(j) need not be even on Nyquist planes; the real part
     of the full-spectrum division by sigma is a division by the harmonic
-    mean of sigma(j) and sigma(j_neg), which is what this returns.
+    mean of sigma(j) and sigma(j_neg), which is what this returns. It is
+    built one block of first-axis rows at a time, as many as BLOCK
+    elements hold and at least one, with the same operations on every
+    block.
     """
     m11 = mbar[0, 0].real
     m22 = mbar[1, 1].real
     m12 = mbar[0, 1]
     out = np.empty(geom.cross_re.shape)
 
-    def sigma(mu1: np.ndarray, mu2: np.ndarray, i: int) -> np.ndarray:
-        """sigma on slab i, with 1 on the mean mode."""
-        mu1, mu2 = (a[i:i + 1] if a.shape[0] > 1 else a for a in (mu1, mu2))
+    def sigma(mu1: np.ndarray, mu2: np.ndarray, rows: slice) -> np.ndarray:
+        """sigma on the first-axis rows, with 1 on the mean mode."""
+        mu1, mu2 = (a[rows] if a.shape[0] > 1 else a for a in (mu1, mu2))
         s = np.conj(mu1) * mu2
         diag = m11 * np.abs(mu2) ** 2 + m22 * np.abs(mu1) ** 2
         sym = np.broadcast_to(8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real),
-                              out[i:i + 1].shape).copy()
-        if i == 0:
+                              out[rows].shape).copy()
+        if rows.start == 0:
             sym.flat[0] = 1.0      # the mean mode
         return sym
 
-    # one slab (first index) at a time, so that no complex half spectrum
-    # is built
-    for i in range(out.shape[0]):
-        out[i:i + 1] = 2 / (1 / sigma(geom.mu1, geom.mu2, i)
-                            + 1 / sigma(geom.mu1_neg, geom.mu2_neg, i))
+    # one block of first-axis rows at a time, so that no complex half
+    # spectrum of an N^4 grid is built
+    step = _per_block(out[0].size)
+    for i in range(0, out.shape[0], step):
+        rows = slice(i, i + step)
+        out[rows] = 2 / (1 / sigma(geom.mu1, geom.mu2, rows)
+                         + 1 / sigma(geom.mu1_neg, geom.mu2_neg, rows))
     return out
 
 
@@ -738,9 +803,12 @@ def _pcg(
     half spectra with a zero mean mode, preconditioning is a division
     by symbol, inner products are taken by Parseval (_inner), and each
     iteration transforms the operator's output once, so it costs five
-    real transforms. The residual is tested as soon as it is updated, so
-    the last iterate is never preconditioned. The iterate reached at
-    max_iter is not tested and does not count as the best one.
+    real transforms: one forward and the operator's four inverse, which
+    go in one stacked call on a lattice grid at N=16 and one at a time
+    on an N^4 grid at N >= 16. The residual is tested as soon as it is
+    updated, so the last iterate is never preconditioned. The iterate
+    reached at max_iter is not tested and does not count as the best
+    one.
     """
 
     r = _rfft(rhs)
@@ -963,9 +1031,10 @@ class SurfaceSolution(MongeAmpereSolution):
     z_residual_mean: float = field(init=False)
 
     def __post_init__(self):
-        z = self.z_residual_field
-        self.z_residual_sup = _sup(z)
-        self.z_residual_mean = float(np.mean(z))
+        # sup |-sin(phi) r| is fl(|sin(phi)| sup |r|) bit for bit, since
+        # rounding is monotone; the mean is not, so it reads the field
+        self.z_residual_sup = float(abs(np.sin(self.phi)) * self.residual_sup)
+        self.z_residual_mean = float(np.mean(self.z_residual_field))
 
     @property
     def z_residual_field(self) -> np.ndarray:
@@ -1094,7 +1163,7 @@ def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
     support modes, with a support mode on a Nyquist plane, of rank 4,
     with a support mode j outside |j_a| < N/2, or when a reduced field
     gathered back misses its input by more than ROUNDOFF_FLOOR * eps *
-    max(1, sup |input|), a check made one N^3 slab at a time
+    max(1, sup |input|), a check made one block of N^3 slabs at a time
     (_gather_miss).
     """
     geom = data.geom
@@ -1147,34 +1216,46 @@ def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
                              *reduced)
 
 
-def _slabs(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
-           outs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The N^4 grid field x -> g(B^T x) of a reduced field g, one slab
-    (first grid index i) at a time, each written into the next N^3 grid
-    of outs (the slabs of an N^4 grid, or one buffer N times) and
-    yielded.
+def _slab_blocks(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
+                 out: Optional[np.ndarray] = None) -> Iterator[Tuple[slice, np.ndarray]]:
+    """The N^4 grid field x -> g(B^T x) of a reduced field g, one block of
+    first-axis slabs at a time, as many as BLOCK elements hold and at
+    least one: yields the rows of each block and the block, written into
+    out[rows] when out (an N^4 grid) is given and into one reused buffer
+    otherwise.
 
-    Slab i is g rolled by -i B_1, where B_1 holds the x1 entries of the
-    basis columns, taken at one flat index of N^3 points: the other
-    three entries of B^T x, each mod N. No N^4 index is built.
+    g is read from its copy tiled twice along every axis (2^r times its
+    size), where slab i is one flat index of N^3 points, the other
+    three entries of B^T x each mod N, plus the flat offset of i B_1
+    mod N, B_1 holding the x1 entries of the basis columns. A block adds
+    its slabs' offsets to that index and is read by one np.take: no N^4
+    index is built and g is never rolled.
     """
     n, rank = g.shape[0], g.ndim
+    tiled = np.tile(g, (2,) * rank).ravel()
+    strides = [(2 * n) ** (rank - 1 - a) for a in range(rank)]
     points = np.arange(n)
     flat = np.zeros((n,) * 3, dtype=np.intp)
-    for a, column in enumerate(basis):
+    for column, stride in zip(basis, strides):
         part = sum(entry * points.reshape([n if b == c else 1 for b in range(3)])
                    for c, entry in enumerate(column[1:]) if entry)
-        flat += part % n * n ** (rank - 1 - a)
-    for i, out in zip(range(n), outs):
-        shift = [-i * column[0] % n for column in basis]
-        source = np.roll(g, shift, axis=tuple(range(rank))) if any(shift) else g
-        yield np.take(source, flat, out=out, mode="wrap")
+        flat += part % n * stride
+    offsets = sum(points * column[0] % n * stride
+                  for column, stride in zip(basis, strides)).reshape(n, 1, 1, 1)
+    step = _per_block(flat.size)
+    index = np.empty((min(step, n),) + flat.shape, dtype=np.intp)
+    buf = np.empty(index.shape) if out is None else None
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        block = np.add(flat, offsets[rows], out=index[:len(offsets[rows])])
+        dest = buf[:len(block)] if out is None else out[rows]
+        yield rows, np.take(tiled, block, out=dest, mode="clip")
 
 
 def _gather(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
     """The N^4 grid field x -> g(B^T x) of a reduced field g."""
     out = np.empty((g.shape[0],) * 4)
-    for _ in _slabs(g, basis, out):
+    for _ in _slab_blocks(g, basis, out):
         pass
     return out
 
@@ -1182,13 +1263,13 @@ def _gather(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
 def _gather_miss(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
                  grid: np.ndarray) -> float:
     """sup |g(B^T x) - grid| on the N^4 grid, bit for bit _sup of the
-    difference (max and min are exact), from one N^3 slab at a time."""
-    n = g.shape[0]
-    extremes = np.empty((n, 2))
-    for i, slab in enumerate(_slabs(g, basis, itertools.repeat(np.empty((n,) * 3)))):
-        miss = np.subtract(slab, grid[i], out=slab)
-        extremes[i] = miss.max(), -miss.min()
-    return float(abs(extremes.max()))
+    difference (max and min are exact), from one block of N^3 slabs at a
+    time."""
+    extremes = []
+    for rows, block in _slab_blocks(g, basis):
+        miss = np.subtract(block, grid[rows], out=block)
+        extremes.append((miss.max(), -miss.min()))
+    return float(abs(np.max(extremes)))
 
 
 def solve_critical_equation(

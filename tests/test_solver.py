@@ -137,11 +137,13 @@ def test_inexact_newton_agrees_with_exact_newton(monkeypatch):
 def test_transform_budget_of_the_spectral_solve(monkeypatch):
     # u, the step and the conjugate-gradient vectors are half spectra: a
     # Newton right side costs one forward transform, a CG iteration one
-    # forward and four inverse, a line-search trial four inverse, and u
-    # is transformed back once; the Hessian of the twist potential adds
-    # one forward and four inverse, and finding its lattice one inverse,
-    # of the reduced potential. The support search transforms only the
-    # last-axis columns that can hold a mode, each of N^3 points: both
+    # forward and one inverse call, a line-search trial one inverse call,
+    # and u is transformed back once; the Hessian of the twist potential
+    # adds one forward and one inverse call, and finding its lattice one
+    # inverse, of the reduced potential. On the rank-2 grid at N=16 each
+    # Hessian and each operator inverts its four parts in one _irfft call
+    # on a stack of four half spectra. The support search transforms only
+    # the last-axis columns that can hold a mode, each of N^3 points: both
     # modes have k_4 = 0, so that is column 0 alone
     counts = {"forward": 0, "inverse": 0, "hessian": 0, "column": 0}
 
@@ -162,7 +164,7 @@ def test_transform_budget_of_the_spectral_solve(monkeypatch):
     newton, cg = sol.newton_iterations, sol.cg_iterations
     assert (newton, cg, trials) == (4, 18, 4)
     assert counts["forward"] == 1 + newton + cg == 23
-    assert counts["inverse"] == 4 * (1 + cg + trials) + 2 == 94
+    assert counts["inverse"] == 1 + cg + trials + 2 == 25
     assert counts["column"] == 1
 
 
@@ -311,8 +313,9 @@ def test_returned_hessian_and_margin_are_those_of_the_solution(case):
 
 # tracemalloc peaks in grids, rounded up. A solve on the lattice of its
 # data peaks at its N^4 outputs, u, the residual and the phase residual
-# (3.0 grids, at N=16 and N=32; 6.2 at N=32 before the reduction). The
-# gather builds N^3 indices only, so a mode with every entry nonzero
+# (3.1 grids at N=16 and 3.0 at N=32; 6.2 at N=32 before the
+# reduction). The gather builds indices of at most BLOCK points, one
+# block of N^3 slabs at a time, so a mode with every entry nonzero
 # costs no more (3.0 at N=32, against 4.0 with an N^4 int64 gather
 # index). On the N^4 grid itself a multi-step Newton solve
 # peaks in the conjugate-gradient operator (16.7 at N=16); ddc with its

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zcrit import surface
 from zcrit.config import load_raw, surface_inputs
 from zcrit.surface import (
     DHYM_RHO,
+    IDENTITY_BASIS,
     ROUNDOFF_FLOOR,
     ClassObstructionError,
     FormField,
@@ -860,8 +862,9 @@ def index_gather(g, basis):
 @given(st.sampled_from([7, 8, 9, 16]),
        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=3),
        st.integers(0, 2 ** 32 - 1))
-@example(16, [[0, 1, 1, 0]], 0)                     # x1 entry zero: no roll
+@example(16, [[0, 1, 1, 0]], 0)                     # x1 entry zero: offset 0
 @example(16, [[0, 1, 1, 0], [2, 1, 0, 0]], 1)       # the torus_oblique basis
+@example(16, [[1, 0, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]], 3)     # torus_three_mode
 @example(9, [[1, 2, 3, 1], [0, 0, 0, 1], [-3, 0, 2, 0]], 2)
 def test_slab_gather_against_the_index_gather(n, basis, seed):
     rng = np.random.default_rng(seed)
@@ -873,3 +876,111 @@ def test_slab_gather_against_the_index_gather(n, basis, seed):
     for grid in (ref + 1e-3 * rng.standard_normal(ref.shape),
                  np.broadcast_to(rng.standard_normal((n, 1, 1, n)), ref.shape)):
         assert _gather_miss(g, basis, grid) == _sup(ref - grid)
+
+
+# ---------------------------------------------------------------------------
+# stacks of Hessian parts and blocks of first-axis rows
+# ---------------------------------------------------------------------------
+
+THREE_MODE_BASIS = ((1, 0, 0, 0), (0, 1, 1, 0), (1, 0, 1, 1))   # torus_three_mode
+BASES = {1: ((2, 1, -3, -2),), 2: ((1, 0, 0, 0), (0, 0, 1, 0)), 3: THREE_MODE_BASIS,
+         4: IDENTITY_BASIS}
+
+
+def one_part(geom, product):
+    """irfft of one half spectrum, as numpy's irfftn."""
+    return np.fft.irfftn(product, s=geom.shape, axes=range(geom.rank))
+
+
+def part_by_part_hessian(geom, spec, base):
+    """base + ddc from one inverse transform per part."""
+    c = -np.pi ** 2
+    h12 = np.empty(geom.shape, dtype=complex)
+    h12.real = one_part(geom, geom.cross_re * spec) * c
+    h12.imag = one_part(geom, geom.cross_im * spec) * c
+    return FormField(one_part(geom, c * geom.sq1 * spec) + base.a11, h12 + base.a12,
+                     one_part(geom, c * geom.sq2 * spec) + base.a22)
+
+
+def part_by_part_operator(geom, m, spec):
+    """-2 wedge(m, ddc delta) from one inverse transform per part, summed
+    in _apply_operator's order."""
+    c = 8 * np.pi ** 2
+    out = one_part(geom, c * geom.sq1 * spec) * m.a22
+    out += one_part(geom, c * geom.sq2 * spec) * m.a11
+    out += one_part(geom, geom.cross_re * spec * (-2 * c)) * m.a12.real
+    out += one_part(geom, geom.cross_im * spec * (-2 * c)) * m.a12.imag
+    return out
+
+
+@pytest.mark.parametrize("n, rank, stacks", [(16, 1, [4]), (16, 2, [4]), (16, 3, [4]),
+                                             (32, 3, [3, 1]), (16, 4, [1, 1, 1, 1])])
+def test_stacked_hessian_parts_match_one_part_at_a_time(monkeypatch, n, rank, stacks):
+    # pocketfft transforms each line of a batched call on its own, so a
+    # stack of parts gives every part's lone transform bit for bit; the
+    # stack holds at most BLOCK elements, so an N^4 grid at N=16 goes one
+    # part at a time
+    geom = TorusGeometry(n, BASES[rank])
+    rng = np.random.default_rng(n + rank)
+    spec = _rfft(rng.standard_normal(geom.shape))
+    kept = spec.copy()
+    base = FormField.constant(2.0, 0.3 + 0.4j, 1.5)
+    m = FormField(2.0 + 0.3 * rng.standard_normal(geom.shape),
+                  0.3 * rng.standard_normal(geom.shape)
+                  + 0.4j * rng.standard_normal(geom.shape),
+                  1.5 + 0.3 * rng.standard_normal(geom.shape))
+    sizes = []
+    real = surface._irfft
+
+    def counted(g, stack, out=None):
+        sizes.append(stack.shape[0] if stack.ndim > g.rank else 1)
+        return real(g, stack, out)
+
+    monkeypatch.setattr(surface, "_irfft", counted)
+    h = _spectral_hessian(geom, spec, base)
+    assert sizes == stacks
+    want = part_by_part_hessian(geom, spec, base)
+    for a, b in ((h.a11, want.a11), (h.a12, want.a12), (h.a22, want.a22)):
+        assert a.shape == geom.shape
+        assert np.array_equal(a, b)
+    sizes.clear()
+    assert np.array_equal(_apply_operator(geom, m, spec), part_by_part_operator(geom, m, spec))
+    assert sizes == stacks
+    assert np.array_equal(spec, kept)
+
+
+def lattice_data(n, rank, rng):
+    """Skew-metric data with a twist potential and a u2 density on the
+    grid of the rank's basis."""
+    geom = TorusGeometry(n, BASES[rank])
+
+    def field(scale):
+        return sum(geom.mode_field(rng.integers(-3, 4, rank), rng.uniform(-scale, scale),
+                                   rng.choice(["cos", "sin"])) for _ in range(3))
+
+    return SurfaceChargeData(geom, (1.0, 0.2 - 0.3j, 2.0), (-1.0, 0.7 + 0.4j, 0.3),
+                             (2.0, 0.1j, 3.0), (0.05, 0.02 + 0.01j, -0.04),
+                             field(0.01), field(0.3))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_row_blocks_match_slabs_and_the_whole_grid(monkeypatch, n, rank):
+    # f and the preconditioner's symbol run the same pointwise operations
+    # on blocks of first-axis rows: one row (a slab) per call, three with a
+    # shorter last block, the default BLOCK and the whole grid in one call
+    # all give the same bits, and f is the whole-grid formula's
+    data = lattice_data(n, rank, np.random.default_rng(10 * n + rank))
+    geom = data.geom
+    mbar = np.array([[2.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.5]])
+    results = []
+    for block in (None, 1, 3 * n ** (rank - 1), 2 * n ** rank):
+        if block is not None:
+            monkeypatch.setattr(surface, "BLOCK", block)
+        results.append((assemble_equation(data).f, _precondition_symbol(geom, mbar)))
+    f, symbol = results[0]
+    assert f.shape == geom.shape
+    for f_b, symbol_b in results[1:]:
+        assert np.array_equal(f_b, f)
+        assert np.array_equal(symbol_b, symbol)
+    assert np.array_equal(f, whole_grid_f(data))
