@@ -1,205 +1,77 @@
 """Critical-equation solver for line bundles over a flat complex 2-torus.
 
-The torus is C^2/(Z^2 + iZ^2) with coordinates z_j = x_j + i y_j and
-unit periods, dV = dx1 dy1 dx2 dy2, total volume 1. Real (1,1)-forms
-are Hermitian matrix fields (a_{11}, a_{12}, a_{22}) with a_{11}, a_{22}
-real and a_{21} = conj(a_{12}); products reduce to densities against dV:
+The torus is C^2/(Z^2 + iZ^2) with z_j = x_j + i y_j, unit periods and
+dV = dx1 dy1 dx2 dy2. Real (1,1)-forms are Hermitian matrix fields
+(a11, a12, a22), each component a grid or, for a constant form, a numpy
+scalar that broadcasting spreads over a grid. Products are densities:
 
-    wedge(a, b) = 4 (a11 b22 + a22 b11 - a12 conj(b12) - conj(a12) b12)
-    a ^ a       = 8 det(a)
+    wedge(a, b) = 4 (a11 b22 + a22 b11 - a12 conj(b12) - conj(a12) b12),
+    a ^ a = 8 det(a),   ddc(u)_jk = -pi^2 conj(mu_j) mu_k u_hat
 
-Derivatives act spectrally: for the mode with integer frequencies
-(m_x1, m_y1, m_x2, m_y2) and mu_j = m_xj + i m_yj,
+for the mode of frequency k = (k_x1, k_y1, k_x2, k_y2), mu_j = k_xj + i k_yj.
 
-    ddc(u)_{jk} = -pi^2 conj(mu_j) mu_k u_hat.
-
-The solution is a function of fewer variables than four. The equation
-below commutes with translations and its solution is unique up to a
-constant (Calabi), so the solution is invariant under every
-translation that fixes the data: it is g(B^T x), where the columns of
-the integer 4 x r matrix B (TorusGeometry.basis) are a basis of the
-lattice Lambda that the modes of the twist data generate, and mode j
-of g has the 4-D frequency k = B j. A grid has N points on each of its
-r axes, so it resolves |j_a| < N/2 whatever the entries of B, where
-the N^4 grid of the identity basis resolves |k_i| < N/2.
-solve_critical_equation finds Lambda from the half spectra of
-u1_potential and u2 (_reduce): a mode is in the support when its
-coefficient exceeds ROUNDOFF_FLOOR eps times the largest one, and only
-the last-axis columns that can hold such a mode are transformed
-(_support). B is made
-of support modes, the shortest linearly independent ones, when their
-Hermite normal form is that of the whole support (Cohen 1993, section
-2.4), so that every support mode has small integer coordinates j, and
-is that normal form's rows otherwise. The solve runs on the r-torus,
-and u and the residual are gathered back as u4[i] = g[B^T i mod N], one
-block of slabs (first grid index) at a time, from a copy of g tiled
-twice along each axis through an index of N^3 points per slab. The
-identity basis is kept for data of rank 4 or without support modes,
-with a support mode on a 4-D Nyquist plane or some 2 |j_a| >= N, and
-when the reduced data gathered back miss their input by more than
-ROUNDOFF_FLOOR eps max(1, sup |input|).
-
-Frequencies take fftfreq values, so the Nyquist index n/2 of an axis
-carries -n/2, which is also the value at its negated index j_neg.
-Transforms are real FFTs on the half spectrum (N, ..., N, N/2 + 1).
-The real part of the full complex transform of sigma u_hat, for a
-symbol sigma and a real u, is the real transform of the half-spectrum
-symbol (sigma(j) + conj sigma(j_neg))/2, and every symbol is taken that
-way: |mu_j|^2 (even under j -> j_neg for the identity basis, not for
-every B) and the cross symbol s = conj(mu_1) mu_2, which is not even on
-Nyquist planes. With s_e, s_o the even and odd parts of s,
-
-    Re ddc(u)_12 = irfft(-pi^2 P u_hat),   P = Re s_e + i Im s_o,
-    Im ddc(u)_12 = irfft(-pi^2 Q u_hat),   Q = Im s_e - i Re s_o,
-
-P and Q being that rule applied to s and to -i s. The least-squares
-potential applies the rule to the symbols of its whole per-mode map,
-the division included, and the preconditioner divides by the harmonic
-mean of its symbol at j and j_neg, which is the rule applied to
-1 / sigma.
-
-Nyquist modes are kept, not zeroed. Since |s|^2 = |mu_1|^2 |mu_2|^2 on
-every mode, Parseval gives mean(det ddc u) = 0 for every real u, so
-the mean of the Monge-Ampere residual is fixed by the class, which the
-Newton iteration relies on. Zeroing Nyquist in the cross symbol alone
-breaks that identity and Newton stalls on a mean-mode residual;
-zeroing every Nyquist symbol leaves residual on modes conjugate
-gradients cannot reduce. A resolution policy for those modes needs
-residual projection or 2/3 dealiasing of the quadratic term (Orszag
-1971), not a change of symbol.
-
-The grid size N is a power of two >= 8 or odd and >= 7. An odd grid
-has no Nyquist planes: its frequencies are symmetric, so s is even, P
-and Q are real (Re s and Im s), the operator with constant coefficients
-is symmetric and conjugate gradients converge on every mode. It
-resolves the same modes as the even grid one point larger; the FFTs
-are fast for 3- and 5-smooth N (9, 15, 25, 27, 45, 75, 81).
-
-Writing the normalised charge integrand with rho_0 scaled to 2,
-
-    Zt(a) = rho2 w^2 + rho1 w ^ (a + U1) + a^2 + 2 a ^ U1 + 2 U2,
-
-the critical equation Im(e^{-i phi} Zt(alpha0 + ddc u)) = 0 with
-phi = arg of the total charge becomes a complex Monge-Ampere equation
-
-    8 det(m_base + ddc u) = f,   m_base = alpha0 + beta/2,   f = wedge(beta, beta)/4 - gamma,
-
-and pointwise Im(e^{-i phi} Zt(alpha0 + ddc u)) = -sin(phi) (8 det(m_base
-+ ddc u) - f). With U1 = u1_const + ddc(phi_U) for the twist potential
-phi_U, m_base = a0 + ddc(phi_U) for the constant form
-a0 = alpha0 + u1_const - (im1 / (2 sin phi)) g, where im1 is the
-imaginary part of e^{-i phi} rho1 (normalised), so the equation is posed
-as
+The equation. With rho_0 scaled to 2 the charge integrand is
+Zt(a) = rho2 w^2 + rho1 w ^ (a + U1) + a^2 + 2 a ^ U1 + 2 U2. With phi
+the phase of the total charge, U1 = u1_const + ddc(phi_U) and
+im1 = Im(e^{-i phi} rho1), Im(e^{-i phi} Zt(alpha0 + ddc u)) is
+-sin(phi) (8 det(a0 + ddc psi) - f), so the critical equation is
 
     8 det(a0 + ddc psi) = f,   psi = phi_U + u,
+    a0 = alpha0 + u1_const - (im1 / (2 sin phi)) g,   f = wedge(beta, beta)/4 - gamma,
 
-and solved for psi from psi = 0, that is from u = -phi_U. There m = a0
-is constant, positive because it is the averaged matrix that passed the
-class test, and the first linearised operator is the preconditioner's.
-The residual there is quadratic in ddc(phi_U) when u1_const = 0 and u2
-is constant, and vanishes for a single-mode phi_U, whose ddc has rank
-one. The equation is solved by damped Newton steps, each linearised
-step handled by conjugate gradients preconditioned with the Fourier
-symbol of the mean-coefficient operator. The steps are inexact Newton
-steps (Dembo, Eisenstat and Steihaug 1982): with scale =
-max(1, |8 det a0|), a step taken at Newton residual res_sup runs
-conjugate gradients to the relative tolerance
+a complex Monge-Ampere equation (beta and gamma of assemble_equation),
+solved from psi = 0, where m = a0 is constant and positive (the class
+test).
 
-    eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)),
+The lattice. The equation commutes with translations and its solution
+is unique up to a constant (Calabi), so it is invariant under every
+translation that fixes the data: it is g(B^T x), where the columns of
+the integer 4 x r matrix B (TorusGeometry.basis) are a basis of the
+lattice the data's modes generate (_reduce; Hermite normal form, Cohen
+1993, section 2.4). Mode j of g has frequency k = B j, so ddc(g(B^T x))
+is g's Hessian with the symbols of B j, taken at B^T x: solving for g
+on N points per axis of the r-torus loses nothing, and u and the
+residual are gathered back as u4[i] = g[B^T i mod N]. Data of rank 4,
+with a mode on a Nyquist plane or with some 2 |j_a| >= N stay on N^4.
 
-so CG_TOL_FLOOR is only the floor. eta = O(res_sup) keeps the quadratic
-convergence of exact Newton steps. A residual within ROUNDOFF_FLOOR
-times eps * scale is at the roundoff floor of the equation; when the
-line search cannot go below it, the failure names that floor.
+The half-spectrum rule. Transforms are real FFTs on the half spectrum
+(N, ..., N, N/2 + 1) with fftfreq frequencies, so an even axis's Nyquist
+index carries -N/2, as does its negation. For a real u and a symbol
+sigma, Re ifft(sigma u_hat) is the real transform of the half-spectrum
+symbol (sigma(j) + conj sigma(j'))/2 times u's half spectrum, j' the
+frequency at the negated index (Boyd, Chebyshev and Fourier Spectral
+Methods, 2001). TorusGeometry.half_symbol applies it to every symbol:
+|mu_j|^2, the cross symbol s = conj(mu_1) mu_2 and -i s (cross_re and
+cross_im, for the real and imaginary parts of ddc(u)_12), the
+least-squares map of potential_from_form and the preconditioner, whose
+division by sigma is the rule applied to 1/sigma. Nyquist modes are
+kept: |s|^2 = |mu_1|^2 |mu_2|^2 on every mode, so by Parseval
+mean(det ddc u) = 0 and the class fixes the residual's mean. N is a
+power of two >= 8 or odd and >= 7; an odd grid has no Nyquist planes,
+so s is even, the operator with constant coefficients is symmetric and
+conjugate gradients converge on every mode.
 
-A constant form (FormField.constant, omega(), alpha_harmonic(), the
-twist without a potential) has numpy scalar components, and a missing
-u2 is the scalar 0; numpy broadcasting spreads them over the grid
-wherever they meet a field. beta, gamma and every density built from
-constant forms alone are scalars too. These are full grids of their
-geometry whatever the inputs: ddc, mode_field, potential_from_form's
-input and potential, the right side f and MongeAmpereSolution.u and
-residual. The data of a config, SurfaceSolution.u and residual,
-ZResidualReport.field and the arrays of the .npz field dump are on
-the N^4 grid.
+Newton. Damped Newton steps are solved by conjugate gradients on half
+spectra, preconditioned by the mean-coefficient operator's symbol, as
+inexact Newton steps (Dembo, Eisenstat and Steihaug 1982): at residual
+res_sup, conjugate gradients run to the relative tolerance
+eta = max(CG_TOL_FLOOR, min(0.1, 0.1 res_sup / scale)), scale =
+max(1, |8 det a0|), which keeps exact Newton's quadratic convergence. A
+residual within ROUNDOFF_FLOOR eps scale is at the roundoff floor.
 
-The Newton-Krylov vectors are half spectra: the iterate psi, the
-Newton step delta, the line search's trial psi and the
-conjugate-gradient vectors r, x, best x and p. Real grids are what
-pointwise products need: the iterate m = a0 + ddc(psi), 8 det m, the
-residual and the operator's output. The line search tests positivity
-as min(m11) > 0 and min(8 det m) > 0, from the determinant the residual
-needs anyway; the smallest eigenvalue is taken once, at the end. For
-real fields x, y with half spectra a, b, Parseval gives
-
-    sum(x y) = (1 / N^r) sum_j w_j Re(conj(a_j) b_j),
-
-with w_j = 1 on the planes 0 and N/2 of the last axis (odd N has only
-the first) and 2 off them, where a half-spectrum mode also stands for
-its conjugate. In real transforms
-of the solve's grid, a conjugate-gradient iteration costs five (the
-operator's four inverse transforms and one forward transform of its
-output), a line-search trial four inverse transforms, and a Newton
-right side one forward transform; u = psi - phi_U is transformed back
-once, at the end of a solve.
-
-The four inverse transforms of a Hessian or of the operator are one
-batch in the sense of FFTW's "howmany" (Frigo and Johnson, Proc. IEEE
-93, 2005): their products with the half spectrum are stacked
-k = min(4, BLOCK / size of the half spectrum) at a time, and a stack
-is inverted by one numpy call per axis, each grid bit for bit its lone
-transform. With BLOCK = 2^16 elements all four parts go in one stack
-at rank <= 3 and N=16, three then one at rank 3 and N=32, and one at
-a time on the N^4 grid at N >= 16, so the N^4 grid keeps its memory.
-On the lattice grids at N=16 a conjugate-gradient iteration thus makes
-one inverse and one forward transform call, and a line-search trial
-one inverse.
-
-Memory is counted in grids of N^r float64 (a complex grid is two, a
-half spectrum 1 + 2/N). _rfft and _irfft run the one-axis passes of
-numpy's rfftn and irfftn in the same order, bit for bit, but the
-complex passes work in place (numpy >= 2.0): _rfft allocates one half
-spectrum, and _irfft overwrites the spectrum it is given, a product
-buffer its caller reuses, and writes the grid where its caller says.
-ddc builds its four grids from one stack of k such buffers, and
-_apply_operator sums its four inverse transforms into one grid through
-one block of k scratch grids, never forming ddc(delta). Pointwise
-formulas that would take several temporary grids run one block of
-first-axis rows at a time, as many rows as BLOCK elements hold and at
-least one, with the same numpy operations in the same order, so they
-are bit for bit the whole-grid formulas: f = wedge(beta, beta)/4 -
-gamma, written over the a11 grid of the twist, so beta and gamma never
-exist as N^4 grids, and the preconditioner's symbol. A lattice grid at
-N=16 is one block. m_base is never built: a0 is held as scalars
-and phi_U as its half spectrum. square_density takes one output and one
-scratch grid, and sup norms are max(max x, -min x), with no |x| copy.
-A solve holds f, the spectra of psi and phi_U, m (scalars at the start,
-four grids after a Newton step) and its residual against f plus the
-compatibility constant, which is subtracted in place, so no shifted
-copy of f is made. A Newton step adds the spectra of delta and of the
-conjugate-gradient vectors; its line search drops m and the residual
-and holds the trial psi, the trial m and its residual instead. On the
-N^4 grid, the tracemalloc peak of a multi-step Newton solve at N=16 is
-about 16.7 grids, in the conjugate-gradient operator; ddc takes 6.1
-beside its input at N=32. Both are the same with stacked parts, since
-an N^4 grid at N >= 16 inverts them one at a time; a stack of more
-than one part adds at most about 2 MB, BLOCK complex products and
-their grids (the N=8 solve on the N^4 grid peaks at 30.6 grids of
-8^4, 1 MB, against 18.8 one part at a time). A solve on the lattice of
-its data holds, beside its reduced grids, the last-axis rfft of the
-twist potential while it finds the lattice and then the gathered
-outputs: solve_critical_equation peaks at about 3.1 grids of N^4 at
-N=16 and 3.0 at N=32, in u, the residual and the phase residual, where
-it took 6.2 at N=32 on the N^4 grid. The
-gather and its check build no N^4 index or difference, so a basis
-column with every entry nonzero costs no more (3.0 grids at N=32 for
-the single mode (1, 2, 3, 1), against 4.0 with an N^4 int64 index).
+Memory. A numpy call of a loop over a grid works on at most BLOCK
+elements, or on its smallest unit if that is larger, so a small grid
+goes in one call and an N^4 grid adds one block to its memory:
+pointwise formulas go by blocks of first-axis rows (_row_blocks), and
+the four inverse transforms of a Hessian or of the operator go
+min(4, BLOCK / half-spectrum size) to a stack, at least one, one call
+per axis (Frigo and Johnson, Proc. IEEE 93, 2005).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,24 +83,25 @@ from .errors import ClassObstructionError, NumericalFailureError, SurfaceError
 # ---------------------------------------------------------------------------
 
 
-def _rfft(u: np.ndarray) -> np.ndarray:
-    """Half spectrum (N, ..., N, N/2 + 1) of a real grid field, as rfftn."""
-    spec = np.fft.rfft(u, axis=-1)
-    for axis in reversed(range(u.ndim - 1)):
+def _leading_passes(spec: np.ndarray) -> np.ndarray:
+    """spec transformed in place on every axis but the last, last first,
+    as rfftn's complex passes."""
+    for axis in reversed(range(spec.ndim - 1)):
         np.fft.fft(spec, axis=axis, out=spec)
     return spec
+
+
+def _rfft(u: np.ndarray) -> np.ndarray:
+    """Half spectrum (N, ..., N, N/2 + 1) of a real grid field, as rfftn."""
+    return _leading_passes(np.fft.rfft(u, axis=-1))
 
 
 def _irfft(
     geom: "TorusGeometry", spec: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Real grid field of a half spectrum, as irfftn; overwrites spec, and
-    is written to out when given.
-
-    A stack of half spectra on leading axes gives the stack of their
-    grids, one numpy call per axis. pocketfft transforms each line of a
-    call on its own, so every grid of a stack is bit for bit its lone
-    transform."""
+    is written to out when given. A stack of half spectra on leading axes
+    gives the stack of their grids, one numpy call per axis."""
     for axis in range(spec.ndim - geom.rank, spec.ndim - 1):
         np.fft.ifft(spec, axis=axis, out=spec)
     return np.fft.irfft(spec, n=geom.size, axis=-1, out=out)
@@ -243,6 +116,13 @@ BLOCK = 2 ** 16
 def _per_block(size: int) -> int:
     """How many items of size elements one block holds, at least one."""
     return max(1, BLOCK // size)
+
+
+def _row_blocks(shape: Tuple[int, ...]) -> List[slice]:
+    """The first-axis rows of an array of this shape, one block at a time:
+    as many rows as BLOCK elements hold, and at least one."""
+    n, step = shape[0], _per_block(int(np.prod(shape[1:])))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _inverse_parts(
@@ -281,22 +161,18 @@ class TorusGeometry:
     is g on the r-torus, and its mode j has the 4-D frequency k = B j.
     The identity basis gives the N^4 grid of the 4-torus itself.
 
-    The spectral data lives on the real-FFT half spectrum, with fftfreq
-    values j (the last axis holds 0..N/2): mu1, mu2 are mu_1(B j) and
-    mu_2(B j), and mu1_neg, mu2_neg the same at j_neg, the frequency at
-    the negated index. sq1, sq2, cross_re and cross_im are the
+    mu1 and mu2 are mu_1(B j) and mu_2(B j) on the real-FFT half spectrum,
+    with fftfreq values j (the last axis holds 0..N/2), each with only the
+    axes it depends on: for the identity basis mu1 has shape (N, N, 1, 1)
+    and mu2 (1, 1, N, N//2 + 1). sq1, sq2, cross_re and cross_im are the
     half-spectrum symbols of |mu_1|^2, |mu_2|^2 and of the real and
-    imaginary parts of conj(mu_1) mu_2 (the P, Q of the module
-    docstring). Each array broadcasts against the half spectrum; for the
-    identity basis mu1 has shape (N, N, 1, 1) and mu2 (1, 1, N, N//2 + 1).
+    imaginary parts of the cross symbol conj(mu_1) mu_2.
     """
 
     size: int
     basis: Tuple[Tuple[int, int, int, int], ...] = IDENTITY_BASIS
     mu1: np.ndarray = field(init=False, repr=False, compare=False)
     mu2: np.ndarray = field(init=False, repr=False, compare=False)
-    mu1_neg: np.ndarray = field(init=False, repr=False, compare=False)
-    mu2_neg: np.ndarray = field(init=False, repr=False, compare=False)
     sq1: np.ndarray = field(init=False, repr=False, compare=False)
     sq2: np.ndarray = field(init=False, repr=False, compare=False)
     cross_re: np.ndarray = field(init=False, repr=False, compare=False)
@@ -305,38 +181,54 @@ class TorusGeometry:
     def __post_init__(self):
         if self.size < 7 or (self.size % 2 == 0 and self.size & (self.size - 1)):
             raise SurfaceError("grid size must be odd and >= 7, or a power of two >= 8")
-        n = self.size
-        rank = len(self.basis)
-        half = n // 2 + 1
-        m = np.fft.fftfreq(n, d=1.0 / n)
-        # frequency at the negated index: -m, except on the Nyquist index,
-        # whose value -n/2 is its own negation's
-        m_neg = m[-np.arange(n) % n]
+        # the fields are set through the instance dict, as the class is frozen
+        mu1, mu2 = self._mus(np.fft.fftfreq(self.size, d=1.0 / self.size))
+        vars(self).update(mu1=mu1, mu2=mu2)
+        cross_re, cross_im = self.half_symbol(lambda a, b, bar: np.conj(a) * b, imag=True)
+        vars(self).update(sq1=self.half_symbol(lambda a, b, bar: np.abs(a) ** 2),
+                          sq2=self.half_symbol(lambda a, b, bar: np.abs(b) ** 2),
+                          cross_re=cross_re, cross_im=cross_im)
 
-        def along(v: np.ndarray, axis: int) -> np.ndarray:
-            w = v[:half] if axis == rank - 1 else v
-            return w.reshape([w.size if a == axis else 1 for a in range(rank)])
+    def _mus(self, freq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """mu_1(B j) and mu_2(B j) for the frequency freq[i] at index i of
+        every axis, on the half spectrum, each with only the axes it
+        depends on."""
+        rank, half = self.rank, self.size // 2 + 1
+        k = [np.zeros((1,) * rank) for _ in range(4)]
+        for axis, column in enumerate(self.basis):
+            v = freq[:half] if axis == rank - 1 else freq
+            v = v.reshape([v.size if a == axis else 1 for a in range(rank)])
+            for c, entry in enumerate(column):
+                if entry:
+                    k[c] = k[c] + entry * v
+        return k[0] + 1j * k[1], k[2] + 1j * k[3]
 
-        def mus(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            # component c of k = B j, with only the axes it depends on
-            k = [np.zeros((1,) * rank) for _ in range(4)]
-            for axis, column in enumerate(self.basis):
-                for c, entry in enumerate(column):
-                    if entry:
-                        k[c] = k[c] + entry * along(v, axis)
-            return k[0] + 1j * k[1], k[2] + 1j * k[3]
+    def half_symbol(self, sigma: Callable, rows: slice = slice(None), imag: bool = False):
+        """(sigma(j) + conj sigma(j'))/2 on the first-axis rows of the half
+        spectrum, j' the frequency at the negated index: the symbol whose
+        real transform of a product with the half spectrum of a real u is
+        Re ifft(sigma u_hat). With imag, the pair of it and
+        -i (sigma(j) - conj sigma(j'))/2, the rule applied to -i sigma,
+        whose transform is Im ifft(sigma u_hat).
 
-        mu1, mu2 = mus(m)
-        mu1_neg, mu2_neg = mus(m_neg)
-        s = np.conj(mu1) * mu2                    # s(j)
-        s_neg_conj = mu1_neg * np.conj(mu2_neg)   # conj(s(j_neg))
-        for name, value in (
-                ("mu1", mu1), ("mu2", mu2), ("mu1_neg", mu1_neg), ("mu2_neg", mu2_neg),
-                ("sq1", (np.abs(mu1) ** 2 + np.abs(mu1_neg) ** 2) / 2),
-                ("sq2", (np.abs(mu2) ** 2 + np.abs(mu2_neg) ** 2) / 2),
-                ("cross_re", (s + s_neg_conj) / 2),
-                ("cross_im", -0.5j * (s - s_neg_conj))):
-            object.__setattr__(self, name, value)
+        sigma(mu1, mu2, bar) is sigma at the frequencies mu_1(B j),
+        mu_2(B j) with bar the identity. conj sigma(j') is taken as
+        sigma(conj mu_1(B j'), conj mu_2(B j'), np.conj), which it is for
+        any sigma made by arithmetic from its arguments, their conjugates
+        and real parts, and constants that it passes through bar.
+        """
+        neg = vars(self).get("_conj_mus_neg")   # built by the first call
+        if neg is None:
+            n = self.size
+            freq = np.fft.fftfreq(n, d=1.0 / n)
+            # the negated index; the Nyquist index of an even axis is its own
+            neg = tuple(np.conj(mu) for mu in self._mus(freq[-np.arange(n) % n]))
+            vars(self)["_conj_mus_neg"] = neg
+        here, there = (sigma(*(mu[rows] if mu.shape[0] > 1 else mu for mu in mus), bar)
+                       for mus, bar in (((self.mu1, self.mu2), lambda c: c), (neg, np.conj)))
+        if imag:
+            return (here + there) / 2, -0.5j * (here - there)
+        return (here + there) / 2
 
     @property
     def rank(self) -> int:
@@ -359,9 +251,16 @@ class TorusGeometry:
         """Real field amplitude * cos/sin(2 pi m.x) sampled on the grid,
         with one entry of m per grid axis.
 
-        A mode with some |m_i| >= N/2 aliases onto a lower one on the
-        grid and is rejected.
+        A mode with another number of entries, a phase other than "cos"
+        or "sin", and a mode with some |m_i| >= N/2, which aliases onto a
+        lower one on the grid, are rejected.
         """
+        if len(mode) != self.rank:
+            raise SurfaceError(
+                f"mode {list(mode)} has {len(mode)} entries; the grid has {self.rank} axes"
+            )
+        if phase not in ("cos", "sin"):
+            raise SurfaceError(f"phase must be cos or sin, got {phase!r}")
         if any(2 * abs(m) >= self.size for m in mode):
             raise SurfaceError(
                 f"mode {list(mode)} aliases on the N={self.size} grid; every "
@@ -427,13 +326,10 @@ def _spectral_hessian(
     geom: TorusGeometry, spec: np.ndarray, base: Optional[FormField] = None
 ) -> FormField:
     """base + ddc of the real field with half spectrum spec, from the
-    inverse transforms of its four parts and no forward one; spec is left
-    as it was, and a missing base is the zero form.
-
-    The parts are stacked as _inverse_parts does: four to a stack at
-    rank <= 3 and N=16, one at a time on an N^4 grid at N >= 16. The cross
-    parts come first, so that each is copied into h12 before the next
-    part's grid is made.
+    inverse transforms of its four parts, stacked as _inverse_parts
+    does, and no forward one; spec is left as it was, and a missing base
+    is the zero form. The cross parts come first, so that each is copied
+    into h12 before the next part's grid is made.
     """
     c = -np.pi ** 2
     parts = _inverse_parts(geom, spec, ((geom.cross_re, None), (geom.cross_im, None),
@@ -472,36 +368,37 @@ def potential_from_form(geom: TorusGeometry, a: FormField) -> Tuple[np.ndarray, 
     """
     a = FormField(*(np.broadcast_to(c, geom.shape) for c in (a.a11, a.a12, a.a22)))
     mean = a.mean_matrix()
-    pref = -np.pi ** 2
-    # Per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
-    # with double weight on the off-diagonal pair: w_hat = (s11 f11 +
-    # s22 f22 + 2 conj(s12) f12) / D. Here s11 = pref |mu1|^2, s22 =
-    # pref |mu2|^2 and |s12|^2 = s11 s22 on every mode, so D = s11^2 +
-    # s22^2 + 2 |s12|^2 = (s11 + s22)^2, and with e = pref / D the
-    # symbols are |mu1|^2 e, |mu2|^2 e and 2 mu1 conj(mu2) e.
-    # f12 splits over the real and imaginary parts of a12, and each
-    # symbol sigma is taken as (sigma(j) + conj sigma(j_neg)) / 2.
-    sides = []
-    for mu1, mu2 in ((geom.mu1, geom.mu2), (geom.mu1_neg, geom.mu2_neg)):
-        sq1, sq2 = np.abs(mu1) ** 2, np.abs(mu2) ** 2
-        d = pref * (sq1 + sq2) ** 2
-        d.flat[0] = np.inf      # the mean mode, which w_hat drops
-        e = 1 / d
-        sides.append((sq1 * e, sq2 * e, mu1 * np.conj(mu2) * e))
-    (sq1, sq2, cross), (sq1_neg, sq2_neg, cross_neg) = sides
-    del sides, d, e
+
+    def least_squares(numerator, imag=False):
+        # Per-mode least squares of (s11, s12, s22) w_hat = (f11, f12, f22)
+        # with double weight on the off-diagonal pair: w_hat = (s11 f11 +
+        # s22 f22 + 2 conj(s12) f12) / D. Here s11 = -pi^2 |mu1|^2, s22 =
+        # -pi^2 |mu2|^2 and |s12|^2 = s11 s22 on every mode, so D = s11^2 +
+        # s22^2 + 2 |s12|^2 = (s11 + s22)^2, and each map is numerator / d
+        # with d = -pi^2 (|mu1|^2 + |mu2|^2)^2.
+        def sigma(mu1, mu2, bar):
+            sq1, sq2 = np.abs(mu1) ** 2, np.abs(mu2) ** 2
+            d = -np.pi ** 2 * (sq1 + sq2) ** 2
+            d.flat[0] = np.inf      # the mean mode, which w_hat drops
+            return numerator(mu1, mu2, sq1, sq2) * (1 / d)
+        return geom.half_symbol(sigma, imag=imag)
+
+    # Re(tau f12) = Re tau Re f12 - Im tau Im f12 for the map tau of f12,
+    # so Im a12 enters with minus the imaginary-part symbol of tau
+    tau_re, tau_im = least_squares(lambda mu1, mu2, sq1, sq2: 2 * mu1 * np.conj(mu2), imag=True)
     wh = np.zeros_like(geom.cross_re)
-    for symbol, c, c_mean in (((sq1 + sq1_neg) / 2, a.a11, mean[0, 0].real),
-                              ((sq2 + sq2_neg) / 2, a.a22, mean[1, 1].real),
-                              (cross + np.conj(cross_neg), a.a12.real, mean[0, 1].real),
-                              (1j * (cross - np.conj(cross_neg)), a.a12.imag,
-                               mean[0, 1].imag)):
+    for symbol, c, c_mean in ((least_squares(lambda mu1, mu2, sq1, sq2: sq1), a.a11,
+                               mean[0, 0].real),
+                              (least_squares(lambda mu1, mu2, sq1, sq2: sq2), a.a22,
+                               mean[1, 1].real),
+                              (tau_re, a.a12.real, mean[0, 1].real),
+                              (-tau_im, a.a12.imag, mean[0, 1].imag)):
         part = _rfft(c - c_mean)
         part *= symbol
         wh += part
     w = _irfft(geom, wh)
     # the spectra are not held through ddc(w)
-    del wh, part, sq1, sq2, cross, sq1_neg, sq2_neg, cross_neg
+    del wh, part, symbol, tau_re, tau_im
     rec = ddc(geom, w)
     sup = 0.0
     for c, c_mean, c_rec in ((a.a11, mean[0, 0].real, rec.a11),
@@ -541,8 +438,8 @@ class SurfaceChargeData:
     u2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        g11, _, g22 = self.metric
-        if g11 <= 0 or self._metric_det() <= 0:
+        g11, g12, g22 = self.metric
+        if g11 <= 0 or g11 * g22 - abs(g12) ** 2 <= 0:
             raise SurfaceError("metric matrix must be positive definite")
         if self.rho[0] == 0:
             raise SurfaceError("rho0 must be nonzero to normalise the equation")
@@ -558,21 +455,15 @@ class SurfaceChargeData:
         """Deformed Hermitian Yang-Mills weights, trivial twist."""
         return SurfaceChargeData(geom, metric, DHYM_RHO, alpha0)
 
-    def _metric_det(self) -> float:
-        g11, g12, g22 = self.metric
-        return g11 * g22 - abs(g12) ** 2
-
     def normalised_rho(self) -> Tuple[complex, complex, complex]:
         r0, r1, r2 = (complex(v) for v in self.rho)
         return (2.0 + 0j, 2 * r1 / r0, 2 * r2 / r0)
 
     def omega(self) -> FormField:
-        g11, g12, g22 = self.metric
-        return FormField.constant(g11, g12, g22)
+        return FormField.constant(*self.metric)
 
     def alpha_harmonic(self) -> FormField:
-        a11, a12, a22 = self.alpha0
-        return FormField.constant(a11, a12, a22)
+        return FormField.constant(*self.alpha0)
 
     def u1_field(self) -> FormField:
         return self._u1_and_potential_hat()[0]
@@ -580,8 +471,7 @@ class SurfaceChargeData:
     def _u1_and_potential_hat(self) -> Tuple[FormField, Optional[np.ndarray]]:
         """U1, and the half spectrum of u1_potential with its mean mode
         zeroed (None without a potential); u1_const is added in place."""
-        c11, c12, c22 = self.u1_const
-        const = FormField.constant(c11, c12, c22)
+        const = FormField.constant(*self.u1_const)
         if self.u1_potential is None:
             return const, None
         potential = np.broadcast_to(np.asarray(self.u1_potential, dtype=float), self.geom.shape)
@@ -608,8 +498,12 @@ class SurfaceChargeData:
 
     def _zt(self, alpha: FormField, k: float, u1: FormField, u2) -> np.ndarray:
         """zt_density with the u2 density given."""
+        return self._zt_at(k, self._zt_terms(alpha, u1, u2))
+
+    def _zt_at(self, k: float, terms: Tuple[np.ndarray, ...]) -> np.ndarray:
+        """_zt at scale k from its k-independent densities (_zt_terms)."""
         _, r1, r2 = self.normalised_rho()
-        sq_g, w_g, real_part = self._zt_terms(alpha, u1, u2)
+        sq_g, w_g, real_part = terms
         return r2 * k ** 2 * sq_g + r1 * k * w_g + real_part
 
     def _zt_terms(self, alpha: FormField, u1: FormField, u2) -> Tuple[np.ndarray, ...]:
@@ -658,15 +552,11 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
     alpha0 + beta/2, and f = wedge(beta, beta)/4 - gamma of the module
     docstring.
 
-    f is evaluated one block of first-axis rows at a time, as many as
-    BLOCK elements hold and at least one (the whole grid of a lattice
-    solve at N=16, two rows of the N^4 grid at N=32), from the four
-    components of the twist U1, and written over its a11 grid (a new
-    grid for a constant twist with a u2 density), so beta, gamma and the
-    wedges exist only block by block. Each block runs the pointwise
-    numpy operations of the whole-grid formula in the same order,
-    complex products included, so f is bit for bit that formula's. With
-    a constant twist and no u2 density, f is a scalar.
+    f is evaluated from the four components of the twist U1 one block of
+    first-axis rows at a time (_row_blocks) and written over its a11 grid
+    (a new grid for a constant twist with a u2 density), so beta, gamma
+    and the wedges exist only block by block. With a constant twist and
+    no u2 density, f is a scalar.
     """
     u1, potential_hat = data._u1_and_potential_hat()
     phi = data.phase()
@@ -695,13 +585,10 @@ def assemble_equation(data: SurfaceChargeData) -> EquationAssembly:
         # a block of f is written only after rhs has read the same block
         # of u1.a11, so a twist grid can hold f
         f = u1.a11 if np.ndim(u1.a11) else np.empty(data.geom.shape)
-        step = _per_block(f[0].size)
-        for i in range(0, data.geom.size, step):
-            rows = slice(i, i + step)
+        for rows in _row_blocks(f.shape):
             a11, a12, a22, u2_i = (c[rows] if np.ndim(c) else c for c in parts)
             f[rows] = rhs(FormField(a11, a12, a22), u2_i)
-    c11, c12, c22 = data.u1_const
-    a0 = data.alpha_harmonic() + (FormField.constant(c11, c12, c22)
+    a0 = data.alpha_harmonic() + (FormField.constant(*data.u1_const)
                                   + g.scale(-im1 / (2 * s)))
     return EquationAssembly(phi, s, a0, potential_hat, f)
 
@@ -733,8 +620,7 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
     With h = ddc(delta) that is -8 (m11 h22 + m22 h11 - 2 (Re m12 Re h12
     + Im m12 Im h12)), summed part by part into one grid, so h itself is
     never formed. The parts are inverted as _inverse_parts stacks them,
-    into one block of grids reused from stack to stack: four to a stack
-    at rank <= 3 and N=16, one at a time on an N^4 grid at N >= 16.
+    into one block of grids reused from stack to stack.
     """
     c = 8 * np.pi ** 2              # each part is then -8 times one of h
     # the cross terms carry -2
@@ -755,36 +641,25 @@ def _apply_operator(geom: TorusGeometry, m: FormField, spec: np.ndarray) -> np.n
 def _precondition_symbol(geom: TorusGeometry, mbar: np.ndarray) -> np.ndarray:
     """Half-spectrum symbol of the mean-coefficient operator, made positive.
 
-    The symbol sigma(j) need not be even on Nyquist planes; the real part
-    of the full-spectrum division by sigma is a division by the harmonic
-    mean of sigma(j) and sigma(j_neg), which is what this returns. It is
-    built one block of first-axis rows at a time, as many as BLOCK
-    elements hold and at least one, with the same operations on every
-    block.
+    Division by the operator's symbol sigma is the half-spectrum rule
+    applied to 1 / sigma, so this is 1 / half_symbol(1 / sigma), the
+    harmonic mean of sigma(j) and sigma(j'), with 1 on the mean mode. It
+    is built one block of first-axis rows at a time (_row_blocks), so that
+    no complex half spectrum of an N^4 grid is built.
     """
-    m11 = mbar[0, 0].real
-    m22 = mbar[1, 1].real
-    m12 = mbar[0, 1]
-    out = np.empty(geom.cross_re.shape)
+    m11, m22, m12 = mbar[0, 0].real, mbar[1, 1].real, mbar[0, 1]
 
-    def sigma(mu1: np.ndarray, mu2: np.ndarray, rows: slice) -> np.ndarray:
-        """sigma on the first-axis rows, with 1 on the mean mode."""
-        mu1, mu2 = (a[rows] if a.shape[0] > 1 else a for a in (mu1, mu2))
+    def inverse(mu1: np.ndarray, mu2: np.ndarray, bar: Callable) -> np.ndarray:
         s = np.conj(mu1) * mu2
         diag = m11 * np.abs(mu2) ** 2 + m22 * np.abs(mu1) ** 2
-        sym = np.broadcast_to(8 * np.pi ** 2 * (diag - 2 * (m12 * np.conj(s)).real),
-                              out[rows].shape).copy()
-        if rows.start == 0:
-            sym.flat[0] = 1.0      # the mean mode
-        return sym
+        return 1 / (8 * np.pi ** 2 * (diag - 2 * (bar(m12) * np.conj(s)).real))
 
-    # one block of first-axis rows at a time, so that no complex half
-    # spectrum of an N^4 grid is built
-    step = _per_block(out[0].size)
-    for i in range(0, out.shape[0], step):
-        rows = slice(i, i + step)
-        out[rows] = 2 / (1 / sigma(geom.mu1, geom.mu2, rows)
-                         + 1 / sigma(geom.mu1_neg, geom.mu2_neg, rows))
+    out = np.empty(geom.cross_re.shape)
+    # sigma vanishes on the mean mode alone, which is set afterwards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(out.shape):
+            out[rows] = 1 / geom.half_symbol(inverse, rows)
+    out.flat[0] = 1.0
     return out
 
 
@@ -802,13 +677,11 @@ def _pcg(
     The real right side is transformed once. r, x, best x and p are
     half spectra with a zero mean mode, preconditioning is a division
     by symbol, inner products are taken by Parseval (_inner), and each
-    iteration transforms the operator's output once, so it costs five
-    real transforms: one forward and the operator's four inverse, which
-    go in one stacked call on a lattice grid at N=16 and one at a time
-    on an N^4 grid at N >= 16. The residual is tested as soon as it is
-    updated, so the last iterate is never preconditioned. The iterate
-    reached at max_iter is not tested and does not count as the best
-    one.
+    iteration transforms the operator's output once. The residual is
+    tested as soon as it is updated, so the last iterate is never
+    preconditioned. The iterate reached at max_iter is not tested and
+    does not count as the best one. A stall names the relative residual
+    reached and tol.
     """
 
     r = _rfft(rhs)
@@ -853,7 +726,10 @@ def _pcg(
             p = z
             rz = rz_new
     if best_norm > max(target, 1e-6 * norm0):
-        raise NumericalFailureError("conjugate gradients stalled above tolerance")
+        raise NumericalFailureError(
+            f"conjugate gradients stalled above tolerance: relative residual "
+            f"{best_norm / norm0:.3e} against eta {tol:.3e}"
+        )
     return best_x, it
 
 
@@ -863,8 +739,8 @@ def _pcg(
 
 
 def _sup(x) -> float:
-    """max |x| of a real grid or scalar, bit for bit np.max(np.abs(x))
-    without the |x| copy; abs only clears the sign of a zero sup."""
+    """max |x| of a real grid or scalar, without an |x| copy; abs only
+    clears the sign of a zero sup."""
     return float(abs(max(x.max(), -x.min())))
 
 
@@ -913,12 +789,12 @@ def solve_monge_ampere(
     class test) or the density f fails positivity, and
     NumericalFailureError when the iteration stalls at a positive class
     or needs more than NEWTON_MAX steps, naming the roundoff floor when
-    the residual has reached it.
+    the residual has reached it, and the Newton step and its residual
+    when conjugate gradients or the line search fail.
     """
     f = np.broadcast_to(f, geom.shape)
     mbar = a0.mean_matrix()
-    eigs = np.linalg.eigvalsh(mbar)
-    if eigs[0] <= 0:
+    if np.linalg.eigvalsh(mbar)[0] <= 0:
         raise ClassObstructionError(
             "class test failed: the averaged matrix alpha0 + beta/2 is not "
             "positive definite, so no solution branch exists"
@@ -956,12 +832,18 @@ def solve_monge_ampere(
     while res_sup > tol:
         if len(path) > NEWTON_MAX:     # len(path) - 1 steps taken
             raise NumericalFailureError(f"Newton stalled with residual {res_sup:.3e}")
+        where = f"Newton step {len(path)} (residual {res_sup:.3e})"
         # inexact Newton step L delta = -res, with the solver acting
         # as -L, solved to a tolerance that follows the residual
         eta = max(CG_TOL_FLOOR, min(0.1, 0.1 * res_sup / scale))
         if symbol is None:
             symbol = _precondition_symbol(geom, mbar)
-        delta_hat, cg_it = _pcg(geom, m, res, symbol, eta, CG_MAX)
+        try:
+            delta_hat, cg_it = _pcg(geom, m, res, symbol, eta, CG_MAX)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError(
+                f"{exc}; {where}, N={geom.size}, lattice rank {geom.rank}"
+            ) from None
         del m, res      # the line search builds its own
         total_cg += cg_it
         step = 1.0
@@ -989,8 +871,8 @@ def solve_monge_ampere(
                         f"tol {tol:.3e}"
                     )
                 raise NumericalFailureError(
-                    "line search exhausted; positivity or decrease could "
-                    "not be maintained"
+                    f"line search exhausted at {where}; positivity or "
+                    "decrease could not be maintained"
                 )
         psi_hat, m = trial_hat, trial_m
         res, res_sup = trial_res, trial_sup
@@ -1031,8 +913,8 @@ class SurfaceSolution(MongeAmpereSolution):
     z_residual_mean: float = field(init=False)
 
     def __post_init__(self):
-        # sup |-sin(phi) r| is fl(|sin(phi)| sup |r|) bit for bit, since
-        # rounding is monotone; the mean is not, so it reads the field
+        # rounding is monotone, so sup |-sin(phi) r| is |sin(phi)| sup |r|;
+        # the mean is not, so it reads the field
         self.z_residual_sup = float(abs(np.sin(self.phi)) * self.residual_sup)
         self.z_residual_mean = float(np.mean(self.z_residual_field))
 
@@ -1101,11 +983,8 @@ def _lattice_basis(modes: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
 
 def _column_spectrum(half: np.ndarray, c: int) -> np.ndarray:
     """Column c of the rfftn spectrum of a grid whose last-axis rfft is
-    half: half[..., c] transformed on axes 2, 1, 0, bit for bit _rfft's."""
-    spec = half[..., c].copy()
-    for axis in (2, 1, 0):
-        np.fft.fft(spec, axis=axis, out=spec)
-    return spec
+    half, by _rfft's leading passes."""
+    return _leading_passes(half[..., c:c + 1].copy())[..., 0]
 
 
 def _support(grid: np.ndarray) -> Tuple[complex, np.ndarray, np.ndarray]:
@@ -1131,7 +1010,7 @@ def _support(grid: np.ndarray) -> Tuple[complex, np.ndarray, np.ndarray]:
     floor = ROUNDOFF_FLOOR * np.finfo(float).eps
     half = np.fft.rfft(grid, axis=-1)
     # one leading axis at a time, which numpy sums as long contiguous
-    # adds, three times faster than axis=(0, 1, 2)
+    # adds, faster than axis=(0, 1, 2)
     bound = np.abs(half).sum(axis=0).sum(axis=0).sum(axis=0)
     columns: Dict[int, np.ndarray] = {}
     top = 0.0
@@ -1163,8 +1042,7 @@ def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
     support modes, with a support mode on a Nyquist plane, of rank 4,
     with a support mode j outside |j_a| < N/2, or when a reduced field
     gathered back misses its input by more than ROUNDOFF_FLOOR * eps *
-    max(1, sup |input|), a check made one block of N^3 slabs at a time
-    (_gather_miss).
+    max(1, sup |input|) (_gather_miss).
     """
     geom = data.geom
     n = geom.size
@@ -1207,7 +1085,7 @@ def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
         g = _irfft(rgeom, spec)
         # miss > floor * max(1, sup |grid|), with sup |grid| taken only
         # when miss exceeds floor; floor * 1 is exact and rounding is
-        # monotone, so the decision is the same bit for bit
+        # monotone, so the decision is the same
         miss = _gather_miss(g, basis, grid)
         if miss > floor and miss > floor * _sup(grid):
             return None
@@ -1219,10 +1097,9 @@ def _reduce(data: SurfaceChargeData) -> Optional[SurfaceChargeData]:
 def _slab_blocks(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
                  out: Optional[np.ndarray] = None) -> Iterator[Tuple[slice, np.ndarray]]:
     """The N^4 grid field x -> g(B^T x) of a reduced field g, one block of
-    first-axis slabs at a time, as many as BLOCK elements hold and at
-    least one: yields the rows of each block and the block, written into
-    out[rows] when out (an N^4 grid) is given and into one reused buffer
-    otherwise.
+    first-axis slabs at a time (_row_blocks): yields the rows of each
+    block and the block, written into out[rows] when out (an N^4 grid) is
+    given and into one reused buffer otherwise.
 
     g is read from its copy tiled twice along every axis (2^r times its
     size), where slab i is one flat index of N^3 points, the other
@@ -1242,12 +1119,11 @@ def _slab_blocks(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
         flat += part % n * stride
     offsets = sum(points * column[0] % n * stride
                   for column, stride in zip(basis, strides)).reshape(n, 1, 1, 1)
-    step = _per_block(flat.size)
-    index = np.empty((min(step, n),) + flat.shape, dtype=np.intp)
+    blocks = _row_blocks((n,) + flat.shape)
+    index = np.empty((blocks[0].stop,) + flat.shape, dtype=np.intp)
     buf = np.empty(index.shape) if out is None else None
-    for i in range(0, n, step):
-        rows = slice(i, i + step)
-        block = np.add(flat, offsets[rows], out=index[:len(offsets[rows])])
+    for rows in blocks:
+        block = np.add(flat, offsets[rows], out=index[:rows.stop - rows.start])
         dest = buf[:len(block)] if out is None else out[rows]
         yield rows, np.take(tiled, block, out=dest, mode="clip")
 
@@ -1262,9 +1138,8 @@ def _gather(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
 
 def _gather_miss(g: np.ndarray, basis: Tuple[Tuple[int, ...], ...],
                  grid: np.ndarray) -> float:
-    """sup |g(B^T x) - grid| on the N^4 grid, bit for bit _sup of the
-    difference (max and min are exact), from one block of N^3 slabs at a
-    time."""
+    """sup |g(B^T x) - grid| on the N^4 grid, as _sup of the difference,
+    from one block of N^3 slabs at a time."""
     extremes = []
     for rows, block in _slab_blocks(g, basis):
         miss = np.subtract(block, grid[rows], out=block)
@@ -1353,11 +1228,11 @@ def large_volume_check(
     alpha = data.alpha_harmonic()
     u1 = data.u1_field()
     _, r1, r2 = data.normalised_rho()
-    # _zt at any k from densities built once, in _zt's operation order
-    sq_g, w_g, real_part = data._zt_terms(alpha, u1, data.u2_density())
+    # _zt at any k from densities built once
+    terms = data._zt_terms(alpha, u1, data.u2_density())
 
     def pairing(kk: float) -> np.ndarray:
-        zt = r2 * kk ** 2 * sq_g + r1 * kk * w_g + real_part
+        zt = data._zt_at(kk, terms)
         zk = complex(np.mean(zt))
         return (np.conj(zk) * zt).imag
 

@@ -491,6 +491,22 @@ def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_stalled_conjugate_gradients_say_where_they_stopped(capsys):
+    # on an even grid the skew config's Nyquist modes stall conjugate
+    # gradients; the failure names the Newton step and its residual, the
+    # relative CG residual reached against eta, N and the lattice rank
+    rc, _, err = run(capsys, "solve-surface", "--config", "configs/torus_skew.json",
+                     "--N", "8")
+    assert rc == 65
+    assert re.fullmatch(
+        r"numerical failure: conjugate gradients stalled above tolerance: relative "
+        r"residual (\S+) against eta (\S+); Newton step [1-9]\d* \(residual \S+\), "
+        r"N=8, lattice rank 2\n", err)
+    reached, eta = (float(v) for v in re.findall(r"residual (\S+) against eta (\S+);",
+                                                 err)[0])
+    assert reached > eta
+
+
 def test_roundoff_floor_is_named(tmp_path, capsys):
     # at metric 256 I the equation's scale |8 det a0| is about 1.4e9, so
     # its roundoff floor lies far above tol 1e-11: the solve stops there

@@ -227,6 +227,21 @@ def test_exhausted_linear_solver_reports_numerical_failure(monkeypatch):
         solve_critical_equation(two_mode_data(), stages=1)
 
 
+def test_exhausted_line_search_names_the_newton_step(monkeypatch):
+    # an ascent direction: every step length raises the residual, so the
+    # line search runs out at the first Newton step and says so
+    pcg = surface._pcg
+
+    def ascent(*args):
+        x, it = pcg(*args)
+        return -x, it
+
+    monkeypatch.setattr(surface, "_pcg", ascent)
+    with pytest.raises(NumericalFailureError,
+                       match=r"^line search exhausted at Newton step 1 \(residual \S+\); "):
+        solve_critical_equation(two_mode_data(), stages=1)
+
+
 def test_stages_other_than_one_are_rejected():
     with pytest.raises(SurfaceError, match="stages=2"):
         solve_critical_equation(two_mode_data(), stages=2)
